@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime as dt
 import json
 import logging
@@ -24,7 +25,7 @@ from . import signals as signals_mod
 from . import store as store_mod
 from . import synth as synth_mod
 from . import trend as trend_mod
-from .records import AGE_BANDS, IngestReport, normalize_record
+from .records import AGE_BANDS, IngestReport
 from .schemas import BUILTIN_SCHEMAS, SchemaError, load_schema
 
 log = logging.getLogger(__name__)
@@ -62,18 +63,21 @@ def _parse_window(text: str) -> tuple[dt.date, dt.date]:
         ) from exc
 
 
+def _write_json(path: Path, obj) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_manifest(out_dir: Path, subcommand: str, args: dict, stats: dict,
                     wall_clock_s: float) -> None:
-    manifest = {
+    _write_json(out_dir / "manifest.json", {
         "tool_version": _tool_version(),
         "subcommand": subcommand,
         "args": args,
         "stats": stats,
         "wall_clock_s": round(wall_clock_s, 3),
-    }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def _sig2(value: float) -> str:
@@ -105,17 +109,16 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         quarantine_fh = open(out_dir / "quarantine.csv", "w", newline="",
                              encoding="utf-8")
     try:
-        raw_iter = ingest_mod.iter_parse_lines(
+        raws = ingest_mod.iter_parse_lines(
             args.input,
             schema,
             report,
             use_alt_event_date=args.use_specimen_date,
             quarantine=quarantine_fh,
         )
-        records = (normalize_record(r) for r in raw_iter)
-        n_rows = store_mod.save_store(
+        store_mod.save_store(
             out_dir / "store.npz",
-            records,
+            store_mod.columns_from_raw(raws),
             meta={"schema": schema.name, "source": str(args.input)},
         )
     except FileNotFoundError as exc:
@@ -128,9 +131,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         if quarantine_fh is not None:
             quarantine_fh.close()
 
-    with open(out_dir / "ingest_report.json", "w", encoding="utf-8") as fh:
-        json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "ingest_report.json", report.as_dict())
     if report.kept_rows == 0:
         log.warning("no rows kept from %s", args.input)
     _write_manifest(
@@ -155,25 +156,21 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _save_cohort_npz(path, table: cohort_mod.CohortTable) -> None:
-    payload = {
-        "start": np.str_(table.start.isoformat()),
-        "end": np.str_(table.end.isoformat()),
-    }
-    for (band, gender), arr in table.cells.items():
-        payload[f"cell__{band}__{gender}"] = arr
-    np.savez_compressed(path, **payload)
+    np.savez_compressed(
+        path,
+        start=np.str_(table.start.isoformat()),
+        end=np.str_(table.end.isoformat()),
+        array=table.array,
+    )
 
 
 def _load_cohort_npz(path) -> cohort_mod.CohortTable:
     with np.load(path, allow_pickle=False) as npz:
-        start = dt.date.fromisoformat(str(npz["start"]))
-        end = dt.date.fromisoformat(str(npz["end"]))
-        cells = {}
-        for key in npz.files:
-            if key.startswith("cell__"):
-                _, band, gender = key.split("__")
-                cells[(band, gender)] = npz[key]
-    return cohort_mod.CohortTable(start=start, end=end, cells=cells)
+        return cohort_mod.CohortTable(
+            start=dt.date.fromisoformat(str(npz["start"])),
+            end=dt.date.fromisoformat(str(npz["end"])),
+            array=npz["array"],
+        )
 
 
 def _strata_for_tables(gender: str = "all"):
@@ -190,50 +187,37 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if not store_path.exists():
         print(f"error: store not found: {store_path}", file=sys.stderr)
         return EXIT_DATA
-    columns, _meta = store_mod.load_store(store_path)
-    records = list(store_mod.iter_records(columns))
+    try:
+        cases, _meta = store_mod.load_store(store_path)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
     excluded_states: list[str] = []
     if args.auto_exclude:
-        flagged = ingest_mod.detect_reporting_artifacts(records)
+        flagged = ingest_mod.detect_reporting_artifacts(cases)
         excluded_states = [state for state, _ in flagged]
-        with open(out_dir / "excluded_states.json", "w", encoding="utf-8") as fh:
-            json.dump(
-                {state: evidence for state, evidence in flagged},
-                fh, indent=2, sort_keys=True,
-            )
-            fh.write("\n")
+        _write_json(out_dir / "excluded_states.json", dict(flagged))
     elif args.exclude_states:
         excluded_states = [s.strip().upper() for s in args.exclude_states.split(",")]
-    if excluded_states:
-        records = [r for r in records if r.state not in excluded_states]
 
     window = args.window
-    records = ingest_mod.filter_cohort(
-        records, window=window, maturity_days=args.maturity_days,
-        data_vintage=args.vintage,
-    )
-    table = cohort_mod.build_cohort_table(records, window[0], window[1])
+    cohort = cases.select(ingest_mod.cohort_mask(
+        cases, window=window, maturity_days=args.maturity_days,
+        data_vintage=args.vintage, excluded_states=excluded_states,
+    ))
+    table = cohort_mod.build_cohort_table(cohort, window[0], window[1])
     _save_cohort_npz(out_dir / "cohort_table.npz", table)
     table.write_long_csv(out_dir / "cohort_long.csv")
 
-    demo = cohort_mod.summarize_demographics(records)
+    demo = cohort_mod.summarize_demographics(cohort)
     with open(out_dir / "demographics.txt", "w", encoding="utf-8") as fh:
         fh.write(demo.as_text() + "\n")
-    with open(out_dir / "demographics.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "total_cases": demo.total_cases,
-                "age_counts": demo.age_counts,
-                "gender_counts": demo.gender_counts,
-                "hospitalized_yes": demo.hospitalized_yes,
-                "hospitalized_no": demo.hospitalized_no,
-                "died_yes": demo.died_yes,
-                "died_no": demo.died_no,
-            },
-            fh, indent=2, sort_keys=True,
-        )
-        fh.write("\n")
+    _write_json(out_dir / "demographics.json", {
+        **dataclasses.asdict(demo),
+        "hospitalized_no": demo.hospitalized_no,
+        "died_no": demo.died_no,
+    })
 
     for name, stratum in _strata_for_tables():
         signals_mod.cfr_series(table, stratum).write_long_csv(
@@ -275,10 +259,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "region": args.region,
             "out": str(args.out),
         },
-        {"cohort_records": len(records), "excluded_states": excluded_states},
+        {"cohort_records": len(cohort), "excluded_states": excluded_states},
         time.monotonic() - t0,
     )
-    print(f"analyzed {len(records)} cohort records -> {out_dir}")
+    print(f"analyzed {len(cohort)} cohort records -> {out_dir}")
     return EXIT_OK
 
 
@@ -308,7 +292,12 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
         print(f"error: analyzed cohort table not found: {table_path}",
               file=sys.stderr)
         return EXIT_DATA
-    table = _load_cohort_npz(table_path)
+    try:
+        table = _load_cohort_npz(table_path)
+    except KeyError:
+        print(f"error: {table_path} is not a cohort table of this version; "
+              "re-run analyze", file=sys.stderr)
+        return EXIT_DATA
 
     if args.dates:
         try:
@@ -503,11 +492,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", help="cohort, rates, demographics")
     p_analyze.add_argument("--store", required=True)
     p_analyze.add_argument("--window", type=_parse_window,
-                           default=(dt.date(2020, 3, 26), dt.date(2020, 11, 1)),
+                           default=ingest_mod.STUDY_WINDOW,
                            metavar="START..END")
     p_analyze.add_argument("--maturity-days", type=int, default=30)
     p_analyze.add_argument("--vintage", type=_parse_date,
-                           default=dt.date(2020, 12, 4))
+                           default=ingest_mod.DATA_VINTAGE)
     p_analyze.add_argument("--exclude-states", default=None,
                            help="comma-separated state codes to drop")
     p_analyze.add_argument("--auto-exclude", action="store_true",

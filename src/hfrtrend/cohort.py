@@ -3,19 +3,21 @@
 A CohortTable holds, for every (age band, gender) cell and every date in
 a contiguous range, the number of cases confirmed that day together with
 how many of them were eventually hospitalized, eventually died, and were
-hospitalized AND died (the HFR numerator).
+hospitalized AND died (the HFR numerator). Tables and summaries are
+counted from store columns with np.bincount.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .records import AGE_BANDS, AGE_UNKNOWN, ALL_AGE_BANDS, GENDERS, LineRecord
+from .records import AGE_BANDS, ALL_AGE_BANDS, GENDERS, LineRecord
+from .store import BAND_INDEX, GENDER_INDEX, CaseColumns, as_columns, day_index
 
 AGGREGATE = "aggregate"
 ALL_GENDERS = "all"
@@ -44,8 +46,8 @@ class CohortTable:
 
     start: dt.date
     end: dt.date
-    # (age_band, gender) -> int array of shape (n_days, 4), columns SIGNALS
-    cells: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
+    # int64, shape (len(ALL_AGE_BANDS), len(GENDERS), n_days, len(SIGNALS))
+    array: np.ndarray
 
     @property
     def n_days(self) -> int:
@@ -55,21 +57,26 @@ class CohortTable:
     def dates(self) -> list[dt.date]:
         return [self.start + dt.timedelta(days=i) for i in range(self.n_days)]
 
+    @property
+    def cells(self) -> dict[tuple[str, str], np.ndarray]:
+        """(age band, gender) -> (n_days, 4) counts, for cells with cases."""
+        present = self.array[..., 0].sum(axis=2) > 0
+        return {
+            (ALL_AGE_BANDS[b], GENDERS[g]): self.array[b, g]
+            for b, g in zip(*np.nonzero(present))
+        }
+
     def counts(self, stratum: StratumKey = StratumKey()) -> np.ndarray:
         """Summed (n_days, 4) counts for a stratum, resolving sentinels.
 
         The aggregate band includes unknown-age records; named age bands
         never do.
         """
-        bands = ALL_AGE_BANDS if stratum.age_band == AGGREGATE else (stratum.age_band,)
-        genders = GENDERS if stratum.gender == ALL_GENDERS else (stratum.gender,)
-        total = np.zeros((self.n_days, 4), dtype=np.int64)
-        for band in bands:
-            for gender in genders:
-                cell = self.cells.get((band, gender))
-                if cell is not None:
-                    total += cell
-        return total
+        bands = (slice(None) if stratum.age_band == AGGREGATE
+                 else [BAND_INDEX[stratum.age_band]])
+        genders = (slice(None) if stratum.gender == ALL_GENDERS
+                   else [GENDER_INDEX[stratum.gender]])
+        return self.array[bands][:, genders].sum(axis=(0, 1))
 
     def signal(self, stratum: StratumKey, name: str) -> np.ndarray:
         return self.counts(stratum)[:, _SIG_INDEX[name]]
@@ -79,40 +86,36 @@ class CohortTable:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["date", "age_band", "gender", *SIGNALS])
-            dates = self.dates
+            dates = [d.isoformat() for d in self.dates]
             for (band, gender), arr in sorted(self.cells.items()):
-                for i, date in enumerate(dates):
-                    writer.writerow([date.isoformat(), band, gender, *arr[i]])
+                for date, row in zip(dates, arr.tolist()):
+                    writer.writerow([date, band, gender, *row])
 
 
 def build_cohort_table(
-    records: Iterable[LineRecord], start: dt.date, end: dt.date
+    records: Iterable[LineRecord] | CaseColumns, start: dt.date, end: dt.date
 ) -> CohortTable:
-    """Aggregate cohort-filtered records into a dense daily table.
+    """Aggregate cohort-filtered cases into a dense daily table.
 
     Every base cell covers exactly [start, end] with zero-filled gaps so
-    downstream rolling windows stay well-defined.
+    downstream rolling windows stay well-defined; cases outside the range
+    are dropped.
     """
     if start > end:
         raise ValueError("start after end")
+    cases = as_columns(records)
     n_days = (end - start).days + 1
-    cells: dict[tuple[str, str], np.ndarray] = {}
-    for r in records:
-        if not (start <= r.event_date <= end):
-            continue
-        key = (r.age_band, r.gender)
-        cell = cells.get(key)
-        if cell is None:
-            cell = cells[key] = np.zeros((n_days, 4), dtype=np.int64)
-        day = (r.event_date - start).days
-        cell[day, 0] += 1
-        if r.hospitalized:
-            cell[day, 1] += 1
-        if r.died:
-            cell[day, 2] += 1
-        if r.hospitalized and r.died:
-            cell[day, 3] += 1
-    return CohortTable(start=start, end=end, cells=cells)
+    day = cases.event_day.astype(np.int64) - day_index(start)
+    keep = (day >= 0) & (day < n_days)
+    shape = (len(ALL_AGE_BANDS), len(GENDERS), n_days)
+    cell = np.ravel_multi_index(
+        (cases.age_band[keep], cases.gender[keep], day[keep]), shape
+    )
+    hosp, died = cases.hospitalized[keep], cases.died[keep]
+    counts = [np.bincount(cell, weights, np.prod(shape))
+              for weights in (None, hosp, died, hosp & died)]
+    array = np.stack(counts, axis=-1).astype(np.int64).reshape(*shape, len(SIGNALS))
+    return CohortTable(start=start, end=end, array=array)
 
 
 @dataclass
@@ -161,22 +164,18 @@ class DemographicsSummary:
         return "\n".join(lines)
 
 
-def summarize_demographics(records: Iterable[LineRecord]) -> DemographicsSummary:
-    age_counts = {band: 0 for band in ALL_AGE_BANDS}
-    gender_counts = {g: 0 for g in GENDERS}
-    total = hosp = died = 0
-    for r in records:
-        total += 1
-        age_counts[r.age_band] += 1
-        gender_counts[r.gender] += 1
-        hosp += r.hospitalized
-        died += r.died
+def summarize_demographics(
+    records: Iterable[LineRecord] | CaseColumns,
+) -> DemographicsSummary:
+    cases = as_columns(records)
+    bands = np.bincount(cases.age_band, minlength=len(ALL_AGE_BANDS))
+    genders = np.bincount(cases.gender, minlength=len(GENDERS))
     return DemographicsSummary(
-        total_cases=total,
-        age_counts=age_counts,
-        gender_counts=gender_counts,
-        hospitalized_yes=hosp,
-        died_yes=died,
+        total_cases=len(cases),
+        age_counts={b: int(n) for b, n in zip(ALL_AGE_BANDS, bands)},
+        gender_counts={g: int(n) for g, n in zip(GENDERS, genders)},
+        hospitalized_yes=int(cases.hospitalized.sum()),
+        died_yes=int(cases.died.sum()),
     )
 
 

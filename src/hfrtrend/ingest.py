@@ -2,48 +2,65 @@
 
 Two layouts are supported (Florida FDOH line list and the national CDC
 case-surveillance file) via declarative schemas, plus daily testing
-aggregates. Parsing is streaming: memory stays bounded by the row batch,
-never the file, so the multi-gigabyte national file is safe to ingest.
+aggregates. Parsing streams rows through `csv.reader` and decodes each
+cell through a per-column memo, so each distinct date, age or label is
+decoded once (a study window has a few hundred distinct dates and ages);
+one RawLineRecord is yielded per kept row and the file is never held in
+memory. Cohort filtering and artifact detection work on store columns.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime as dt
 import gzip
 import io
 import logging
-from collections import Counter, defaultdict
 from typing import IO, Iterable, Iterator
 
+import numpy as np
+
 from .records import (
-    CONFIRMED_OTHER,
+    AGE_UNKNOWN,
     CONFIRMED_PCR,
     IngestReport,
     DailyTestRecord,
     LineRecord,
+    Memo,
     RawLineRecord,
 )
 from .schemas import CDC_SCHEMA, FLORIDA_SCHEMA, ParseSchema, SchemaError
+from .store import CaseColumns, as_columns, day_date, day_index
 
 log = logging.getLogger(__name__)
 
+STUDY_WINDOW = (dt.date(2020, 3, 26), dt.date(2020, 11, 1))
+DATA_VINTAGE = dt.date(2020, 12, 4)
 
-def _open_text(file) -> IO[str]:
-    """Open a path or binary stream as text, transparently gunzipping."""
-    if isinstance(file, (str, bytes)) or hasattr(file, "__fspath__"):
-        raw = open(file, "rb")
-    elif isinstance(file.read(0), str):
-        return file
-    else:
-        raw = file
-    if not raw.seekable():
-        raise ValueError("input stream must be seekable")
-    head = raw.read(2)
-    raw.seek(0)
-    if head == b"\x1f\x8b":
-        return io.TextIOWrapper(gzip.open(raw, "rb"), encoding="utf-8")
-    return io.TextIOWrapper(raw, encoding="utf-8")
+
+@contextlib.contextmanager
+def _open_text(file) -> Iterator[IO[str]]:
+    """Open a path or stream as text, gunzipping when it starts with the
+    gzip magic bytes.
+
+    The start is peeked, never re-read, so pipes and stdin work. A file
+    opened here is closed on exit; a caller's stream is left open.
+    """
+    owned = isinstance(file, (str, bytes)) or hasattr(file, "__fspath__")
+    if not owned and isinstance(file.read(0), str):
+        yield file
+        return
+    with contextlib.ExitStack() as stack:
+        raw = stack.enter_context(open(file, "rb")) if owned else file
+        if not hasattr(raw, "peek"):
+            raw = io.BufferedReader(raw)
+            stack.callback(raw.detach)
+        if raw.peek(2)[:2] == b"\x1f\x8b":
+            raw = stack.enter_context(gzip.GzipFile(fileobj=raw))
+        text = io.TextIOWrapper(raw, encoding="utf-8")
+        stack.callback(text.detach)
+        yield text
 
 
 def _parse_date(text: str, formats: tuple[str, ...]) -> dt.date | None:
@@ -58,75 +75,38 @@ def _parse_date(text: str, formats: tuple[str, ...]) -> dt.date | None:
     return None
 
 
-class _RowError(Exception):
+class _Reject:
+    """Decoded value of a cell that rejects its row."""
+
     def __init__(self, reason: str):
         self.reason = reason
 
 
-def _row_to_raw(
-    row: dict[str, str], schema: ParseSchema, use_alt_event_date: bool
-) -> RawLineRecord:
-    date_col = schema.event_date_column
-    if use_alt_event_date:
-        if schema.alt_event_date_column is None:
-            raise SchemaError(f"schema {schema.name} has no alternate date column")
-        date_col = schema.alt_event_date_column
-    event_date = _parse_date(row[date_col], schema.date_formats)
-    if event_date is None:
-        raise _RowError("bad_date")
+_BAD_DATE, _BAD_AGE, _BAD_GENDER, _BAD_OUTCOME, _NOT_CONFIRMED = map(
+    _Reject, ("bad_date", "bad_age", "bad_gender", "bad_outcome", "not_lab_confirmed")
+)
+_REJECTS = frozenset((_BAD_DATE, _BAD_AGE, _BAD_GENDER, _BAD_OUTCOME, _NOT_CONFIRMED))
 
-    confirmation = CONFIRMED_PCR
-    if schema.confirmation_column is not None:
-        flag = row[schema.confirmation_column].strip().lower()
-        if flag not in schema.confirmed_values:
-            confirmation = CONFIRMED_OTHER
 
-    age_years = None
-    age_band = None
-    if schema.age_column is not None:
-        cell = row[schema.age_column].strip()
-        if cell:
-            try:
-                age_years = int(float(cell))
-            except ValueError:
-                raise _RowError("bad_age")
-            if age_years < 0 or age_years > 120:
-                raise _RowError("bad_age")
-    if schema.age_band_column is not None:
-        label = row[schema.age_band_column].strip().lower()
-        try:
-            band = schema.age_band_spellings[label]
-        except KeyError:
-            raise _RowError("bad_age")
-        age_band = None if band == "unknown" else band
+def _decode_age(text: str) -> int | None | _Reject:
+    text = text.strip()
+    if not text:
+        return None
+    try:
+        years = int(float(text))
+    except (ValueError, OverflowError):
+        return _BAD_AGE
+    return years if 0 <= years <= 120 else _BAD_AGE
 
-    def categorize(column: str, spellings: dict[str, str], reason: str) -> str:
-        label = row[column].strip().lower()
-        try:
-            return spellings[label]
-        except KeyError:
-            raise _RowError(reason)
 
-    gender = categorize(schema.gender_column, schema.gender_spellings, "bad_gender")
-    hosp = categorize(
-        schema.hospitalized_column, schema.outcome_spellings, "bad_outcome"
-    )
-    died = categorize(schema.died_column, schema.outcome_spellings, "bad_outcome")
+def _label(spellings: dict[str, str], reject: _Reject, unknown: str | None = None):
+    """Decoder of a category cell; the `unknown` spelling decodes to None."""
 
-    state = None
-    if schema.state_column is not None:
-        state = row[schema.state_column].strip().upper() or None
+    def decode(text: str):
+        value = spellings.get(text.strip().lower(), reject)
+        return None if value == unknown else value
 
-    return RawLineRecord(
-        event_date=event_date,
-        age_years=age_years,
-        age_band=age_band,
-        gender=gender,
-        hospitalized_raw=hosp,
-        died_raw=died,
-        state=state,
-        confirmation_kind=confirmation,
-    )
+    return decode
 
 
 def iter_parse_lines(
@@ -140,36 +120,84 @@ def iter_parse_lines(
 
     Rejected rows are tallied per reason; when `quarantine` is given they
     are re-emitted there with a trailing reason column. Lab-unconfirmed
-    rows (schemas with a confirmation column) are rejected.
+    rows (schemas with a confirmation column) are rejected, and so are
+    rows with fewer fields than the header (malformed_row). As with
+    csv.DictReader, blank lines are skipped uncounted and fields past the
+    header's are ignored.
     """
-    text = _open_text(file)
-    reader = csv.DictReader(text, delimiter=schema.delimiter)
-    if reader.fieldnames is None:
-        raise SchemaError("input file has no header row")
-    missing = [c for c in schema.required_columns() if c not in reader.fieldnames]
-    if missing:
-        raise SchemaError(f"missing required column(s): {', '.join(missing)}")
+    date_col = schema.event_date_column
+    if use_alt_event_date:
+        if schema.alt_event_date_column is None:
+            raise SchemaError(f"schema {schema.name} has no alternate date column")
+        date_col = schema.alt_event_date_column
+    with _open_text(file) as text:
+        reader = csv.reader(text, delimiter=schema.delimiter)
+        header = next(reader, None)
+        if header is None:
+            raise SchemaError("input file has no header row")
+        index = {name: i for i, name in enumerate(header)}
+        required = dict.fromkeys([date_col, *schema.required_columns()])
+        missing = [c for c in required if c not in index]
+        if missing:
+            raise SchemaError(f"missing required column(s): {', '.join(missing)}")
+        width = len(header)
+        writer = None
+        if quarantine is not None:
+            writer = csv.writer(quarantine, delimiter=schema.delimiter)
+            writer.writerow(header + ["rejection_reason"])
 
-    quarantine_writer = None
-    if quarantine is not None:
-        quarantine_writer = csv.writer(quarantine, delimiter=schema.delimiter)
-        quarantine_writer.writerow(list(reader.fieldnames) + ["rejection_reason"])
+        # Per column: its index and a memo from cell text to the decoded
+        # value or a _Reject; (None, None) when the schema lacks it.
+        def memo(column, decode):
+            return (None, None) if column is None else (index[column], Memo(decode))
 
-    for row in reader:
-        try:
-            raw = _row_to_raw(row, schema, use_alt_event_date)
-            if raw.confirmation_kind != CONFIRMED_PCR:
-                raise _RowError("not_lab_confirmed")
-        except _RowError as err:
-            report.reject(err.reason)
-            if quarantine_writer is not None:
-                quarantine_writer.writerow(
-                    [row.get(c, "") or "" for c in reader.fieldnames]
-                    + [err.reason]
+        outcome = _label(schema.outcome_spellings, _BAD_OUTCOME)
+        confirmed = schema.confirmed_values
+        i_date, dates = memo(
+            date_col, lambda t: _parse_date(t, schema.date_formats) or _BAD_DATE)
+        i_age, ages = memo(schema.age_column, _decode_age)
+        i_band, bands = memo(
+            schema.age_band_column,
+            _label(schema.age_band_spellings, _BAD_AGE, AGE_UNKNOWN))
+        i_gender, genders = memo(
+            schema.gender_column, _label(schema.gender_spellings, _BAD_GENDER))
+        i_hosp, hosps = memo(schema.hospitalized_column, outcome)
+        i_died, dieds = memo(schema.died_column, outcome)
+        i_state, states = memo(
+            schema.state_column, lambda t: t.strip().upper() or None)
+        i_conf, confirmations = memo(
+            schema.confirmation_column,
+            lambda t: CONFIRMED_PCR if t.strip().lower() in confirmed
+            else _NOT_CONFIRMED)
+
+        for row in reader:
+            if len(row) < width:
+                if not row:
+                    continue
+                reason = "malformed_row"
+            else:
+                # RawLineRecord's field order is also the reject precedence:
+                # bad_date, bad_age, bad_gender, bad_outcome, not_lab_confirmed.
+                values = (
+                    dates[row[i_date]],
+                    None if ages is None else ages[row[i_age]],
+                    None if bands is None else bands[row[i_band]],
+                    genders[row[i_gender]],
+                    hosps[row[i_hosp]],
+                    dieds[row[i_died]],
+                    None if states is None else states[row[i_state]],
+                    CONFIRMED_PCR if confirmations is None
+                    else confirmations[row[i_conf]],
                 )
-            continue
-        report.keep(raw)
-        yield raw
+                if _REJECTS.isdisjoint(values):
+                    raw = RawLineRecord(*values)
+                    report.keep(raw)
+                    yield raw
+                    continue
+                reason = next(v for v in values if v in _REJECTS).reason
+            report.reject(reason)
+            if writer is not None:
+                writer.writerow(row[:width] + [""] * (width - len(row)) + [reason])
 
 
 def parse_florida_lines(
@@ -178,8 +206,7 @@ def parse_florida_lines(
     """Parse a Florida-layout line list; event date is the positive-test
     confirmation date column."""
     report = IngestReport()
-    records = list(iter_parse_lines(file, schema, report, **kwargs))
-    return records, report
+    return list(iter_parse_lines(file, schema, report, **kwargs)), report
 
 
 def parse_cdc_lines(
@@ -187,34 +214,49 @@ def parse_cdc_lines(
 ) -> tuple[list[RawLineRecord], IngestReport]:
     """Parse a CDC-layout surveillance file; event date defaults to the
     CDC report date (pass use_alt_event_date=True for specimen date)."""
-    report = IngestReport()
-    records = list(iter_parse_lines(file, schema, report, **kwargs))
-    return records, report
+    return parse_florida_lines(file, schema, **kwargs)
 
 
-def filter_cohort(
-    records: Iterable[LineRecord],
-    window: tuple[dt.date, dt.date] = (dt.date(2020, 3, 26), dt.date(2020, 11, 1)),
+def cohort_mask(
+    cases: CaseColumns,
+    window: tuple[dt.date, dt.date] = STUDY_WINDOW,
     maturity_days: int = 30,
-    data_vintage: dt.date = dt.date(2020, 12, 4),
-) -> list[LineRecord]:
-    """Keep records inside the study window whose outcomes had time to
-    be recorded (event date at least `maturity_days` before the vintage).
-    """
+    data_vintage: dt.date = DATA_VINTAGE,
+    excluded_states: Iterable[str] = (),
+) -> np.ndarray:
+    """Cases inside the study window whose outcomes had time to be
+    recorded (event date at least `maturity_days` before the vintage),
+    outside the excluded states."""
     start, end = window
     if start > end:
         raise ValueError("window start after end")
     if maturity_days < 0:
         raise ValueError("maturity_days must be nonnegative")
-    mature_cutoff = data_vintage - dt.timedelta(days=maturity_days)
-    kept = [r for r in records if start <= r.event_date <= end and r.event_date <= mature_cutoff]
-    if not kept:
+    last = min(end, data_vintage - dt.timedelta(days=maturity_days))
+    day = cases.event_day
+    mask = (day >= day_index(start)) & (day <= day_index(last))
+    excluded = cases.state_codes(excluded_states)
+    if excluded.size:
+        mask &= ~np.isin(cases.state, excluded)
+    if not mask.any():
         log.warning("cohort filter produced an empty result")
-    return kept
+    return mask
+
+
+def filter_cohort(
+    records: Iterable[LineRecord],
+    window: tuple[dt.date, dt.date] = STUDY_WINDOW,
+    maturity_days: int = 30,
+    data_vintage: dt.date = DATA_VINTAGE,
+) -> list[LineRecord]:
+    """The records `cohort_mask` keeps."""
+    records = list(records)
+    mask = cohort_mask(as_columns(records), window, maturity_days, data_vintage)
+    return [r for r, keep in zip(records, mask) if keep]
 
 
 def detect_reporting_artifacts(
-    records: Iterable[LineRecord], dump_fraction: float = 0.5
+    records: Iterable[LineRecord] | CaseColumns, dump_fraction: float = 0.5
 ) -> list[tuple[str, dict]]:
     """Flag states whose top two event dates hold >= dump_fraction of
     their cases (bulk-dump reporting rather than daily reporting).
@@ -224,28 +266,24 @@ def detect_reporting_artifacts(
     """
     if not (0 < dump_fraction <= 1):
         raise ValueError("dump_fraction must be in (0, 1]")
-    by_state: dict[str, Counter] = defaultdict(Counter)
-    for r in records:
-        if r.state is not None:
-            by_state[r.state][r.event_date] += 1
+    cases = as_columns(records)
+    by_state = np.argsort(cases.state)
+    bounds = np.searchsorted(
+        cases.state[by_state], np.arange(len(cases.state_vocab) + 1)
+    )
     flagged = []
-    for state in sorted(by_state):
-        counts = by_state[state]
-        total = sum(counts.values())
+    for code in np.argsort(cases.state_vocab):
+        rows = by_state[bounds[code]:bounds[code + 1]]
+        days, counts = np.unique(cases.event_day[rows], return_counts=True)
         # ties broken by date so the evidence is input-order invariant
-        top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:2]
-        top_total = sum(c for _, c in top)
-        if total > 0 and top_total / total >= dump_fraction:
-            flagged.append(
-                (
-                    state,
-                    {
-                        "top_dates": [d.isoformat() for d, _ in top],
-                        "top_fraction": top_total / total,
-                        "total_cases": total,
-                    },
-                )
-            )
+        top = np.lexsort((days, -counts))[:2]
+        total, top_total = int(counts.sum()), int(counts[top].sum())
+        if total and top_total / total >= dump_fraction:
+            flagged.append((str(cases.state_vocab[code]), {
+                "top_dates": [day_date(d).isoformat() for d in days[top]],
+                "top_fraction": top_total / total,
+                "total_cases": total,
+            }))
     return flagged
 
 
@@ -266,29 +304,28 @@ def load_testing_series(
     """
     if report is None:
         report = IngestReport()
-    text = _open_text(file)
-    reader = csv.DictReader(text)
-    if reader.fieldnames is None:
-        raise SchemaError("testing file has no header row")
-    for col in (date_column, positives_column, tests_column):
-        if col not in reader.fieldnames:
-            raise SchemaError(f"missing required column(s): {col}")
-
     rows = []
-    for row in reader:
-        date = _parse_date(row[date_column], date_formats)
-        if date is None:
-            report.reject("bad_date")
-            continue
-        try:
-            pos = int(float(row[positives_column] or 0))
-            tests = int(float(row[tests_column] or 0))
-        except ValueError:
-            report.reject("bad_count")
-            continue
-        report.total_rows += 1
-        report.kept_rows += 1
-        rows.append((date, pos, tests))
+    with _open_text(file) as text:
+        reader = csv.DictReader(text)
+        if reader.fieldnames is None:
+            raise SchemaError("testing file has no header row")
+        for col in (date_column, positives_column, tests_column):
+            if col not in reader.fieldnames:
+                raise SchemaError(f"missing required column(s): {col}")
+        for row in reader:
+            date = _parse_date(row[date_column], date_formats)
+            if date is None:
+                report.reject("bad_date")
+                continue
+            try:
+                pos = int(float(row[positives_column] or 0))
+                tests = int(float(row[tests_column] or 0))
+            except ValueError:
+                report.reject("bad_count")
+                continue
+            report.total_rows += 1
+            report.kept_rows += 1
+            rows.append((date, pos, tests))
     rows.sort(key=lambda t: t[0])
 
     out = []

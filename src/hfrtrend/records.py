@@ -2,7 +2,8 @@
 
 Line-level surveillance rows come in raw (four-category outcome labels,
 age as years or a pre-binned band) and normalized (strict booleans, decade
-age bands) flavors. Everything downstream consumes the normalized form.
+age bands) flavors. The normalization rules live here; the store keeps
+the normalized form as columns, and LineRecord is its per-record view.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ GENDERS = ("female", "male", "other-unknown")
 OUTCOME_CATEGORIES = ("yes", "no", "unknown", "missing")
 
 CONFIRMED_PCR = "pcr_positive"
-CONFIRMED_OTHER = "other"
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,7 +44,7 @@ class RawLineRecord:
     hospitalized_raw: str  # one of OUTCOME_CATEGORIES
     died_raw: str  # one of OUTCOME_CATEGORIES
     state: str | None
-    confirmation_kind: str  # CONFIRMED_PCR or CONFIRMED_OTHER
+    confirmation_kind: str  # CONFIRMED_PCR (unconfirmed rows are rejected)
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,6 +109,20 @@ class DailyTestRecord:
     region: str
 
 
+class Memo(dict):
+    """Maps a key to decode(key), computing each distinct key once."""
+
+    __slots__ = ("decode",)
+
+    def __init__(self, decode):
+        super().__init__()
+        self.decode = decode
+
+    def __missing__(self, key):
+        value = self[key] = self.decode(key)
+        return value
+
+
 def recode_outcome(raw: str) -> bool:
     """Collapse the four outcome categories to a boolean.
 
@@ -129,17 +143,20 @@ def bin_age(age_years: int) -> str:
     return AGE_BANDS[age_years // 10]
 
 
+def resolve_age_band(age_band: str | None, age_years: int | None) -> str:
+    """An explicit band wins over binned years; neither means unknown."""
+    if age_band is not None:
+        return age_band
+    if age_years is not None:
+        return bin_age(age_years)
+    return AGE_UNKNOWN
+
+
 def normalize_record(raw: RawLineRecord) -> LineRecord:
     """Recode outcomes to booleans and resolve the age band."""
-    if raw.age_band is not None:
-        band = raw.age_band
-    elif raw.age_years is not None:
-        band = bin_age(raw.age_years)
-    else:
-        band = AGE_UNKNOWN
     return LineRecord(
         event_date=raw.event_date,
-        age_band=band,
+        age_band=resolve_age_band(raw.age_band, raw.age_years),
         gender=raw.gender,
         hospitalized=recode_outcome(raw.hospitalized_raw),
         died=recode_outcome(raw.died_raw),

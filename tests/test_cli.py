@@ -1,9 +1,12 @@
 """Command-line pipeline: subcommands, exit codes, manifest replay."""
 
 import filecmp
+import gzip
 import json
+import os
 import shutil
 
+import numpy as np
 import pytest
 
 from hfrtrend.cli import (
@@ -137,6 +140,16 @@ class TestExitCodes:
                      "--out", str(tmp_path / "out")])
         assert code == EXIT_USAGE
 
+    def test_old_store_version_is_data_error(self, tmp_path, capsys):
+        store = tmp_path / "store.npz"
+        np.savez_compressed(store, version=np.int64(1), meta_json=np.str_("{}"))
+        code = main(["analyze", "--store", str(store),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert "store version 1" in err
+
     def test_sparse_cohort_is_insufficient(self, tmp_path):
         synth = tmp_path / "synth"
         ingested = tmp_path / "ingested"
@@ -153,7 +166,61 @@ class TestExitCodes:
         assert code == EXIT_INSUFFICIENT
 
 
+class TestIngestRows:
+    def test_short_blank_and_extra_field_rows(self, tmp_path):
+        src = tmp_path / "fl.csv"
+        src.write_text("ChartDate,Age,Gender,Hospitalized,Died\n"
+                       "2020-04-01,34,Female,NO,NO\n"
+                       "\n"
+                       "2020-04-02,54\n"
+                       "2020-04-03,61,Male,YES,NO,extra\n")
+        out = tmp_path / "ingested"
+        assert main(["ingest", "--input", str(src), "--quarantine",
+                     "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "ingest_report.json").read_text())
+        assert report["total_rows"] == 3
+        assert report["kept_rows"] == 2
+        assert report["rejected_rows_by_reason"] == {"malformed_row": 1}
+        quarantined = (out / "quarantine.csv").read_text().splitlines()
+        assert quarantined[1:] == ["2020-04-02,54,,,,malformed_row"]
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_gzip_input_from_a_pipe(self, tmp_path):
+        payload = gzip.compress(b"ChartDate,Age,Gender,Hospitalized,Died\n"
+                                b"2020-04-01,34,Female,NO,NO\n")
+        read_fd, write_fd = os.pipe()
+        with os.fdopen(write_fd, "wb") as fh:
+            fh.write(payload)
+        try:
+            out = tmp_path / "ingested"
+            assert main(["ingest", "--input", f"/dev/fd/{read_fd}",
+                         "--out", str(out)]) == EXIT_OK
+        finally:
+            os.close(read_fd)
+        report = json.loads((out / "ingest_report.json").read_text())
+        assert report["kept_rows"] == 1
+
+
 class TestStateExclusion:
+    def test_three_letter_state_code_survives(self, tmp_path):
+        rows = ["cdc_report_dt,pos_spec_dt,age_group,sex,hosp_yn,death_yn,"
+                "res_state,current_status"]
+        for state, n in (("NYC", 7), ("NY", 5), ("FL", 3)):
+            rows += [f"2020-04-{i + 1:02d},2020-04-01,50 - 59 Years,Female,No,No,"
+                     f"{state},Laboratory-confirmed case" for i in range(n)]
+        src = tmp_path / "cdc.csv"
+        src.write_text("\n".join(rows) + "\n")
+        ingested = tmp_path / "ingested"
+        assert main(["ingest", "--input", str(src), "--schema", "cdc",
+                     "--out", str(ingested)]) == EXIT_OK
+        for excluded, kept in (("NYC", 8), ("NY", 10), ("nyc,FL", 5)):
+            out = tmp_path / excluded
+            assert main(["analyze", "--store", str(ingested / "store.npz"),
+                         "--exclude-states", excluded,
+                         "--out", str(out)]) == EXIT_OK
+            demo = json.loads((out / "demographics.json").read_text())
+            assert demo["total_cases"] == kept, excluded
+
     def test_exclude_states_drops_records(self, tmp_path):
         # CDC-layout fixture with an NJ bulk dump
         rows = ["cdc_report_dt,pos_spec_dt,age_group,sex,hosp_yn,death_yn,"

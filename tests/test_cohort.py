@@ -15,8 +15,11 @@ from hfrtrend.cohort import (
     gender_fraction_series,
     summarize_demographics,
 )
+from hfrtrend.ingest import cohort_mask
 from hfrtrend.records import AGE_BANDS, AGE_UNKNOWN, ALL_AGE_BANDS, GENDERS
 from hfrtrend.signals import TimeSeries, trailing_average_7d
+from hfrtrend.store import as_columns
+from tests.conftest import make_records
 
 START = dt.date(2020, 4, 1)
 
@@ -117,6 +120,59 @@ class TestBuildCohortTable:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "date,age_band,gender," + ",".join(SIGNALS)
         assert len(lines) == 1 + 2 * 2  # two cells, two days each
+
+
+class TestColumnarPath:
+    """The analyze path (store columns -> one mask -> bincount table and
+    summary) against plain loops over the same LineRecords."""
+
+    def _cases(self, rng, states=("FL", "NJ", "NYC", "NY", None)):
+        records = make_records(rng, 2000, start=START, span_days=50, states=states)
+        return records, as_columns(records)
+
+    def test_masked_table_matches_oracle(self, rng):
+        window = (START + dt.timedelta(days=5), START + dt.timedelta(days=44))
+        vintage = START + dt.timedelta(days=60)  # maturity cutoff at day 40
+        for excluded in ([], ["NYC"], ["FL", "NJ"]):
+            records, cases = self._cases(rng)
+            mask = cohort_mask(cases, window, 20, vintage, excluded)
+            table = build_cohort_table(cases.select(mask), *window)
+            kept = [
+                r for r in records
+                if window[0] <= r.event_date <= vintage - dt.timedelta(days=20)
+                and r.state not in excluded
+            ]
+            for band, gender in [(AGGREGATE, ALL_GENDERS), ("50-59", "female"),
+                                 (AGE_UNKNOWN, "male"), (AGGREGATE, "other-unknown")]:
+                bands = ALL_AGE_BANDS if band == AGGREGATE else (band,)
+                genders = GENDERS if gender == ALL_GENDERS else (gender,)
+                expected = oracle_counts(kept, window[0], window[1], bands, genders)
+                assert np.array_equal(table.counts(StratumKey(band, gender)), expected)
+
+    def test_demographics_match_loop_oracle(self, rng):
+        records, cases = self._cases(rng)
+        demo = summarize_demographics(cases)
+        assert demo.total_cases == len(records)
+        assert demo.age_counts == {
+            b: sum(r.age_band == b for r in records) for b in ALL_AGE_BANDS
+        }
+        assert demo.gender_counts == {
+            g: sum(r.gender == g for r in records) for g in GENDERS
+        }
+        assert demo.hospitalized_yes == sum(r.hospitalized for r in records)
+        assert demo.died_yes == sum(r.died for r in records)
+        assert summarize_demographics(records) == demo
+
+    def test_cells_are_the_nonempty_base_cells(self, rng):
+        records, cases = self._cases(rng)
+        table = build_cohort_table(cases, START, START + dt.timedelta(days=49))
+        present = {(r.age_band, r.gender) for r in records}
+        assert set(table.cells) == present
+        for (band, gender), arr in table.cells.items():
+            expected = oracle_counts(
+                records, table.start, table.end, (band,), (gender,)
+            )
+            assert np.array_equal(arr, expected)
 
 
 class TestDemographics:

@@ -1,14 +1,20 @@
 """Parsing and filtering, checked against hand-built fixture files."""
 
 import datetime as dt
+import gc
 import gzip
 import io
+import os
+import warnings
+from collections import Counter, defaultdict
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hfrtrend import LineRecord
 from hfrtrend.ingest import (
+    cohort_mask,
     detect_reporting_artifacts,
     filter_cohort,
     iter_parse_lines,
@@ -18,6 +24,8 @@ from hfrtrend.ingest import (
 )
 from hfrtrend.records import CONFIRMED_PCR, IngestReport
 from hfrtrend.schemas import CDC_SCHEMA, FLORIDA_SCHEMA, SchemaError
+from hfrtrend.store import as_columns
+from tests.conftest import make_records
 
 FLORIDA_FIXTURE = """\
 ChartDate,Age,Gender,Hospitalized,Died
@@ -112,6 +120,90 @@ class TestParseFlorida:
             parse_florida_lines(path)
 
 
+class TestRowShapes:
+    """Blank, short and long rows behave as under csv.DictReader, except
+    that a short row is rejected instead of crashing the parser."""
+
+    FIXTURE = (
+        "ChartDate,Age,Gender,Hospitalized,Died\n"
+        "2020-04-01,34,Female,NO,NO\n"
+        "\n"
+        "2020-04-02,54\n"
+        "2020-04-03,61,Male,YES,NO,trailing,fields\n"
+    )
+
+    def test_short_blank_and_extra_fields(self, tmp_path):
+        path = tmp_path / "fl.csv"
+        path.write_text(self.FIXTURE)
+        quarantine = io.StringIO()
+        report = IngestReport()
+        records = list(
+            iter_parse_lines(path, FLORIDA_SCHEMA, report, quarantine=quarantine)
+        )
+        assert [r.age_years for r in records] == [34, 61]
+        assert report.total_rows == 3  # the blank line is not a row
+        assert report.rejected_rows_by_reason == {"malformed_row": 1}
+        assert report.conserved
+        assert quarantine.getvalue().splitlines() == [
+            "ChartDate,Age,Gender,Hospitalized,Died,rejection_reason",
+            "2020-04-02,54,,,,malformed_row",
+        ]
+
+    def test_empty_file_is_schema_error(self, tmp_path):
+        path = tmp_path / "fl.csv"
+        path.write_text("")
+        with pytest.raises(SchemaError, match="header"):
+            parse_florida_lines(path)
+
+    def test_missing_alternate_date_column_is_schema_error(self, tmp_path):
+        path = tmp_path / "fl.csv"
+        path.write_text(FLORIDA_FIXTURE)
+        with pytest.raises(SchemaError, match="alternate"):
+            parse_florida_lines(path, use_alt_event_date=True)
+
+
+class TestInputStreams:
+    def _through_pipe(self, payload: bytes):
+        read_fd, write_fd = os.pipe()
+        with os.fdopen(write_fd, "wb") as fh:  # fixture fits the pipe buffer
+            fh.write(payload)
+        with os.fdopen(read_fd, "rb") as fh:
+            records, report = parse_florida_lines(fh)
+            assert not fh.closed  # the caller's stream stays the caller's
+        return records, report
+
+    def test_plain_pipe(self):
+        records, report = self._through_pipe(FLORIDA_FIXTURE.encode())
+        assert report.kept_rows == 6
+        assert len(records) == 6
+
+    def test_gzip_pipe(self):
+        records, report = self._through_pipe(gzip.compress(FLORIDA_FIXTURE.encode()))
+        assert report.kept_rows == 6
+        assert len(records) == 6
+
+    def test_unpeekable_binary_stream(self):
+        stream = io.BytesIO(gzip.compress(FLORIDA_FIXTURE.encode()))
+        records, _ = parse_florida_lines(stream)
+        assert len(records) == 6
+        assert not stream.closed
+
+    def test_text_stream(self):
+        records, _ = parse_florida_lines(io.StringIO(FLORIDA_FIXTURE))
+        assert len(records) == 6
+
+    @pytest.mark.parametrize("name", ["fl.csv", "fl.csv.gz"])
+    def test_input_file_closed_after_parse(self, tmp_path, name):
+        path = tmp_path / name
+        data = FLORIDA_FIXTURE.encode()
+        path.write_bytes(gzip.compress(data) if name.endswith(".gz") else data)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            parse_florida_lines(path)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
 class TestParseCdc:
     def test_fixture_accounting(self, tmp_path):
         path = tmp_path / "cdc.csv"
@@ -183,6 +275,29 @@ class TestFilterCohort:
         ]
         assert kept == expected
 
+    def test_columnar_mask_matches_loop_oracle(self, rng):
+        """Random records with states; the window edges and the maturity
+        cutoff fall inside the record span."""
+        start = dt.date(2020, 4, 1)
+        states = ["FL", "NJ", "NYC", "NY", None]
+        for _ in range(20):
+            records = make_records(rng, 500, start=start, span_days=40, states=states)
+            lo, hi = sorted(int(d) for d in rng.integers(0, 40, size=2))
+            window = (start + dt.timedelta(days=lo), start + dt.timedelta(days=hi))
+            maturity = int(rng.integers(0, 20))
+            vintage = start + dt.timedelta(days=int(rng.integers(10, 60)))
+            excluded = [s for s in ("NYC", "FL", "TX") if rng.random() < 0.5]
+            mask = cohort_mask(
+                as_columns(records), window, maturity, vintage, excluded
+            )
+            expected = [
+                window[0] <= r.event_date <= window[1]
+                and (vintage - r.event_date).days >= maturity
+                and r.state not in excluded
+                for r in records
+            ]
+            assert mask.tolist() == expected
+
     def test_rejects_inverted_window(self):
         with pytest.raises(ValueError):
             filter_cohort([], window=(dt.date(2020, 2, 1), dt.date(2020, 1, 1)))
@@ -218,6 +333,39 @@ class TestDetectReportingArtifacts:
 
     def test_stateless_records_ignored(self):
         assert detect_reporting_artifacts([_rec(1), _rec(1)]) == []
+
+    def test_columnar_matches_loop_oracle(self, rng):
+        for dump_fraction in (0.1, 0.3, 0.5, 1.0):
+            records = make_records(
+                rng, 300, span_days=int(rng.integers(1, 30)),
+                states=["FL", "NJ", "NYC", "NY", "CT", None],
+            )
+            expected = oracle_artifacts(records, dump_fraction)
+            got = detect_reporting_artifacts(as_columns(records),
+                                             dump_fraction)
+            assert got == expected
+            assert detect_reporting_artifacts(records, dump_fraction) == expected
+
+
+def oracle_artifacts(records, dump_fraction):
+    """Per-state date tallies in plain Python loops."""
+    by_state = defaultdict(Counter)
+    for r in records:
+        if r.state is not None:
+            by_state[r.state][r.event_date] += 1
+    flagged = []
+    for state in sorted(by_state):
+        counts = by_state[state]
+        total = sum(counts.values())
+        top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:2]
+        top_total = sum(c for _, c in top)
+        if top_total / total >= dump_fraction:
+            flagged.append((state, {
+                "top_dates": [d.isoformat() for d, _ in top],
+                "top_fraction": top_total / total,
+                "total_cases": total,
+            }))
+    return flagged
 
 
 TESTING_FIXTURE = """\
