@@ -37,6 +37,7 @@ from .trend import (
     DropEstimate,
     InsufficientDataError,
     IntervalEstimate,
+    OutOfRangeError,
     ReplicateSet,
     SplineFit,
     TrendResult,
@@ -48,6 +49,7 @@ from .trend import (
     fit_smoothing_spline,
     moving_block_resample,
     post_blacken,
+    read_estimates,
     select_lambda_gcv,
 )
 from .ingest import (

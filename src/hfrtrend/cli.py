@@ -10,10 +10,12 @@ import argparse
 import csv
 import dataclasses
 import datetime as dt
+import gzip
 import json
 import logging
 import sys
 import time
+import zlib
 from importlib.metadata import PackageNotFoundError, version as pkg_version
 from pathlib import Path
 
@@ -123,6 +125,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         )
     except FileNotFoundError as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except (EOFError, gzip.BadGzipFile, zlib.error, UnicodeDecodeError) as exc:
+        # a truncated or corrupt gzip stream, or bytes that are not UTF-8
+        print(f"error: cannot decode input {args.input}: {exc}", file=sys.stderr)
         return EXIT_DATA
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -312,40 +318,43 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
     config = trend_mod.BootstrapConfig(
         replicates=args.replicates, block_length=args.blocks, seed=args.seed
     )
+    # One fit and one replicate set per stratum; every pair is read off it.
+    tables = {pair: [] for pair in date_pairs}
     any_rows = False
-    for d_old, d_new in date_pairs:
-        rows = []
-        for name, stratum in [
-            (b, cohort_mod.StratumKey("aggregate" if b == "aggregate" else b,
-                                      args.gender))
-            for b in TABLE_BANDS
-        ]:
-            series = signals_mod.hfr_series(table, stratum,
-                                            min_deaths=args.min_deaths)
-            try:
-                result = trend_mod.analyze_trend(
-                    series, config, [d_old, d_new], [(d_old, d_new)]
-                )
-            except trend_mod.InsufficientDataError as exc:
-                log.info("band %s: %s", name, exc)
+    for name in TABLE_BANDS:
+        series = signals_mod.hfr_series(
+            table, cohort_mod.StratumKey(name, args.gender),
+            min_deaths=args.min_deaths,
+        )
+        try:
+            reps = trend_mod.build_replicates(
+                trend_mod.fit_smoothing_spline(series), config
+            )
+        except trend_mod.InsufficientDataError as exc:
+            log.info("band %s: %s", name, exc)
+            for rows in tables.values():
                 rows.append([name, "-", "-", "-"])
-                continue
-            except ValueError as exc:
-                # probe date outside the band's supported range
-                log.info("band %s: %s", name, exc)
+            continue
+        for (d_old, d_new), rows in tables.items():
+            try:
+                result = trend_mod.read_estimates(
+                    reps, series, [d_old, d_new], [(d_old, d_new)], config.level
+                )
+            except (trend_mod.InsufficientDataError,
+                    trend_mod.OutOfRangeError) as exc:
+                log.info("band %s, %s to %s: %s", name, d_old, d_new, exc)
                 rows.append([name, "-", "-", "-"])
                 continue
             old_lv, new_lv = result.levels
             drop = result.drops[0]
-            rows.append(
-                [
-                    name,
-                    _interval_text(old_lv.median, old_lv.lower, old_lv.upper),
-                    _interval_text(new_lv.median, new_lv.lower, new_lv.upper),
-                    _interval_text(drop.median, drop.lower, drop.upper),
-                ]
-            )
+            rows.append([
+                name,
+                _interval_text(old_lv.median, old_lv.lower, old_lv.upper),
+                _interval_text(new_lv.median, new_lv.lower, new_lv.upper),
+                _interval_text(drop.median, drop.lower, drop.upper),
+            ])
             any_rows = True
+    for (d_old, d_new), rows in tables.items():
         _write_drop_table(out_dir, d_old, d_new, rows)
     if not any_rows:
         print("error: no stratum had sufficient data", file=sys.stderr)

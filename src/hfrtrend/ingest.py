@@ -300,26 +300,36 @@ def load_testing_series(
     """Load daily testing aggregates, differencing cumulative inputs.
 
     Negative daily increments (reporting corrections) are clamped to zero
-    and counted on the report.
+    and counted on the report. As in the line-list parser, a row with
+    fewer fields than the header is rejected as malformed_row and blank
+    lines are skipped; an empty count cell reads as 0.
     """
     if report is None:
         report = IngestReport()
     rows = []
     with _open_text(file) as text:
-        reader = csv.DictReader(text)
-        if reader.fieldnames is None:
+        reader = csv.reader(text)
+        header = next(reader, None)
+        if header is None:
             raise SchemaError("testing file has no header row")
-        for col in (date_column, positives_column, tests_column):
-            if col not in reader.fieldnames:
+        index = {name: i for i, name in enumerate(header)}
+        columns = (date_column, positives_column, tests_column)
+        for col in columns:
+            if col not in index:
                 raise SchemaError(f"missing required column(s): {col}")
+        i_date, i_pos, i_tests = (index[col] for col in columns)
         for row in reader:
-            date = _parse_date(row[date_column], date_formats)
+            if len(row) < len(header):
+                if row:
+                    report.reject("malformed_row")
+                continue
+            date = _parse_date(row[i_date], date_formats)
             if date is None:
                 report.reject("bad_date")
                 continue
             try:
-                pos = int(float(row[positives_column] or 0))
-                tests = int(float(row[tests_column] or 0))
+                pos = int(float(row[i_pos] or 0))
+                tests = int(float(row[i_tests] or 0))
             except ValueError:
                 report.reject("bad_count")
                 continue

@@ -6,11 +6,15 @@ over natural cubic splines with knots at the data abscissae. With the
 standard tridiagonal Q (second-difference) and R (roughness) matrices,
 the interior second derivatives solve (R + lam Q'Q) g = Q'y and the
 fitted values are y - lam Q g; R + lam Q'Q is symmetric pentadiagonal,
-so the solve is banded and O(n).
+so the solve is banded and O(n). Block cross-validation solves the
+whole lam grid against each block's bands. scipy is imported inside
+the solvers, so importing the package does not load it.
 
 Uncertainty: resample residual blocks with replacement, add them back
 onto the base trend (post-blackening), refit with the base smoothing
-parameter, and read percentile intervals off the replicate trends.
+parameter, and read percentile intervals off the replicate trends. A
+stratum is fitted and bootstrapped once, and every requested date and
+drop is read off that one replicate set (`read_estimates`).
 """
 
 from __future__ import annotations
@@ -20,13 +24,16 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solveh_banded
 
 from .signals import RateSeries
 
 
 class InsufficientDataError(ValueError):
     """Too few defined points to fit or resample."""
+
+
+class OutOfRangeError(ValueError):
+    """An evaluation point lies outside the fitted range."""
 
 
 def _spacings(x: np.ndarray) -> np.ndarray:
@@ -36,34 +43,26 @@ def _spacings(x: np.ndarray) -> np.ndarray:
     return h
 
 
+def _q_diagonals(h: np.ndarray, ndim: int):
+    """Q's three diagonals, shaped to broadcast against (n-2,) or (n-2, B)."""
+    inv = 1.0 / h
+    diags = (inv[:-1], -(inv[:-1] + inv[1:]), inv[1:])
+    return diags if ndim == 1 else tuple(d[:, None] for d in diags)
+
+
 def _qt_matvec(h: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Q'y: second divided differences of y (shape (n-2,) or (n-2, B))."""
-    inv = 1.0 / h
-    a = inv[:-1]
-    b = -(inv[:-1] + inv[1:])
-    c = inv[1:]
-    if y.ndim == 1:
-        return a * y[:-2] + b * y[1:-1] + c * y[2:]
-    return a[:, None] * y[:-2] + b[:, None] * y[1:-1] + c[:, None] * y[2:]
+    a, b, c = _q_diagonals(h, y.ndim)
+    return a * y[:-2] + b * y[1:-1] + c * y[2:]
 
 
 def _q_matvec(h: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Q g for interior second derivatives g (shape (n-2,) or (n-2, B))."""
-    n = len(h) + 1
-    inv = 1.0 / h
-    shape = (n,) if g.ndim == 1 else (n, g.shape[1])
-    out = np.zeros(shape)
-    a = inv[:-1]
-    b = -(inv[:-1] + inv[1:])
-    c = inv[1:]
-    if g.ndim == 1:
-        out[:-2] += a * g
-        out[1:-1] += b * g
-        out[2:] += c * g
-    else:
-        out[:-2] += a[:, None] * g
-        out[1:-1] += b[:, None] * g
-        out[2:] += c[:, None] * g
+    a, b, c = _q_diagonals(h, g.ndim)
+    out = np.zeros((len(h) + 1,) + g.shape[1:])
+    out[:-2] += a * g
+    out[1:-1] += b * g
+    out[2:] += c * g
     return out
 
 
@@ -81,17 +80,6 @@ def _penalty_matrices(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if m >= 3:
         qtq_band[0, 2:] = inv[1:-2] * inv[2:-1]
     return r_band, qtq_band
-
-
-def _band_to_dense(band: np.ndarray) -> np.ndarray:
-    m = band.shape[1]
-    dense = np.zeros((m, m))
-    for offset in range(3):
-        diag = band[2 - offset, offset:]
-        dense += np.diag(diag, k=offset)
-        if offset:
-            dense += np.diag(diag, k=-offset)
-    return dense
 
 
 @dataclass
@@ -126,13 +114,18 @@ def _eval_natural_cubic(
 ) -> np.ndarray:
     """Evaluate a natural cubic spline given knot values and interior
     second derivatives. f/gamma may be (n,)/(n-2,) or (n, B)/(n-2, B);
-    the result is (m,) or (m, B). Outside the knot range the natural
-    spline continues linearly; that is an error unless `extrapolate`."""
+    the result is (m,) or (m, B), a 1-D fit being evaluated as one column.
+    Outside the knot range the natural spline continues linearly; that is
+    an OutOfRangeError unless `extrapolate`."""
+    if f.ndim == 1:
+        return _eval_natural_cubic(
+            x, f[:, None], gamma[:, None], xq, extrapolate
+        )[:, 0]
     outside_lo = xq < x[0]
     outside_hi = xq > x[-1]
     if np.any(outside_lo) or np.any(outside_hi):
         if not extrapolate:
-            raise ValueError("evaluation point outside fitted range")
+            raise OutOfRangeError("evaluation point outside fitted range")
         inner = _eval_natural_cubic(
             x, f, gamma, np.clip(xq, x[0], x[-1]), extrapolate=False
         )
@@ -142,24 +135,13 @@ def _eval_natural_cubic(
         slope_hi = (f[-1] - f[-2]) / (x[-1] - x[-2]) + (x[-1] - x[-2]) * g2 / 6.0
         d_lo = np.where(outside_lo, xq - x[0], 0.0)
         d_hi = np.where(outside_hi, xq - x[-1], 0.0)
-        if f.ndim == 1:
-            return inner + d_lo * slope_lo + d_hi * slope_hi
         return inner + d_lo[:, None] * slope_lo + d_hi[:, None] * slope_hi
-    g_full_shape = (len(x),) if f.ndim == 1 else (len(x), f.shape[1])
-    g = np.zeros(g_full_shape)
+    g = np.zeros((len(x), f.shape[1]))
     g[1:-1] = gamma
     idx = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, len(x) - 2)
     h = x[idx + 1] - x[idx]
-    a = (x[idx + 1] - xq) / h
-    b = (xq - x[idx]) / h
-    if f.ndim == 1:
-        return (
-            a * f[idx]
-            + b * f[idx + 1]
-            + ((a**3 - a) * g[idx] + (b**3 - b) * g[idx + 1]) * h**2 / 6.0
-        )
-    a = a[:, None]
-    b = b[:, None]
+    a = ((x[idx + 1] - xq) / h)[:, None]
+    b = ((xq - x[idx]) / h)[:, None]
     h2 = (h**2)[:, None]
     return (
         a * f[idx]
@@ -168,40 +150,54 @@ def _eval_natural_cubic(
     )
 
 
-def fit_points(x, y, lam: float) -> SplineFit:
-    """Fit the penalized least-squares natural cubic spline at fixed lam."""
+def _as_points(x, y, min_points: int, purpose: str = ""):
+    """x and y as float arrays, checked: 1-D, equal length, at least
+    `min_points` long (else InsufficientDataError) and finite."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or x.shape != y.shape:
         raise ValueError("x and y must be 1-D and equal length")
-    if len(x) < 4:
-        raise InsufficientDataError(f"need >= 4 points, got {len(x)}")
+    if len(x) < min_points:
+        raise InsufficientDataError(
+            f"need >= {min_points} points{purpose}, got {len(x)}"
+        )
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("non-finite input")
+    return x, y
+
+
+def _smooth(h: np.ndarray, y: np.ndarray, lam: float):
+    """Interior second derivatives and fitted values for knot spacings h
+    and ordinates y of shape (n,) or (n, B)."""
+    from scipy.linalg import solveh_banded
+
+    r_band, qtq_band = _penalty_matrices(h)
+    gamma = solveh_banded(r_band + lam * qtq_band, _qt_matvec(h, y))
+    return gamma, y - lam * _q_matvec(h, gamma)
+
+
+def fit_points(x, y, lam: float) -> SplineFit:
+    """Fit the penalized least-squares natural cubic spline at fixed lam."""
+    x, y = _as_points(x, y, 4)
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    h = _spacings(x)
-    r_band, qtq_band = _penalty_matrices(h)
-    m_band = r_band + lam * qtq_band
-    gamma = solveh_banded(m_band, _qt_matvec(h, y))
-    fitted = y - lam * _q_matvec(h, gamma)
+    gamma, fitted = _smooth(_spacings(x), y, lam)
     return SplineFit(x=x, y=y, lam=float(lam), fitted=fitted, gamma=gamma)
 
 
 def gcv_score(x, y, lam: float) -> float:
     """Generalized cross-validation score at one smoothing parameter."""
+    from scipy.linalg import solveh_banded
+
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = len(x)
     h = _spacings(x)
     r_band, qtq_band = _penalty_matrices(h)
-    m_dense = _band_to_dense(r_band + lam * qtq_band)
-    qtq_dense = _band_to_dense(qtq_band)
-    factor = cho_factor(m_dense, lower=False)
-    trace_term = np.trace(cho_solve(factor, qtq_dense))
-    df = n - lam * trace_term
-    gamma = cho_solve(factor, _qt_matvec(h, y))
-    resid = lam * _q_matvec(h, gamma)
+    m_band = r_band + lam * qtq_band
+    qtq = _qt_matvec(h, _q_matvec(h, np.eye(n - 2)))  # dense Q'Q
+    df = n - lam * np.trace(solveh_banded(m_band, qtq))
+    resid = lam * _q_matvec(h, solveh_banded(m_band, _qt_matvec(h, y)))
     rss = float(resid @ resid)
     denom = 1.0 - df / n
     if denom <= 0:
@@ -245,45 +241,52 @@ def select_lambda_block_cv(
     dropping a `gap`-day buffer on each side from the training set breaks
     that leakage. Deterministic; first minimizer wins on ties.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = len(x)
-    if n < 4 + block_length + 2 * gap:
-        raise InsufficientDataError(
-            f"need >= {4 + block_length + 2 * gap} points for block CV, got {n}"
-        )
+    x, y = _as_points(x, y, 4 + block_length + 2 * gap, " for block CV")
     if grid is None:
         grid = default_lambda_grid(x)
-
-    blocks = []
-    for s in range(0, n, block_length):
-        held = np.arange(s, min(s + block_length, n))
-        train = np.ones(n, dtype=bool)
-        train[max(0, s - gap) : min(n, s + block_length + gap)] = False
-        if train.sum() >= 4:
-            blocks.append((held, train))
-    if not blocks:
-        raise InsufficientDataError("no usable cross-validation blocks")
-
-    scores = np.empty(len(grid))
-    for i, lam in enumerate(grid):
-        err = 0.0
-        count = 0
-        for held, train in blocks:
-            fit = fit_points(x[train], y[train], lam)
-            pred = fit.evaluate(x[held], extrapolate=True)
-            err += float(np.sum((y[held] - pred) ** 2))
-            count += len(held)
-        scores[i] = err / count
+    scores = _block_cv_scores(x, y, block_length, gap, grid)
     return float(grid[int(np.argmin(scores))])
 
 
-def _series_points(series: RateSeries) -> tuple[np.ndarray, np.ndarray]:
-    """Defined (day index, value) points of a rate series."""
-    mask = ~series.series.gaps
-    x = np.flatnonzero(mask).astype(float)
-    y = series.series.values[mask]
-    return x, y
+def _block_cv_scores(x, y, block_length: int, gap: int, grid) -> np.ndarray:
+    """Mean squared held-out error of each grid lam (validated x, y).
+
+    Each block builds its bands and Q'y once and solves every lam against
+    them; the arithmetic is that of one `fit_points` per (block, lam).
+    """
+    from scipy.linalg import solveh_banded
+
+    lams = np.asarray(grid, dtype=float)
+    if np.any(lams < 0):
+        raise ValueError("lam must be nonnegative")
+    _spacings(x)
+    n = len(x)
+    err = np.zeros(len(lams))
+    count = 0
+    for s in range(0, n, block_length):
+        train = np.ones(n, dtype=bool)
+        train[max(0, s - gap) : min(n, s + block_length + gap)] = False
+        if train.sum() < 4:
+            continue
+        held = slice(s, min(s + block_length, n))
+        xt, yt = x[train], y[train]
+        h = np.diff(xt)
+        r_band, qtq_band = _penalty_matrices(h)
+        qty = _qt_matvec(h, yt)
+        gammas = np.empty((len(qty), len(lams)))
+        for k, lam in enumerate(lams):
+            gammas[:, k] = solveh_banded(
+                r_band + lam * qtq_band, qty, check_finite=False
+            )
+        fitted = yt[:, None] - lams * _q_matvec(h, gammas)
+        pred = _eval_natural_cubic(xt, fitted, gammas, x[held], extrapolate=True)
+        # per-lam rows, contiguous, so each sum runs as a 1-D np.sum does
+        sq = np.ascontiguousarray(((y[held][:, None] - pred) ** 2).T)
+        err += sq.sum(axis=1)
+        count += len(pred)
+    if count == 0:
+        raise InsufficientDataError("no usable cross-validation blocks")
+    return err / count
 
 
 def fit_smoothing_spline(series: RateSeries, lam="block-cv") -> SplineFit:
@@ -292,7 +295,9 @@ def fit_smoothing_spline(series: RateSeries, lam="block-cv") -> SplineFit:
     `lam` may be a number, "gcv", or "block-cv" (default: block CV, which
     is robust to the window-induced residual correlation of these series).
     """
-    x, y = _series_points(series)
+    defined = ~series.series.gaps
+    x = np.flatnonzero(defined).astype(float)
+    y = series.series.values[defined]
     if isinstance(lam, str):
         if lam == "gcv":
             lam = select_lambda_gcv(x, y)
@@ -309,7 +314,6 @@ class BootstrapConfig:
     block_length: int = 7
     seed: int = 0
     level: float = 0.95
-    reselect_lambda: bool = False
 
     def __post_init__(self):
         if self.replicates < 1:
@@ -388,23 +392,7 @@ def build_replicates(base: SplineFit, config: BootstrapConfig) -> ReplicateSet:
             base, moving_block_resample(residuals, config.block_length, rng)
         )
 
-    if config.reselect_lambda:
-        lams = np.empty(b)
-        fitted = np.empty_like(synthetic)
-        gammas = np.empty((len(base.x) - 2, b))
-        for j in range(b):
-            lam_j = select_lambda_block_cv(base.x, synthetic[:, j])
-            fit_j = fit_points(base.x, synthetic[:, j], lam_j)
-            lams[j] = lam_j
-            fitted[:, j] = fit_j.fitted
-            gammas[:, j] = fit_j.gamma
-        return ReplicateSet(base=base, lams=lams, fitted=fitted, gammas=gammas)
-
-    h = _spacings(base.x)
-    r_band, qtq_band = _penalty_matrices(h)
-    m_band = r_band + base.lam * qtq_band
-    gammas = solveh_banded(m_band, _qt_matvec(h, synthetic))
-    fitted = synthetic - base.lam * _q_matvec(h, gammas)
+    gammas, fitted = _smooth(_spacings(base.x), synthetic, base.lam)
     lams = np.full(b, base.lam)
     return ReplicateSet(base=base, lams=lams, fitted=fitted, gammas=gammas)
 
@@ -464,13 +452,6 @@ class TrendResult:
     clipped_bounds: int = 0
 
 
-def _clip_unit(value: float, counter: list[int]) -> float:
-    if value < 0.0 or value > 1.0:
-        counter[0] += 1
-        return min(max(value, 0.0), 1.0)
-    return value
-
-
 def analyze_trend(
     series: RateSeries,
     config: BootstrapConfig,
@@ -479,34 +460,38 @@ def analyze_trend(
     lam="block-cv",
     clip_to_unit: bool = True,
 ) -> TrendResult:
-    """Fit, bootstrap once, and extract levels and relative drops.
+    """Fit, bootstrap once, and extract levels and relative drops."""
+    reps = build_replicates(fit_smoothing_spline(series, lam=lam), config)
+    return read_estimates(reps, series, dates, date_pairs, config.level,
+                          clip_to_unit)
+
+
+def read_estimates(
+    reps: ReplicateSet,
+    series: RateSeries,
+    dates: list[dt.date],
+    date_pairs: list[tuple[dt.date, dt.date]] = (),
+    level: float = 0.95,
+    clip_to_unit: bool = True,
+) -> TrendResult:
+    """Levels and relative drops of `series`, read off its replicate set.
 
     Levels and drops come from the same replicate trends, so drop
     intervals reflect within-replicate dependence between the two dates.
     Rates live on [0, 1]; reported values are clipped there with a count.
+    A date outside the fitted range raises OutOfRangeError.
     """
-    base = fit_smoothing_spline(series, lam=lam)
-    reps = build_replicates(base, config)
-    result = TrendResult(base=base, replicates=reps)
-    clip_counter = [0]
-
-    def maybe_clip(v: float) -> float:
-        return _clip_unit(v, clip_counter) if clip_to_unit else v
-
+    result = TrendResult(base=reps.base, replicates=reps)
     all_dates = list(dates) + [d for pair in date_pairs for d in pair]
     xq = np.array([series.series.day_index(d) for d in all_dates], dtype=float)
     values = reps.evaluate(xq) if len(xq) else np.empty((0, reps.n_replicates))
 
     for i, date in enumerate(dates):
-        med, lo, hi = _percentile_triplet(values[i], config.level)
-        result.levels.append(
-            IntervalEstimate(
-                date=date,
-                median=maybe_clip(med),
-                lower=maybe_clip(lo),
-                upper=maybe_clip(hi),
-            )
-        )
+        triplet = _percentile_triplet(values[i], level)
+        if clip_to_unit:
+            result.clipped_bounds += sum(v < 0.0 or v > 1.0 for v in triplet)
+            triplet = [min(max(v, 0.0), 1.0) for v in triplet]
+        result.levels.append(IntervalEstimate(date, *triplet))
 
     offset = len(dates)
     for j, (d_old, d_new) in enumerate(date_pairs):
@@ -517,19 +502,11 @@ def analyze_trend(
         if excluded == len(old):
             raise InsufficientDataError("all replicates have zero old-date value")
         rel = (new[ok] - old[ok]) / old[ok]
-        med, lo, hi = _percentile_triplet(rel, config.level)
-        result.drops.append(
-            DropEstimate(
-                date_old=d_old,
-                date_new=d_new,
-                median=med,
-                lower=lo,
-                upper=hi,
-                excluded_replicates=excluded,
-                flagged=excluded > 0.01 * reps.n_replicates,
-            )
-        )
-    result.clipped_bounds = clip_counter[0]
+        result.drops.append(DropEstimate(
+            d_old, d_new, *_percentile_triplet(rel, level),
+            excluded_replicates=excluded,
+            flagged=excluded > 0.01 * reps.n_replicates,
+        ))
     return result
 
 

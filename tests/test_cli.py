@@ -1,21 +1,33 @@
 """Command-line pipeline: subcommands, exit codes, manifest replay."""
 
+import csv
+import datetime as dt
 import filecmp
 import gzip
 import json
 import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hfrtrend
+from hfrtrend import signals, trend
 from hfrtrend.cli import (
+    DEFAULT_DATE_PAIRS,
     EXIT_DATA,
     EXIT_INSUFFICIENT,
     EXIT_OK,
     EXIT_USAGE,
+    TABLE_BANDS,
+    _interval_text,
+    _load_cohort_npz,
     main,
 )
+from hfrtrend.cohort import StratumKey
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +96,61 @@ class TestPipelineOutputs:
         agg_line = [l for l in text.splitlines() if l.startswith("aggregate")][0]
         drop_text = agg_line.split("  ")[-1]
         assert drop_text.strip().startswith("-0.")
+
+
+class TestBootstrapTables:
+    def test_drop_tables_equal_per_pair_analyze_trend(self, pipeline_dirs,
+                                                      tmp_path):
+        # With the window starting 04-01, the first six days of the 7-day
+        # trailing mean are gaps: 04-01 lies before every band's first
+        # defined point, so the 04-01 pair is "-" while 04-15 is filled.
+        analyzed = tmp_path / "analyzed"
+        boot = tmp_path / "boot"
+        assert main(["analyze", "--store",
+                     str(pipeline_dirs["ingested"] / "store.npz"),
+                     "--window", "2020-04-01..2020-11-01",
+                     "--out", str(analyzed)]) == EXIT_OK
+        assert main(["bootstrap", "--analyzed", str(analyzed),
+                     "--replicates", "60", "--seed", "3",
+                     "--out", str(boot)]) == EXIT_OK
+        table = _load_cohort_npz(analyzed / "cohort_table.npz")
+        config = trend.BootstrapConfig(replicates=60, seed=3)
+        tables = {}
+        for d_old, d_new in DEFAULT_DATE_PAIRS:
+            expected = []
+            for name in TABLE_BANDS:
+                series = signals.hfr_series(table, StratumKey(name, "all"))
+                try:
+                    result = trend.analyze_trend(
+                        series, config, [d_old, d_new], [(d_old, d_new)]
+                    )
+                except (trend.InsufficientDataError, trend.OutOfRangeError):
+                    expected.append([name, "-", "-", "-"])
+                    continue
+                cells = [*result.levels, result.drops[0]]
+                expected.append([name] + [
+                    _interval_text(c.median, c.lower, c.upper) for c in cells
+                ])
+            tag = f"{d_old:%m-%d}_to_{d_new:%m-%d}"
+            with open(boot / f"hfr_drop_{tag}.csv", newline="") as fh:
+                tables[d_old] = list(csv.reader(fh))[1:]
+            assert tables[d_old] == expected
+        filled = {row[0]: row[1] != "-" for row in tables[dt.date(2020, 4, 15)]}
+        assert filled["aggregate"] and filled["50-59"]
+        assert all(row[1] == "-" for row in tables[dt.date(2020, 4, 1)])
+
+
+class TestImports:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        src = str(Path(hfrtrend.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        probe = ("import sys, hfrtrend, hfrtrend.cli; "
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestDeterminism:
@@ -183,6 +250,20 @@ class TestIngestRows:
         assert report["rejected_rows_by_reason"] == {"malformed_row": 1}
         quarantined = (out / "quarantine.csv").read_text().splitlines()
         assert quarantined[1:] == ["2020-04-02,54,,,,malformed_row"]
+
+    @pytest.mark.parametrize("payload", [
+        b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x00\x03",  # truncated gzip
+        b"ChartDate,Age,Gender,Hospitalized,Died\n"
+        b"2020-04-01,34,Female,NO,NO\n"
+        b"2020-04-02,\xff\xfe,Male,NO,NO\n",  # not UTF-8
+    ], ids=["truncated_gzip", "non_utf8"])
+    def test_undecodable_input_is_data_error(self, tmp_path, capsys, payload):
+        src = tmp_path / "cases.csv"
+        src.write_bytes(payload)
+        code = main(["ingest", "--input", str(src), "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_gzip_input_from_a_pipe(self, tmp_path):

@@ -398,6 +398,20 @@ class TestLoadTestingSeries:
         assert out[0].new_positives == 10
         assert out[0].new_tests == 50
 
+    def test_short_row_is_malformed(self, tmp_path):
+        path = tmp_path / "tests.csv"
+        path.write_text("date,positive,totalTestResults\n"
+                        "2020-04-01,10,50\n"
+                        "2020-04-02,12\n"
+                        "\n"
+                        "2020-04-03,20,80\n")
+        report = IngestReport()
+        out = load_testing_series(path, region="x", report=report)
+        assert [r.date.day for r in out] == [1, 3]
+        assert report.rejected_rows_by_reason == {"malformed_row": 1}
+        assert report.total_rows == 3 and report.kept_rows == 2
+        assert report.clamped_values == 0
+
     def test_missing_column_is_schema_error(self, tmp_path):
         path = tmp_path / "tests.csv"
         path.write_text("date,positive\n2020-04-01,10\n")

@@ -11,6 +11,7 @@ from hfrtrend.signals import RateSeries, TimeSeries
 from hfrtrend.trend import (
     BootstrapConfig,
     InsufficientDataError,
+    OutOfRangeError,
     analyze_trend,
     build_replicates,
     default_lambda_grid,
@@ -21,8 +22,10 @@ from hfrtrend.trend import (
     gcv_score,
     moving_block_resample,
     post_blacken,
+    read_estimates,
     select_lambda_block_cv,
     select_lambda_gcv,
+    _block_cv_scores,
     _nearest_rank,
 )
 
@@ -50,6 +53,31 @@ def dense_spline_fit(x, y, lam):
     q, r = dense_q_r(x)
     k = q @ np.linalg.solve(r, q.T)
     return np.linalg.solve(np.eye(len(x)) + lam * k, y)
+
+
+def oracle_block_cv_scores(x, y, block_length=7, gap=6, grid=None):
+    """Oracle: one full fit_points call per (lam, block), errors summed
+    per lam in block order."""
+    n = len(x)
+    grid = default_lambda_grid(x) if grid is None else grid
+    blocks = []
+    for s in range(0, n, block_length):
+        held = np.arange(s, min(s + block_length, n))
+        train = np.ones(n, dtype=bool)
+        train[max(0, s - gap) : min(n, s + block_length + gap)] = False
+        if train.sum() >= 4:
+            blocks.append((held, train))
+    scores = np.empty(len(grid))
+    for i, lam in enumerate(grid):
+        err = 0.0
+        count = 0
+        for held, train in blocks:
+            fit = fit_points(x[train], y[train], lam)
+            pred = fit.evaluate(x[held], extrapolate=True)
+            err += float(np.sum((y[held] - pred) ** 2))
+            count += len(held)
+        scores[i] = err / count
+    return scores
 
 
 def dense_hat_matrix(x, lam):
@@ -141,6 +169,15 @@ class TestEvaluate:
             fit.evaluate([-0.5])
         fit.evaluate([-0.5], extrapolate=True)
 
+    def test_outside_range_error_is_typed(self, rng):
+        x = np.arange(10, dtype=float)
+        fit = fit_points(x, rng.normal(size=10), 1.0)
+        with pytest.raises(OutOfRangeError):
+            fit.evaluate([9.5])
+        reps = build_replicates(fit, BootstrapConfig(replicates=4, block_length=3))
+        with pytest.raises(OutOfRangeError):
+            reps.evaluate([2.0, -1.0])
+
     def test_extrapolation_is_linear_with_boundary_slope(self, rng):
         x = np.arange(15, dtype=float)
         fit = fit_points(x, rng.normal(size=15), 2.0)
@@ -196,6 +233,37 @@ class TestLambdaSelection:
         ma7 = np.convolve(white, np.ones(7) / 7, mode="valid")
         y = truth + ma7
         assert select_lambda_block_cv(x, y) > select_lambda_gcv(x, y)
+
+    def test_block_cv_matches_per_fit_oracle(self, rng):
+        # uneven spacing, n from the minimum 4 + 7 + 2*6 = 23 up, and
+        # edge blocks whose held-out points lie outside the training range
+        for n in (23, 23, 24, 31, 57, 96, 140):
+            x = np.cumsum(rng.uniform(0.3, 3.0, size=n))
+            y = np.sin(x / 12.0) + rng.normal(0, 0.2, size=n)
+            expected = oracle_block_cv_scores(x, y)
+            grid = default_lambda_grid(x)
+            assert np.array_equal(_block_cv_scores(x, y, 7, 6, grid), expected)
+            chosen = select_lambda_block_cv(x, y)
+            assert chosen == grid[int(np.argmin(expected))]
+
+    def test_block_cv_matches_oracle_with_other_blocks(self, rng):
+        x = np.sort(rng.choice(np.arange(300.0), size=80, replace=False))
+        y = rng.normal(size=80)
+        grid = np.geomspace(1e-2, 1e5, 9)
+        expected = oracle_block_cv_scores(x, y, block_length=10, gap=3, grid=grid)
+        assert np.array_equal(_block_cv_scores(x, y, 10, 3, grid), expected)
+
+    def test_block_cv_rejects_bad_inputs(self):
+        x = np.arange(30.0)
+        y = np.sin(x)
+        with pytest.raises(ValueError):
+            select_lambda_block_cv(x, np.where(x == 17, np.nan, y))
+        with pytest.raises(ValueError):
+            select_lambda_block_cv(np.where(x == 17, 16.0, x), y)
+        with pytest.raises(ValueError):
+            select_lambda_block_cv(x, y, grid=[1.0, -1.0])
+        with pytest.raises(ValueError):
+            select_lambda_block_cv(x, y[:-1])
 
     def test_selection_needs_enough_points(self):
         with pytest.raises(InsufficientDataError):
@@ -344,6 +412,21 @@ class TestAnalyzeTrend:
         rel = (values[1] - values[0]) / values[0]
         med = _nearest_rank(np.sort(rel), 0.5)
         assert result.drops[0].median == pytest.approx(med)
+
+    def test_pairs_read_off_one_replicate_set(self, rng):
+        series = self._series(rng)
+        config = BootstrapConfig(replicates=100, seed=6)
+        days = (10, 40, 70, 110)
+        d1, d2, d3, d4 = (START + dt.timedelta(days=d) for d in days)
+        reps = build_replicates(fit_smoothing_spline(series, lam=500.0), config)
+        for pair in ((d1, d4), (d2, d3)):
+            read = read_estimates(reps, series, list(pair), [pair])
+            direct = analyze_trend(series, config, list(pair), [pair], lam=500.0)
+            assert read.levels == direct.levels
+            assert read.drops == direct.drops
+            assert read.clipped_bounds == direct.clipped_bounds
+        with pytest.raises(OutOfRangeError):
+            read_estimates(reps, series, [START - dt.timedelta(days=1)])
 
     def test_identical_dates_give_zero_drop(self, rng):
         series = self._series(rng)
