@@ -37,6 +37,9 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INSUFFICIENT = 3
 
+# A truncated or corrupt gzip stream, or bytes that are not UTF-8.
+DECODE_ERRORS = (EOFError, gzip.BadGzipFile, zlib.error, UnicodeDecodeError)
+
 TABLE_BANDS = ("aggregate", "30-39", "40-49", "50-59", "60-69", "70-79", "80+")
 DEFAULT_DATE_PAIRS = (
     (dt.date(2020, 4, 15), dt.date(2020, 7, 15)),
@@ -111,7 +114,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         quarantine_fh = open(out_dir / "quarantine.csv", "w", newline="",
                              encoding="utf-8")
     try:
-        raws = ingest_mod.iter_parse_lines(
+        cases = ingest_mod.parse_columns(
             args.input,
             schema,
             report,
@@ -120,14 +123,13 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         )
         store_mod.save_store(
             out_dir / "store.npz",
-            store_mod.columns_from_raw(raws),
+            cases,
             meta={"schema": schema.name, "source": str(args.input)},
         )
     except FileNotFoundError as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (EOFError, gzip.BadGzipFile, zlib.error, UnicodeDecodeError) as exc:
-        # a truncated or corrupt gzip stream, or bytes that are not UTF-8
+    except DECODE_ERRORS as exc:
         print(f"error: cannot decode input {args.input}: {exc}", file=sys.stderr)
         return EXIT_DATA
     except SchemaError as exc:
@@ -199,6 +201,21 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
+    tests = None
+    if args.testing_file:
+        try:
+            tests = ingest_mod.load_testing_series(
+                args.testing_file, region=args.region,
+                cumulative=not args.daily_testing,
+            )
+        except FileNotFoundError as exc:
+            print(f"error: cannot read testing file: {exc}", file=sys.stderr)
+            return EXIT_DATA
+        except DECODE_ERRORS as exc:
+            print(f"error: cannot decode testing file {args.testing_file}: {exc}",
+                  file=sys.stderr)
+            return EXIT_DATA
+
     excluded_states: list[str] = []
     if args.auto_exclude:
         flagged = ingest_mod.detect_reporting_artifacts(cases)
@@ -239,10 +256,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         fractions = cohort_mod.gender_fraction_series(table, signal)
         _write_band_series_csv(out_dir / f"gender_fraction_{signal}.csv", fractions)
 
-    if args.testing_file:
-        tests = ingest_mod.load_testing_series(
-            args.testing_file, region=args.region, cumulative=not args.daily_testing
-        )
+    if tests is not None:
         signals_mod.positive_test_rate(tests).write_long_csv(
             out_dir / "pos_test_rate.csv", stratum=args.region
         )

@@ -2,11 +2,16 @@
 
 Two layouts are supported (Florida FDOH line list and the national CDC
 case-surveillance file) via declarative schemas, plus daily testing
-aggregates. Parsing streams rows through `csv.reader` and decodes each
-cell through a per-column memo, so each distinct date, age or label is
-decoded once (a study window has a few hundred distinct dates and ages);
-one RawLineRecord is yielded per kept row and the file is never held in
-memory. Cohort filtering and artifact detection work on store columns.
+aggregates. `parse_columns` reads `csv.reader` rows CHUNK_ROWS at a
+time and decodes them column by column: each column's coder maps cell
+text to an int code for the decoded value (negative for a reject
+reason), so each distinct date, age or label is decoded once (a study
+window has a few hundred distinct dates and ages) and the per-row work
+is dict lookups driven from C. The kept rows' codes go to
+`store.columns_from_codes` chunk by chunk; no Python object is built
+per row and the file is never held in memory. `parse_florida_lines`
+and `parse_cdc_lines` build RawLineRecords from the same decoded
+chunks. Cohort filtering and artifact detection work on store columns.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ import datetime as dt
 import gzip
 import io
 import logging
+from itertools import compress, islice
+from operator import itemgetter
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -31,12 +38,17 @@ from .records import (
     RawLineRecord,
 )
 from .schemas import CDC_SCHEMA, FLORIDA_SCHEMA, ParseSchema, SchemaError
-from .store import CaseColumns, as_columns, day_date, day_index
+from .store import CaseColumns, as_columns, columns_from_codes, day_date, day_index
 
 log = logging.getLogger(__name__)
 
 STUDY_WINDOW = (dt.date(2020, 3, 26), dt.date(2020, 11, 1))
 DATA_VINTAGE = dt.date(2020, 12, 4)
+# Rows decoded per step. Each chunk is turned into store dtypes before
+# the next is read, so a small chunk keeps peak memory near the final
+# columns' size; past a few hundred rows the per-chunk numpy overhead
+# is already negligible.
+CHUNK_ROWS = 512
 
 
 @contextlib.contextmanager
@@ -75,20 +87,38 @@ def _parse_date(text: str, formats: tuple[str, ...]) -> dt.date | None:
     return None
 
 
-class _Reject:
-    """Decoded value of a cell that rejects its row."""
-
-    def __init__(self, reason: str):
-        self.reason = reason
-
-
-_BAD_DATE, _BAD_AGE, _BAD_GENDER, _BAD_OUTCOME, _NOT_CONFIRMED = map(
-    _Reject, ("bad_date", "bad_age", "bad_gender", "bad_outcome", "not_lab_confirmed")
-)
-_REJECTS = frozenset((_BAD_DATE, _BAD_AGE, _BAD_GENDER, _BAD_OUTCOME, _NOT_CONFIRMED))
+# A decoder returns minus a reason's index here for a cell that rejects
+# its row; no decoded value is a negative int.
+_REASONS = (None, "bad_date", "bad_age", "bad_gender", "bad_outcome",
+            "not_lab_confirmed", "malformed_row")
+_BAD_DATE, _BAD_AGE, _BAD_GENDER, _BAD_OUTCOME, _NOT_CONFIRMED, _MALFORMED = (
+    range(-1, -7, -1))
 
 
-def _decode_age(text: str) -> int | None | _Reject:
+class _Coder(Memo):
+    """Memo from cell text to an int code: the index of the decoded value
+    in `values`, which lists each distinct value once, or the negative
+    reject code."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, decode):
+        self.values: list = []
+        index: dict = {}
+
+        def code(text: str) -> int:
+            value = decode(text)
+            if isinstance(value, int) and value < 0:
+                return value
+            if value not in index:
+                index[value] = len(self.values)
+                self.values.append(value)
+            return index[value]
+
+        super().__init__(code)
+
+
+def _decode_age(text: str) -> int | None:
     text = text.strip()
     if not text:
         return None
@@ -99,7 +129,7 @@ def _decode_age(text: str) -> int | None | _Reject:
     return years if 0 <= years <= 120 else _BAD_AGE
 
 
-def _label(spellings: dict[str, str], reject: _Reject, unknown: str | None = None):
+def _label(spellings: dict[str, str], reject: int, unknown: str | None = None):
     """Decoder of a category cell; the `unknown` spelling decodes to None."""
 
     def decode(text: str):
@@ -109,21 +139,21 @@ def _label(spellings: dict[str, str], reject: _Reject, unknown: str | None = Non
     return decode
 
 
-def iter_parse_lines(
+def _decode_chunks(
     file,
     schema: ParseSchema,
     report: IngestReport,
     use_alt_event_date: bool = False,
     quarantine: IO[str] | None = None,
-) -> Iterator[RawLineRecord]:
-    """Stream RawLineRecords from a delimited file, filling `report`.
+) -> Iterator[tuple[list[list], np.ndarray]]:
+    """Decode a delimited file CHUNK_ROWS rows at a time under the rules
+    of `parse_columns`, filling `report`.
 
-    Rejected rows are tallied per reason; when `quarantine` is given they
-    are re-emitted there with a trailing reason column. Lab-unconfirmed
-    rows (schemas with a confirmation column) are rejected, and so are
-    rows with fewer fields than the header (malformed_row). As with
-    csv.DictReader, blank lines are skipped uncounted and fields past the
-    header's are ignored.
+    Yields per chunk the RawLineRecord fields' lists of distinct decoded
+    values (they grow as the file is read) and an int array whose row k
+    holds the kept rows' indices into list k. Each cell goes through its
+    column's `_Coder`, so a cell text seen before costs one dict lookup
+    made from C.
     """
     date_col = schema.event_date_column
     if use_alt_event_date:
@@ -146,67 +176,105 @@ def iter_parse_lines(
             writer = csv.writer(quarantine, delimiter=schema.delimiter)
             writer.writerow(header + ["rejection_reason"])
 
-        # Per column: its index and a memo from cell text to the decoded
-        # value or a _Reject; (None, None) when the schema lacks it.
-        def memo(column, decode):
-            return (None, None) if column is None else (index[column], Memo(decode))
+        def coder(column, decode, absent=None):
+            """(cell index, coder); a column the schema lacks reads as
+            its one value `absent`, code 0."""
+            codes = _Coder(decode)
+            if column is None:
+                codes.values.append(absent)
+                return None, codes
+            return index[column], codes
 
         outcome = _label(schema.outcome_spellings, _BAD_OUTCOME)
         confirmed = schema.confirmed_values
-        i_date, dates = memo(
-            date_col, lambda t: _parse_date(t, schema.date_formats) or _BAD_DATE)
-        i_age, ages = memo(schema.age_column, _decode_age)
-        i_band, bands = memo(
-            schema.age_band_column,
-            _label(schema.age_band_spellings, _BAD_AGE, AGE_UNKNOWN))
-        i_gender, genders = memo(
-            schema.gender_column, _label(schema.gender_spellings, _BAD_GENDER))
-        i_hosp, hosps = memo(schema.hospitalized_column, outcome)
-        i_died, dieds = memo(schema.died_column, outcome)
-        i_state, states = memo(
-            schema.state_column, lambda t: t.strip().upper() or None)
-        i_conf, confirmations = memo(
-            schema.confirmation_column,
-            lambda t: CONFIRMED_PCR if t.strip().lower() in confirmed
-            else _NOT_CONFIRMED)
+        # In RawLineRecord field order, which is also the reject precedence.
+        columns = [
+            coder(date_col,
+                  lambda t: _parse_date(t, schema.date_formats) or _BAD_DATE),
+            coder(schema.age_column, _decode_age),
+            coder(schema.age_band_column,
+                  _label(schema.age_band_spellings, _BAD_AGE, AGE_UNKNOWN)),
+            coder(schema.gender_column,
+                  _label(schema.gender_spellings, _BAD_GENDER)),
+            coder(schema.hospitalized_column, outcome),
+            coder(schema.died_column, outcome),
+            coder(schema.state_column, lambda t: t.strip().upper() or None),
+            coder(schema.confirmation_column,
+                  lambda t: CONFIRMED_PCR if t.strip().lower() in confirmed
+                  else _NOT_CONFIRMED,
+                  CONFIRMED_PCR),
+        ]
+        values = [codes.values for _, codes in columns]
+        read = [(k, i, codes.__getitem__)
+                for k, (i, codes) in enumerate(columns) if i is not None]
 
-        for row in reader:
-            if len(row) < width:
-                if not row:
-                    continue
-                reason = "malformed_row"
-            else:
-                # RawLineRecord's field order is also the reject precedence:
-                # bad_date, bad_age, bad_gender, bad_outcome, not_lab_confirmed.
-                values = (
-                    dates[row[i_date]],
-                    None if ages is None else ages[row[i_age]],
-                    None if bands is None else bands[row[i_band]],
-                    genders[row[i_gender]],
-                    hosps[row[i_hosp]],
-                    dieds[row[i_died]],
-                    None if states is None else states[row[i_state]],
-                    CONFIRMED_PCR if confirmations is None
-                    else confirmations[row[i_conf]],
-                )
-                if _REJECTS.isdisjoint(values):
-                    raw = RawLineRecord(*values)
-                    report.keep(raw)
-                    yield raw
-                    continue
-                reason = next(v for v in values if v in _REJECTS).reason
-            report.reject(reason)
-            if writer is not None:
-                writer.writerow(row[:width] + [""] * (width - len(row)) + [reason])
+        while chunk := list(islice(reader, CHUNK_ROWS)):
+            lengths = np.fromiter(map(len, chunk), np.intp, len(chunk))
+            whole = lengths >= width
+            rows = chunk if whole.all() else list(compress(chunk, whole))
+            codes = np.zeros((len(columns), len(rows)), np.int32)
+            for k, i, code in read:
+                codes[k] = np.fromiter(
+                    map(code, map(itemgetter(i), rows)), np.int32, len(rows))
+            first_bad = np.argmax(codes < 0, axis=0)
+            row_reason = np.minimum(codes[first_bad, np.arange(len(rows))], 0)
+            # short rows are malformed; blank ones (length 0) are skipped
+            reason = np.where(lengths > 0, _MALFORMED, 0)
+            reason[whole] = row_reason
+            rejected = np.flatnonzero(reason).tolist()
+            if rejected:
+                counts = np.bincount(-reason[rejected], minlength=len(_REASONS))
+                for name, n in zip(_REASONS[1:], counts[1:].tolist()):
+                    if n:
+                        report.reject(name, n)
+                if writer is not None:
+                    writer.writerows(
+                        chunk[j][:width] + [""] * (width - len(chunk[j]))
+                        + [_REASONS[-reason[j]]]
+                        for j in rejected
+                    )
+            kept = codes[:, row_reason == 0]
+            # fields 4 and 5: hospitalized and died
+            report.tally_kept((values[4], kept[4]), (values[5], kept[5]))
+            yield values, kept
+
+
+def parse_columns(
+    file,
+    schema: ParseSchema,
+    report: IngestReport,
+    use_alt_event_date: bool = False,
+    quarantine: IO[str] | None = None,
+) -> CaseColumns:
+    """Parse a delimited file straight into store columns, filling
+    `report`.
+
+    A row is rejected for its first bad cell in field order (date, age,
+    band, gender, hospitalized, died, confirmation); lab-unconfirmed rows
+    (schemas with a confirmation column) are rejected, and rows with
+    fewer fields than the header are malformed_row. When `quarantine` is
+    given, rejected rows are written there in input order with a trailing
+    reason column. As with csv.DictReader, blank lines are skipped
+    uncounted and fields past the header's are ignored.
+    """
+    return columns_from_codes(
+        _decode_chunks(file, schema, report, use_alt_event_date, quarantine)
+    )
 
 
 def parse_florida_lines(
     file, schema: ParseSchema = FLORIDA_SCHEMA, **kwargs
 ) -> tuple[list[RawLineRecord], IngestReport]:
-    """Parse a Florida-layout line list; event date is the positive-test
-    confirmation date column."""
+    """Parse a Florida-layout line list into RawLineRecords; event date is
+    the positive-test confirmation date column. Keyword arguments are
+    those of `parse_columns`."""
     report = IngestReport()
-    return list(iter_parse_lines(file, schema, report, **kwargs)), report
+    records: list[RawLineRecord] = []
+    for values, codes in _decode_chunks(file, schema, report, **kwargs):
+        records += map(RawLineRecord, *(
+            map(v.__getitem__, c.tolist()) for v, c in zip(values, codes)
+        ))
+    return records, report
 
 
 def parse_cdc_lines(

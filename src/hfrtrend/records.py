@@ -4,6 +4,8 @@ Line-level surveillance rows come in raw (four-category outcome labels,
 age as years or a pre-binned band) and normalized (strict booleans, decade
 age bands) flavors. The normalization rules live here; the store keeps
 the normalized form as columns, and LineRecord is its per-record view.
+Ingest counts kept rows per chunk from their outcome label codes
+(`IngestReport.tally_kept`), never per row.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import datetime as dt
 from collections import Counter
 from dataclasses import dataclass, field
+
+import numpy as np
 
 AGE_BANDS = (
     "0-9",
@@ -71,15 +75,22 @@ class IngestReport:
     clamped_values: int = 0
     excluded_states: list[str] = field(default_factory=list)
 
-    def reject(self, reason: str) -> None:
-        self.total_rows += 1
-        self.rejected_rows_by_reason[reason] += 1
+    def reject(self, reason: str, count: int = 1) -> None:
+        self.total_rows += count
+        self.rejected_rows_by_reason[reason] += count
 
-    def keep(self, record: RawLineRecord) -> None:
-        self.total_rows += 1
-        self.kept_rows += 1
-        self.hospitalized_tallies[record.hospitalized_raw] += 1
-        self.died_tallies[record.died_raw] += 1
+    def tally_kept(self, hospitalized, died) -> None:
+        """Count kept rows from their raw outcome labels. Each argument is
+        a (labels, codes) pair: one int code per kept row, indexing the
+        label sequence."""
+        for tallies, (labels, codes) in (
+            (self.hospitalized_tallies, hospitalized),
+            (self.died_tallies, died),
+        ):
+            counts = np.bincount(codes, minlength=len(labels))
+            tallies.update({lab: int(n) for lab, n in zip(labels, counts) if n})
+        self.total_rows += len(died[1])
+        self.kept_rows += len(died[1])
 
     @property
     def conserved(self) -> bool:

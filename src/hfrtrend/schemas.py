@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-import yaml
-
 from .records import AGE_BANDS
 
 
@@ -132,6 +130,8 @@ def load_schema(path: str, base: str | None = None) -> ParseSchema:
     The file may set any ParseSchema field; spelling maps are merged into
     the base's maps rather than replacing them.
     """
+    import yaml  # only schema files need it; keeps it off the CLI's import
+
     with open(path, "r", encoding="utf-8") as fh:
         raw = yaml.safe_load(fh) or {}
     if not isinstance(raw, dict):

@@ -2,10 +2,11 @@
 
 Parsing the multi-gigabyte national file is slow; analysis is iterated
 many times with different strata and dates. The store decouples the two:
-ingest normalizes parsed rows straight into parallel numpy columns
-(`CaseColumns`), built in fixed-size chunks and written as a versioned
-.npz, and analysis works on those columns without a Python object per
-case.
+ingest hands over each chunk of rows as int codes into per-column lists
+of decoded values, `columns_from_codes` maps the codes to parallel numpy
+columns (`CaseColumns`) through per-value lookup tables, `save_store`
+writes them as a versioned .npz, and analysis works on those columns
+without a Python object per case.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from __future__ import annotations
 import datetime as dt
 import json
 from dataclasses import dataclass, fields
-from itertools import islice
-from operator import itemgetter
+from itertools import product
+from math import prod
 from typing import Iterable
 
 import numpy as np
@@ -24,14 +25,12 @@ from .records import (
     GENDERS,
     LineRecord,
     Memo,
-    RawLineRecord,
     recode_outcome,
     resolve_age_band,
 )
 
 STORE_VERSION = 2
 NO_STATE = -1  # state code of a case without a state
-CHUNK_ROWS = 1 << 16
 
 EPOCH = dt.date(1970, 1, 1)
 BAND_INDEX = {b: i for i, b in enumerate(ALL_AGE_BANDS)}
@@ -77,45 +76,54 @@ class CaseColumns:
 _DTYPES = (np.int32, np.uint8, np.uint8, bool, bool, np.int32)
 
 
-def _build(rows: Iterable[tuple]) -> CaseColumns:
-    """Columns from (day, band, gender, hosp, died, state name) rows,
-    taken CHUNK_ROWS at a time into numpy chunks so that memory holds at
-    most one chunk of Python tuples."""
-    vocab: list[str] = []
+def columns_from_codes(chunks: Iterable[tuple[list[list], np.ndarray]]) -> CaseColumns:
+    """Normalize decoded row chunks into columns (the ingest path).
 
-    def new_state(name):
-        vocab.append(name)
-        return len(vocab) - 1
-
-    codes = Memo(new_state)
-    codes.update({None: NO_STATE, "": NO_STATE})
-    chunks = [[np.empty(0, t) for t in _DTYPES]]
-    rows = iter(rows)
-    while chunk := list(islice(rows, CHUNK_ROWS)):
-        values = [map(itemgetter(i), chunk) for i in range(len(_DTYPES))]
-        values[-1] = map(codes.__getitem__, values[-1])
-        chunks.append(
-            [np.fromiter(v, t, len(chunk)) for v, t in zip(values, _DTYPES)]
-        )
-    columns = [np.concatenate(c) for c in zip(*chunks)]
-    return CaseColumns(*columns, state_vocab=np.array(vocab, dtype=str))
-
-
-def columns_from_raw(raws: Iterable[RawLineRecord]) -> CaseColumns:
-    """Normalize parsed rows into columns (the ingest path).
-
-    The normalization rules are the ones `normalize_record` applies, run
-    once per distinct date, age and outcome label rather than per row.
+    A chunk gives, per RawLineRecord field, the list of distinct decoded
+    values, and an int array whose row k holds the kept rows' indices into
+    list k. The rules of `normalize_record` run once per distinct value,
+    through lookup tables rebuilt when a value list grows; each chunk is
+    turned into store dtypes before the next is decoded, so memory holds
+    the final columns plus one chunk.
     """
-    days = Memo(day_index)
-    bands = Memo(lambda key: BAND_INDEX[resolve_age_band(*key)])
-    events = Memo(recode_outcome)
-    return _build(
-        (days[r.event_date], bands[r.age_band, r.age_years],
-         GENDER_INDEX[r.gender], events[r.hospitalized_raw],
-         events[r.died_raw], r.state)
-        for r in raws
-    )
+    memos: dict[int, Memo] = {}
+    tables: dict[int, np.ndarray] = {}
+
+    def lookup(key, rule, dtype, *values) -> np.ndarray:
+        """rule(*v) for every combination v of decoded values, indexed by
+        their codes."""
+        shape = tuple(map(len, values))
+        table = tables.get(key)
+        if table is None or table.shape != shape:
+            memo = memos.setdefault(key, Memo(lambda v: rule(*v)))
+            table = tables[key] = np.fromiter(
+                map(memo.__getitem__, product(*values)), dtype, prod(shape)
+            ).reshape(shape)
+        return table
+
+    states: list = []
+    seen: dict[int, None] = {}  # decoded states in the order kept rows meet them
+    parts = [[np.empty(0, t) for t in _DTYPES]]
+    for values, codes in chunks:
+        dates, ages, bands, genders, hosps, dieds, states, _ = values
+        day, age, band, gender, hosp, died, state, _ = codes
+        found, first = np.unique(state, return_index=True)
+        seen.update(dict.fromkeys(found[np.argsort(first)].tolist()))
+        parts.append([
+            lookup(0, day_index, np.int32, dates)[day],
+            lookup(1, lambda b, a: BAND_INDEX[resolve_age_band(b, a)],
+                   np.uint8, bands, ages)[band, age],
+            lookup(2, GENDER_INDEX.__getitem__, np.uint8, genders)[gender],
+            lookup(3, recode_outcome, bool, hosps)[hosp],
+            lookup(4, recode_outcome, bool, dieds)[died],
+            state,
+        ])
+    *columns, state = (np.concatenate(c) for c in zip(*parts))
+    named = [code for code in seen if states[code]]
+    vocab_code = np.full(len(states), NO_STATE, np.int32)
+    vocab_code[named] = np.arange(len(named))
+    return CaseColumns(*columns, vocab_code[state],
+                       state_vocab=np.array([states[c] for c in named], dtype=str))
 
 
 def as_columns(records: Iterable[LineRecord] | CaseColumns) -> CaseColumns:
@@ -123,10 +131,20 @@ def as_columns(records: Iterable[LineRecord] | CaseColumns) -> CaseColumns:
     lets record-level entry points share the columnar implementation."""
     if isinstance(records, CaseColumns):
         return records
-    return _build(
-        (day_index(r.event_date), BAND_INDEX[r.age_band],
-         GENDER_INDEX[r.gender], r.hospitalized, r.died, r.state)
-        for r in records
+    records = list(records)
+    vocab = list(dict.fromkeys(r.state for r in records if r.state))
+    state_code = {name: i for i, name in enumerate(vocab)}
+    columns = (
+        [day_index(r.event_date) for r in records],
+        [BAND_INDEX[r.age_band] for r in records],
+        [GENDER_INDEX[r.gender] for r in records],
+        [r.hospitalized for r in records],
+        [r.died for r in records],
+        [state_code.get(r.state, NO_STATE) for r in records],
+    )
+    return CaseColumns(
+        *(np.array(c, t) for c, t in zip(columns, _DTYPES)),
+        state_vocab=np.array(vocab, dtype=str),
     )
 
 

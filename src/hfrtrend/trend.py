@@ -7,8 +7,10 @@ standard tridiagonal Q (second-difference) and R (roughness) matrices,
 the interior second derivatives solve (R + lam Q'Q) g = Q'y and the
 fitted values are y - lam Q g; R + lam Q'Q is symmetric pentadiagonal,
 so the solve is banded and O(n). Block cross-validation solves the
-whole lam grid against each block's bands. scipy is imported inside
-the solvers, so importing the package does not load it.
+whole lam grid against each block's bands, about 1.8k small solves per
+selection, so LAPACK pbsv is called directly rather than through
+scipy's solveh_banded wrapper. scipy is imported inside the solvers,
+so importing the package does not load it.
 
 Uncertainty: resample residual blocks with replacement, add them back
 onto the base trend (post-blackening), refit with the base smoothing
@@ -20,6 +22,7 @@ drop is read off that one replicate set (`read_estimates`).
 from __future__ import annotations
 
 import datetime as dt
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -166,21 +169,39 @@ def _as_points(x, y, min_points: int, purpose: str = ""):
     return x, y
 
 
+@functools.cache
+def _pbsv():
+    from scipy.linalg import get_lapack_funcs
+
+    return get_lapack_funcs("pbsv", (np.empty(0),))  # the float64 routine
+
+
+def _solve_band(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`solveh_banded(ab, b, check_finite=False)` for a float64 upper
+    band and a right-hand side of shape (m,) or (m, B): the same LAPACK
+    pbsv call, resolved once, without the wrapper's per-call argument
+    handling, so the result is bitwise the same."""
+    _, x, info = _pbsv()(ab, b)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal pbsv")
+    return x
+
+
 def _smooth(h: np.ndarray, y: np.ndarray, lam: float):
     """Interior second derivatives and fitted values for knot spacings h
-    and ordinates y of shape (n,) or (n, B)."""
-    from scipy.linalg import solveh_banded
-
+    and ordinates y of shape (n,) or (n, B), all finite."""
     r_band, qtq_band = _penalty_matrices(h)
-    gamma = solveh_banded(r_band + lam * qtq_band, _qt_matvec(h, y))
+    gamma = _solve_band(r_band + lam * qtq_band, _qt_matvec(h, y))
     return gamma, y - lam * _q_matvec(h, gamma)
 
 
 def fit_points(x, y, lam: float) -> SplineFit:
     """Fit the penalized least-squares natural cubic spline at fixed lam."""
     x, y = _as_points(x, y, 4)
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    if not 0 <= lam < math.inf:
+        raise ValueError("lam must be nonnegative and finite")
     gamma, fitted = _smooth(_spacings(x), y, lam)
     return SplineFit(x=x, y=y, lam=float(lam), fitted=fitted, gamma=gamma)
 
@@ -254,8 +275,6 @@ def _block_cv_scores(x, y, block_length: int, gap: int, grid) -> np.ndarray:
     Each block builds its bands and Q'y once and solves every lam against
     them; the arithmetic is that of one `fit_points` per (block, lam).
     """
-    from scipy.linalg import solveh_banded
-
     lams = np.asarray(grid, dtype=float)
     if np.any(lams < 0):
         raise ValueError("lam must be nonnegative")
@@ -275,9 +294,7 @@ def _block_cv_scores(x, y, block_length: int, gap: int, grid) -> np.ndarray:
         qty = _qt_matvec(h, yt)
         gammas = np.empty((len(qty), len(lams)))
         for k, lam in enumerate(lams):
-            gammas[:, k] = solveh_banded(
-                r_band + lam * qtq_band, qty, check_finite=False
-            )
+            gammas[:, k] = _solve_band(r_band + lam * qtq_band, qty)
         fitted = yt[:, None] - lams * _q_matvec(h, gammas)
         pred = _eval_natural_cubic(xt, fitted, gammas, x[held], extrapolate=True)
         # per-lam rows, contiguous, so each sum runs as a 1-D np.sum does

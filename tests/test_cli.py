@@ -147,7 +147,8 @@ class TestImports:
                "PYTHONPATH": os.pathsep.join(
                    filter(None, [src, os.environ.get("PYTHONPATH")]))}
         probe = ("import sys, hfrtrend, hfrtrend.cli; "
-                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+                 "print(sorted(m for m in sys.modules "
+                 "if m.split('.')[0] in ('scipy', 'yaml')))")
         out = subprocess.run([sys.executable, "-c", probe], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
@@ -280,6 +281,27 @@ class TestIngestRows:
             os.close(read_fd)
         report = json.loads((out / "ingest_report.json").read_text())
         assert report["kept_rows"] == 1
+
+
+class TestTestingFile:
+    @pytest.mark.parametrize("payload", [
+        b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x00\x03",  # truncated gzip
+        b"date,positive,totalTestResults\n2020-04-01,\xff\xfe,50\n",  # not UTF-8
+        b"date,totalTestResults\n2020-04-01,50\n",  # no positive column
+        None,  # no such file
+    ], ids=["truncated_gzip", "non_utf8", "missing_column", "missing_file"])
+    def test_bad_testing_file_is_data_error(self, pipeline_dirs, tmp_path,
+                                            capsys, payload):
+        testing = tmp_path / "testing.csv"
+        if payload is not None:
+            testing.write_bytes(payload)
+        code = main(["analyze", "--store",
+                     str(pipeline_dirs["ingested"] / "store.npz"),
+                     "--testing-file", str(testing),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
 
 class TestStateExclusion:

@@ -1,5 +1,6 @@
 """Parsing and filtering, checked against hand-built fixture files."""
 
+import csv
 import datetime as dt
 import gc
 import gzip
@@ -7,24 +8,31 @@ import io
 import os
 import warnings
 from collections import Counter, defaultdict
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hfrtrend import LineRecord
+from hfrtrend import LineRecord, ingest
 from hfrtrend.ingest import (
     cohort_mask,
     detect_reporting_artifacts,
     filter_cohort,
-    iter_parse_lines,
     load_testing_series,
+    parse_columns,
     parse_cdc_lines,
     parse_florida_lines,
 )
-from hfrtrend.records import CONFIRMED_PCR, IngestReport
+from hfrtrend.records import (
+    AGE_UNKNOWN,
+    CONFIRMED_PCR,
+    IngestReport,
+    RawLineRecord,
+    normalize_record,
+)
 from hfrtrend.schemas import CDC_SCHEMA, FLORIDA_SCHEMA, SchemaError
-from hfrtrend.store import as_columns
+from hfrtrend.store import NO_STATE, CaseColumns, as_columns
 from tests.conftest import make_records
 
 FLORIDA_FIXTURE = """\
@@ -106,7 +114,7 @@ class TestParseFlorida:
         path.write_text(FLORIDA_FIXTURE)
         quarantine = io.StringIO()
         report = IngestReport()
-        list(iter_parse_lines(path, FLORIDA_SCHEMA, report, quarantine=quarantine))
+        parse_columns(path, FLORIDA_SCHEMA, report, quarantine=quarantine)
         lines = quarantine.getvalue().strip().splitlines()
         assert lines[0].endswith("rejection_reason")
         assert len(lines) == 1 + 4
@@ -136,10 +144,7 @@ class TestRowShapes:
         path = tmp_path / "fl.csv"
         path.write_text(self.FIXTURE)
         quarantine = io.StringIO()
-        report = IngestReport()
-        records = list(
-            iter_parse_lines(path, FLORIDA_SCHEMA, report, quarantine=quarantine)
-        )
+        records, report = parse_florida_lines(path, quarantine=quarantine)
         assert [r.age_years for r in records] == [34, 61]
         assert report.total_rows == 3  # the blank line is not a row
         assert report.rejected_rows_by_reason == {"malformed_row": 1}
@@ -232,6 +237,236 @@ class TestParseCdc:
         alt, _ = parse_cdc_lines(path, use_alt_event_date=True)
         assert default[0].event_date == dt.date(2020, 4, 10)
         assert alt[0].event_date == dt.date(2020, 4, 8)
+
+
+def oracle_parse(text, schema, use_alt_event_date=False):
+    """The row-at-a-time parser the column parser replaced, in plain
+    Python: every cell decoded on its own, one RawLineRecord per kept row,
+    per-row report counts, then `normalize_record` per record.
+
+    Returns (raw records, CaseColumns, report, quarantine text).
+    """
+    date_col = (schema.alt_event_date_column if use_alt_event_date
+                else schema.event_date_column)
+    confirmed = schema.confirmed_values
+
+    def date(cell):
+        for fmt in schema.date_formats:
+            try:
+                return dt.datetime.strptime(cell.strip(), fmt).date()
+            except ValueError:
+                pass
+        return "bad_date"
+
+    def age(cell):
+        if not cell.strip():
+            return None
+        try:
+            years = int(float(cell))
+        except (ValueError, OverflowError):
+            return "bad_age"
+        return years if 0 <= years <= 120 else "bad_age"
+
+    def label(spellings, reason, unknown=None):
+        def decode(cell):
+            value = spellings.get(cell.strip().lower(), reason)
+            return None if value == unknown else value
+        return decode
+
+    outcome = label(schema.outcome_spellings, "bad_outcome")
+    decoders = [
+        (date_col, date),
+        (schema.age_column, age),
+        (schema.age_band_column,
+         label(schema.age_band_spellings, "bad_age", AGE_UNKNOWN)),
+        (schema.gender_column, label(schema.gender_spellings, "bad_gender")),
+        (schema.hospitalized_column, outcome),
+        (schema.died_column, outcome),
+        (schema.state_column, lambda cell: cell.strip().upper() or None),
+        (schema.confirmation_column,
+         lambda cell: CONFIRMED_PCR if cell.strip().lower() in confirmed
+         else "not_lab_confirmed"),
+    ]
+    absent = [None] * 7 + [CONFIRMED_PCR]
+    reasons = {"bad_date", "bad_age", "bad_gender", "bad_outcome",
+               "not_lab_confirmed"}
+
+    report, quarantine, raws = IngestReport(), io.StringIO(), []
+    reader = csv.reader(io.StringIO(text), delimiter=schema.delimiter)
+    header = next(reader)
+    index = {name: i for i, name in enumerate(header)}
+    writer = csv.writer(quarantine, delimiter=schema.delimiter)
+    writer.writerow(header + ["rejection_reason"])
+    for row in reader:
+        if not row:
+            continue
+        if len(row) < len(header):
+            reason = "malformed_row"
+        else:
+            values = [decode(row[index[col]]) if col is not None else default
+                      for (col, decode), default in zip(decoders, absent)]
+            reason = next((v for v in values if v in reasons), None)
+        if reason is not None:
+            report.reject(reason)
+            padded = row[:len(header)] + [""] * (len(header) - len(row))
+            writer.writerow(padded + [reason])
+            continue
+        raw = RawLineRecord(*values)
+        report.total_rows += 1
+        report.kept_rows += 1
+        report.hospitalized_tallies[raw.hospitalized_raw] += 1
+        report.died_tallies[raw.died_raw] += 1
+        raws.append(raw)
+    cases = as_columns([normalize_record(r) for r in raws])
+    return raws, cases, report, quarantine.getvalue()
+
+
+MESSY_CDC = (
+    "cdc_report_dt,pos_spec_dt,age_group,sex,hosp_yn,death_yn,res_state,"
+    "current_status\n"
+    "2020-04-10,2020-04-08,30 - 39 Years,Female,No,No,NYC,"
+    "Laboratory-confirmed case\n"
+    "2020/04/11,,80+ Years,Male,Yes,Yes,ny,Laboratory-confirmed case\n"
+    "\n"
+    "2020-04-11,2020-04-09,Unknown,F,unknown,nan,,Laboratory-confirmed case\n"
+    "bad,2020-04-09,90 - 99 Years,Female,No,No,NY,Laboratory-confirmed case\n"
+    "2020-04-11,2020-04-09,90 - 99 Years,Robot,No,No,NY,Laboratory-confirmed case\n"
+    "2020-04-12,bad,40 - 49 Years,Robot,Maybe,No,FL,Laboratory-confirmed case\n"
+    "2020-04-12,2020-04-11,40 - 49 Years,Male,Maybe,No,FL,Probable Case\n"
+    "2020-04-12,2020-04-11,40 - 49 Years,Male,No,No,FL,Probable Case\n"
+    '2020-04-13,2020-04-12,"50 - 59 Years","Male, adult",No,No,TX,'
+    "Laboratory-confirmed case\n"
+    '"2020-04-13",2020-04-12,50 - 59 Years,Other,No,"No",TX,'
+    '"Laboratory-confirmed case",extra,"a,b"\n'
+    "2020-04-13,2020-04-12,50 - 59 Years\n"
+    " 04/14/2020 ,2020-04-13,,,,,  nyc ,Laboratory-confirmed case\n"
+)
+
+MESSY_FLORIDA = (
+    "ChartDate,Age,Gender,Hospitalized,Died\n"
+    "2020-04-01,34,Female,NO,NO\n"
+    "2020-04-01,inf,Male,YES,YES\n"
+    "2020-04-02,-1,Male,YES,YES\n"
+    "2020-04-02, 120 ,f,y,n\n"
+    "2020-04-02,121,Male,YES,YES\n"
+    "2020-13-01,twelve,Robot,MAYBE,NO\n"
+    "2020-04-03,twelve,Robot,MAYBE,NO\n"
+    "2020-04-03,80.9,Robot,MAYBE,NO\n"
+    "2020-04-03,1e1,Male,MAYBE,NO\n"
+    "2020-04-03,,Male,NO,MAYBE\n"
+    "\n"
+    "2020-04-04\n"
+    '"2020-04-04","7","Female, girl",NO,NO\n'
+    "2020-04-05,7,,,,extra\n"
+)
+
+
+def _random_line_list(rng, schema, n_rows):
+    """Rows drawn cell by cell from good and bad spellings, plus short,
+    blank and long rows, as delimited text."""
+    pools = {
+        "date": ["2020-04-01", "2020-04-02", "2020/04/03", "04/05/2020",
+                 " 2020-04-06", "not-a-date", "", "2020-13-01"],
+        "age": ["34", "0", "120", "121", "-1", "", " 45 ", "x", "inf", "80.9"],
+        "band": ["30 - 39 Years", "80+ Years", "Unknown", "", "90 - 99 Years",
+                 "50-59"],
+        "gender": ["Female", "male", "F", "", "Other", "Robot", "Male, adult"],
+        "outcome": ["Yes", "NO", "unknown", "", "nan", "MAYBE"],
+        "state": ["FL", "ny", "NYC", " NY ", "", "TX", "nyc"],
+        "status": ["Laboratory-confirmed case", "Laboratory-confirmed case",
+                   "Probable Case"],
+    }
+    kinds = {schema.event_date_column: "date", schema.alt_event_date_column: "date",
+             schema.age_column: "age", schema.age_band_column: "band",
+             schema.gender_column: "gender", schema.hospitalized_column: "outcome",
+             schema.died_column: "outcome", schema.state_column: "state",
+             schema.confirmation_column: "status"}
+    header = [c for c in kinds if c is not None]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for _ in range(n_rows):
+        row = [str(rng.choice(pools[kinds[c]])) for c in header]
+        shape = rng.random()
+        if shape < 0.03:
+            out.write("\n")
+            continue
+        if shape < 0.08:
+            row = row[:int(rng.integers(1, len(header)))]
+        elif shape < 0.12:
+            row += ["extra", "x,y"]
+        writer.writerow(row)
+    return out.getvalue()
+
+
+class TestColumnParser:
+    """`parse_columns` and the record adapters against the row-at-a-time
+    oracle: equal columns, report and quarantine text."""
+
+    def check(self, text, schema, stream=None, **kwargs):
+        raws, want, want_report, want_quarantine = oracle_parse(
+            text, schema, **kwargs)
+        report, quarantine = IngestReport(), io.StringIO()
+        got = parse_columns(io.StringIO(text) if stream is None else stream,
+                            schema, report, quarantine=quarantine, **kwargs)
+        for f in fields(CaseColumns):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert a.dtype == b.dtype, f.name
+            np.testing.assert_array_equal(a, b, err_msg=f.name)
+        assert report.as_dict() == want_report.as_dict()
+        assert report.conserved
+        assert quarantine.getvalue() == want_quarantine
+        if stream is None:
+            records, record_report = parse_florida_lines(
+                io.StringIO(text), schema, **kwargs)
+            assert records == raws
+            assert record_report.as_dict() == want_report.as_dict()
+        return report
+
+    @pytest.mark.parametrize("alt", [False, True])
+    def test_cdc_fixtures(self, alt):
+        for text in (CDC_FIXTURE, MESSY_CDC):
+            self.check(text, CDC_SCHEMA, use_alt_event_date=alt)
+
+    def test_florida_fixtures(self):
+        for text in (FLORIDA_FIXTURE, MESSY_FLORIDA):
+            self.check(text, FLORIDA_SCHEMA)
+
+    def test_every_reason_and_precedence(self):
+        report = self.check(MESSY_CDC, CDC_SCHEMA)
+        assert set(report.rejected_rows_by_reason) == {
+            "bad_date", "bad_age", "bad_gender", "bad_outcome",
+            "not_lab_confirmed", "malformed_row"}
+        # two bad cells: the first in field order names the reason
+        assert report.rejected_rows_by_reason["bad_age"] == 1  # and gender
+        assert report.rejected_rows_by_reason["bad_date"] == 1  # and band
+        report = self.check(MESSY_FLORIDA, FLORIDA_SCHEMA)
+        assert report.rejected_rows_by_reason["bad_date"] == 1  # and 3 more
+
+    def test_states_keep_their_full_codes(self):
+        got = parse_columns(io.StringIO(MESSY_CDC), CDC_SCHEMA, IngestReport())
+        assert got.state_vocab.tolist() == ["NYC", "NY", "TX"]
+        assert (got.state == NO_STATE).sum() == 1
+
+    def test_gzip_through_a_pipe(self):
+        text = MESSY_CDC + "".join(MESSY_CDC.splitlines(True)[1:]) * 20
+        read_fd, write_fd = os.pipe()
+        with os.fdopen(write_fd, "wb") as fh:  # fits the pipe buffer
+            fh.write(gzip.compress(text.encode()))
+        with os.fdopen(read_fd, "rb") as fh:
+            self.check(text, CDC_SCHEMA, stream=fh)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 7, 64])
+    def test_rows_spanning_chunks(self, monkeypatch, rng, chunk_rows):
+        monkeypatch.setattr(ingest, "CHUNK_ROWS", chunk_rows)
+        for schema in (CDC_SCHEMA, FLORIDA_SCHEMA):
+            text = _random_line_list(rng, schema, 150)
+            report = self.check(text, schema)
+            assert report.kept_rows and sum(
+                report.rejected_rows_by_reason.values())
+        for text, schema in ((MESSY_CDC, CDC_SCHEMA),
+                             (MESSY_FLORIDA, FLORIDA_SCHEMA)):
+            self.check(text, schema)
 
 
 def _rec(day, state=None):

@@ -92,6 +92,11 @@ class TestNormalizeRecord:
         assert rec.died is True
 
 
+def _keep(report, raw):
+    """Count one kept row the way ingest does, from label codes."""
+    report.tally_kept(([raw.hospitalized_raw], [0]), ([raw.died_raw], [0]))
+
+
 class TestIngestReport:
     @given(
         st.lists(
@@ -103,7 +108,7 @@ class TestIngestReport:
         report = IngestReport()
         for keep, reason in events:
             if keep:
-                report.keep(_raw())
+                _keep(report, _raw())
             else:
                 report.reject(reason)
         assert report.conserved
@@ -112,14 +117,14 @@ class TestIngestReport:
 
     def test_tallies_raw_outcome_labels(self):
         report = IngestReport()
-        report.keep(_raw(hosp="yes", died="no"))
-        report.keep(_raw(hosp="unknown", died="no"))
+        _keep(report, _raw(hosp="yes", died="no"))
+        _keep(report, _raw(hosp="unknown", died="no"))
         assert report.hospitalized_tallies == {"yes": 1, "unknown": 1}
         assert report.died_tallies == {"no": 2}
 
     def test_as_dict_round_trips_counts(self):
         report = IngestReport()
-        report.keep(_raw())
+        _keep(report, _raw())
         report.reject("bad_date")
         d = report.as_dict()
         assert d["total_rows"] == 2

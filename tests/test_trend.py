@@ -27,6 +27,8 @@ from hfrtrend.trend import (
     select_lambda_gcv,
     _block_cv_scores,
     _nearest_rank,
+    _penalty_matrices,
+    _solve_band,
 )
 
 START = dt.date(2020, 4, 1)
@@ -142,6 +144,29 @@ class TestFitPoints:
             fit_points(np.zeros(10), np.ones(10), 1.0)  # not increasing
         with pytest.raises(ValueError):
             fit_points(x, np.full(10, np.nan), 1.0)
+        for lam in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                fit_points(x, np.ones(10), lam)
+
+
+class TestBandedSolve:
+    def test_bitwise_equal_to_solveh_banded(self, rng):
+        from scipy.linalg import solveh_banded
+
+        for n in (5, 23, 200):
+            x = np.cumsum(rng.uniform(0.2, 3.0, size=n))
+            r_band, qtq_band = _penalty_matrices(np.diff(x))
+            for lam in (0.0, 0.37, 1e6):
+                band = r_band + lam * qtq_band
+                for rhs in (rng.normal(size=n - 2), rng.normal(size=(n - 2, 7))):
+                    got = _solve_band(band, rhs)
+                    assert got.shape == rhs.shape
+                    assert np.array_equal(got, solveh_banded(band, rhs))
+
+    def test_band_not_positive_definite_raises(self):
+        band = np.array([[0.0, 0.0, 0.1], [0.0, 0.2, 0.2], [1.0, -1.0, 1.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            _solve_band(band, np.ones(3))
 
 
 class TestEvaluate:
