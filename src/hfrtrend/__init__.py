@@ -26,9 +26,7 @@ from .signals import (
     RateSeries,
     TimeSeries,
     cfr_series,
-    crude_ratio,
     hfr_series,
-    incidence_cfr,
     positive_test_rate,
     trailing_average_7d,
 )
@@ -44,19 +42,14 @@ from .trend import (
     analyze_trend,
     build_replicates,
     estimate_drop,
-    estimate_with_ci,
     fit_points,
     fit_smoothing_spline,
     moving_block_resample,
-    post_blacken,
     read_estimates,
-    select_lambda_gcv,
 )
 from .ingest import (
     detect_reporting_artifacts,
-    filter_cohort,
     load_testing_series,
-    parse_cdc_lines,
     parse_florida_lines,
 )
 from .synth import (

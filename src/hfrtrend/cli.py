@@ -61,11 +61,27 @@ def _parse_date(text: str) -> dt.date:
 def _parse_window(text: str) -> tuple[dt.date, dt.date]:
     try:
         start_s, end_s = text.split("..")
-        return _parse_date(start_s), _parse_date(end_s)
+        start, end = _parse_date(start_s), _parse_date(end_s)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"window must be START..END in ISO format: {text}"
         ) from exc
+    if start > end:
+        raise argparse.ArgumentTypeError(f"window start after end: {text}")
+    return start, end
+
+
+def _at_least(minimum, kind=int):
+    """argparse type: a `kind` number no smaller than `minimum`."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not value >= minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}: {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
 def _write_json(path: Path, obj) -> None:
@@ -74,14 +90,28 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def _write_manifest(out_dir: Path, subcommand: str, args: dict, stats: dict,
-                    wall_clock_s: float) -> None:
-    _write_json(out_dir / "manifest.json", {
+def _manifest_args(args: argparse.Namespace) -> dict:
+    """The parsed options as `report` replays them: dates as ISO text,
+    the window as START..END."""
+    recorded = {}
+    for key, value in vars(args).items():
+        if key in ("func", "subcommand"):
+            continue
+        if isinstance(value, tuple):
+            value = "..".join(d.isoformat() for d in value)
+        elif isinstance(value, dt.date):
+            value = value.isoformat()
+        recorded[key] = value
+    return recorded
+
+
+def _write_manifest(args: argparse.Namespace, stats: dict, t0: float) -> None:
+    _write_json(Path(args.out) / "manifest.json", {
         "tool_version": _tool_version(),
-        "subcommand": subcommand,
-        "args": args,
+        "subcommand": args.subcommand,
+        "args": _manifest_args(args),
         "stats": stats,
-        "wall_clock_s": round(wall_clock_s, 3),
+        "wall_clock_s": round(time.monotonic() - t0, 3),
     })
 
 
@@ -132,9 +162,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     except DECODE_ERRORS as exc:
         print(f"error: cannot decode input {args.input}: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     finally:
         if quarantine_fh is not None:
             quarantine_fh.close()
@@ -143,18 +170,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if report.kept_rows == 0:
         log.warning("no rows kept from %s", args.input)
     _write_manifest(
-        out_dir,
-        "ingest",
-        {
-            "input": str(args.input),
-            "schema": args.schema,
-            "schema_config": args.schema_config,
-            "use_specimen_date": args.use_specimen_date,
-            "quarantine": args.quarantine,
-            "out": str(args.out),
-        },
-        {"total_rows": report.total_rows, "kept_rows": report.kept_rows},
-        time.monotonic() - t0,
+        args, {"total_rows": report.total_rows, "kept_rows": report.kept_rows}, t0
     )
     print(f"ingested {report.kept_rows}/{report.total_rows} rows -> {out_dir}")
     return EXIT_OK
@@ -224,12 +240,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     elif args.exclude_states:
         excluded_states = [s.strip().upper() for s in args.exclude_states.split(",")]
 
-    window = args.window
     cohort = cases.select(ingest_mod.cohort_mask(
-        cases, window=window, maturity_days=args.maturity_days,
+        cases, window=args.window, maturity_days=args.maturity_days,
         data_vintage=args.vintage, excluded_states=excluded_states,
     ))
-    table = cohort_mod.build_cohort_table(cohort, window[0], window[1])
+    table = cohort_mod.build_cohort_table(cohort, *args.window)
     _save_cohort_npz(out_dir / "cohort_table.npz", table)
     table.write_long_csv(out_dir / "cohort_long.csv")
 
@@ -264,23 +279,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         log.info("no testing file supplied; skipping positive test rate")
 
     _write_manifest(
-        out_dir,
-        "analyze",
-        {
-            "store": str(args.store),
-            "window": f"{window[0].isoformat()}..{window[1].isoformat()}",
-            "maturity_days": args.maturity_days,
-            "vintage": args.vintage.isoformat(),
-            "exclude_states": args.exclude_states,
-            "auto_exclude": args.auto_exclude,
-            "min_deaths": args.min_deaths,
-            "testing_file": args.testing_file and str(args.testing_file),
-            "daily_testing": args.daily_testing,
-            "region": args.region,
-            "out": str(args.out),
-        },
-        {"cohort_records": len(cohort), "excluded_states": excluded_states},
-        time.monotonic() - t0,
+        args, {"cohort_records": len(cohort), "excluded_states": excluded_states}, t0
     )
     print(f"analyzed {len(cohort)} cohort records -> {out_dir}")
     return EXIT_OK
@@ -352,7 +351,7 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
         for (d_old, d_new), rows in tables.items():
             try:
                 result = trend_mod.read_estimates(
-                    reps, series, [d_old, d_new], [(d_old, d_new)], config.level
+                    reps, series, [d_old, d_new], [(d_old, d_new)]
                 )
             except (trend_mod.InsufficientDataError,
                     trend_mod.OutOfRangeError) as exc:
@@ -375,20 +374,9 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
         return EXIT_INSUFFICIENT
 
     _write_manifest(
-        out_dir,
-        "bootstrap",
-        {
-            "analyzed": str(args.analyzed),
-            "dates": args.dates,
-            "seed": args.seed,
-            "replicates": args.replicates,
-            "blocks": args.blocks,
-            "min_deaths": args.min_deaths,
-            "gender": args.gender,
-            "out": str(args.out),
-        },
+        args,
         {"date_pairs": [[a.isoformat(), b.isoformat()] for a, b in date_pairs]},
-        time.monotonic() - t0,
+        t0,
     )
     print(f"bootstrap reports -> {out_dir}")
     return EXIT_OK
@@ -447,18 +435,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             fh, sort_keys=True,
         )
         fh.write("\n")
-    _write_manifest(
-        out_dir,
-        "synth",
-        {
-            "scenario": args.scenario,
-            "seed": args.seed,
-            "daily_cases": args.daily_cases,
-            "out": str(args.out),
-        },
-        {"records": len(records)},
-        time.monotonic() - t0,
-    )
+    _write_manifest(args, {"records": len(records)}, t0)
     print(f"generated {len(records)} synthetic records -> {out_dir}")
     return EXIT_OK
 
@@ -517,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--window", type=_parse_window,
                            default=ingest_mod.STUDY_WINDOW,
                            metavar="START..END")
-    p_analyze.add_argument("--maturity-days", type=int, default=30)
+    p_analyze.add_argument("--maturity-days", type=_at_least(0), default=30)
     p_analyze.add_argument("--vintage", type=_parse_date,
                            default=ingest_mod.DATA_VINTAGE)
     p_analyze.add_argument("--exclude-states", default=None,
@@ -537,8 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="directory written by analyze")
     p_boot.add_argument("--dates", default=None, metavar="D1,D2")
     p_boot.add_argument("--seed", type=int, default=0)
-    p_boot.add_argument("--replicates", type=int, default=1000)
-    p_boot.add_argument("--blocks", type=int, default=7)
+    p_boot.add_argument("--replicates", type=_at_least(1), default=1000)
+    p_boot.add_argument("--blocks", type=_at_least(1), default=7)
     p_boot.add_argument("--min-deaths", type=int, default=2)
     p_boot.add_argument("--gender", choices=("all", "female", "male"),
                         default="all")
@@ -549,7 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--scenario", choices=("step", "simpson"),
                          default="step")
     p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--daily-cases", type=float, default=1000.0)
+    p_synth.add_argument("--daily-cases", type=_at_least(0.0, float),
+                         default=1000.0)
     p_synth.add_argument("--out", required=True)
     p_synth.set_defaults(func=cmd_synth)
 

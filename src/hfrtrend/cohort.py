@@ -164,10 +164,7 @@ class DemographicsSummary:
         return "\n".join(lines)
 
 
-def summarize_demographics(
-    records: Iterable[LineRecord] | CaseColumns,
-) -> DemographicsSummary:
-    cases = as_columns(records)
+def summarize_demographics(cases: CaseColumns) -> DemographicsSummary:
     bands = np.bincount(cases.age_band, minlength=len(ALL_AGE_BANDS))
     genders = np.bincount(cases.gender, minlength=len(GENDERS))
     return DemographicsSummary(
@@ -207,12 +204,12 @@ def age_distribution_shares(
 
 
 def gender_fraction_series(
-    table: CohortTable, signal: str, min_denominator: float = 5.0
+    table: CohortTable, signal: str
 ) -> dict[str, "signals_mod.TimeSeries"]:
     """Per-date female fraction per age band on smoothed counts.
 
     fraction = female / (female + male); dates where the smoothed
-    female+male denominator is below `min_denominator` are gap-marked.
+    female+male denominator is below 5 are gap-marked.
     """
     from . import signals as signals_mod
 
@@ -231,7 +228,7 @@ def gender_fraction_series(
             )
         )
         denom = female.values + male.values
-        gaps = female.gaps | male.gaps | (denom < min_denominator)
+        gaps = female.gaps | male.gaps | (denom < 5.0)
         safe = np.where(denom > 0, denom, 1.0)
         out[band] = signals_mod.TimeSeries(table.start, female.values / safe, gaps)
     return out

@@ -10,8 +10,8 @@ window has a few hundred distinct dates and ages) and the per-row work
 is dict lookups driven from C. The kept rows' codes go to
 `store.columns_from_codes` chunk by chunk; no Python object is built
 per row and the file is never held in memory. `parse_florida_lines`
-and `parse_cdc_lines` build RawLineRecords from the same decoded
-chunks. Cohort filtering and artifact detection work on store columns.
+builds RawLineRecords from the same decoded chunks, for either layout.
+Cohort filtering and artifact detection work on store columns.
 """
 
 from __future__ import annotations
@@ -33,12 +33,11 @@ from .records import (
     CONFIRMED_PCR,
     IngestReport,
     DailyTestRecord,
-    LineRecord,
     Memo,
     RawLineRecord,
 )
-from .schemas import CDC_SCHEMA, FLORIDA_SCHEMA, ParseSchema, SchemaError
-from .store import CaseColumns, as_columns, columns_from_codes, day_date, day_index
+from .schemas import FLORIDA_SCHEMA, ParseSchema, SchemaError
+from .store import CaseColumns, columns_from_codes, day_date, day_index
 
 log = logging.getLogger(__name__)
 
@@ -265,8 +264,8 @@ def parse_columns(
 def parse_florida_lines(
     file, schema: ParseSchema = FLORIDA_SCHEMA, **kwargs
 ) -> tuple[list[RawLineRecord], IngestReport]:
-    """Parse a Florida-layout line list into RawLineRecords; event date is
-    the positive-test confirmation date column. Keyword arguments are
+    """Parse a line list into RawLineRecords under `schema` (Florida by
+    default; pass CDC_SCHEMA for the CDC layout). Keyword arguments are
     those of `parse_columns`."""
     report = IngestReport()
     records: list[RawLineRecord] = []
@@ -275,14 +274,6 @@ def parse_florida_lines(
             map(v.__getitem__, c.tolist()) for v, c in zip(values, codes)
         ))
     return records, report
-
-
-def parse_cdc_lines(
-    file, schema: ParseSchema = CDC_SCHEMA, **kwargs
-) -> tuple[list[RawLineRecord], IngestReport]:
-    """Parse a CDC-layout surveillance file; event date defaults to the
-    CDC report date (pass use_alt_event_date=True for specimen date)."""
-    return parse_florida_lines(file, schema, **kwargs)
 
 
 def cohort_mask(
@@ -311,20 +302,8 @@ def cohort_mask(
     return mask
 
 
-def filter_cohort(
-    records: Iterable[LineRecord],
-    window: tuple[dt.date, dt.date] = STUDY_WINDOW,
-    maturity_days: int = 30,
-    data_vintage: dt.date = DATA_VINTAGE,
-) -> list[LineRecord]:
-    """The records `cohort_mask` keeps."""
-    records = list(records)
-    mask = cohort_mask(as_columns(records), window, maturity_days, data_vintage)
-    return [r for r, keep in zip(records, mask) if keep]
-
-
 def detect_reporting_artifacts(
-    records: Iterable[LineRecord] | CaseColumns, dump_fraction: float = 0.5
+    cases: CaseColumns, dump_fraction: float = 0.5
 ) -> list[tuple[str, dict]]:
     """Flag states whose top two event dates hold >= dump_fraction of
     their cases (bulk-dump reporting rather than daily reporting).
@@ -334,7 +313,6 @@ def detect_reporting_artifacts(
     """
     if not (0 < dump_fraction <= 1):
         raise ValueError("dump_fraction must be in (0, 1]")
-    cases = as_columns(records)
     by_state = np.argsort(cases.state)
     bounds = np.searchsorted(
         cases.state[by_state], np.arange(len(cases.state_vocab) + 1)
@@ -359,13 +337,12 @@ def load_testing_series(
     file,
     region: str,
     cumulative: bool = True,
-    date_column: str = "date",
-    positives_column: str = "positive",
-    tests_column: str = "totalTestResults",
-    date_formats: tuple[str, ...] = ("%Y-%m-%d", "%Y%m%d", "%m/%d/%Y"),
     report: IngestReport | None = None,
 ) -> list[DailyTestRecord]:
     """Load daily testing aggregates, differencing cumulative inputs.
+
+    The file has `date`, `positive` and `totalTestResults` columns, with
+    dates as YYYY-MM-DD, YYYYMMDD or MM/DD/YYYY.
 
     Negative daily increments (reporting corrections) are clamped to zero
     and counted on the report. As in the line-list parser, a row with
@@ -381,7 +358,7 @@ def load_testing_series(
         if header is None:
             raise SchemaError("testing file has no header row")
         index = {name: i for i, name in enumerate(header)}
-        columns = (date_column, positives_column, tests_column)
+        columns = ("date", "positive", "totalTestResults")
         for col in columns:
             if col not in index:
                 raise SchemaError(f"missing required column(s): {col}")
@@ -391,7 +368,7 @@ def load_testing_series(
                 if row:
                     report.reject("malformed_row")
                 continue
-            date = _parse_date(row[i_date], date_formats)
+            date = _parse_date(row[i_date], ("%Y-%m-%d", "%Y%m%d", "%m/%d/%Y"))
             if date is None:
                 report.reject("bad_date")
                 continue

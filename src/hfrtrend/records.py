@@ -73,7 +73,6 @@ class IngestReport:
     hospitalized_tallies: Counter = field(default_factory=Counter)
     died_tallies: Counter = field(default_factory=Counter)
     clamped_values: int = 0
-    excluded_states: list[str] = field(default_factory=list)
 
     def reject(self, reason: str, count: int = 1) -> None:
         self.total_rows += count
@@ -106,7 +105,6 @@ class IngestReport:
             "hospitalized_tallies": dict(self.hospitalized_tallies),
             "died_tallies": dict(self.died_tallies),
             "clamped_values": self.clamped_values,
-            "excluded_states": list(self.excluded_states),
         }
 
 

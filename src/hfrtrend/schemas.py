@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .records import AGE_BANDS
+from .records import AGE_BANDS, ALL_AGE_BANDS, GENDERS, OUTCOME_CATEGORIES
 
 
 class SchemaError(ValueError):
@@ -34,6 +34,17 @@ class ParseSchema:
     outcome_spellings: dict[str, str] = field(default_factory=dict)
     gender_spellings: dict[str, str] = field(default_factory=dict)
     age_band_spellings: dict[str, str] = field(default_factory=dict)
+
+    def __post_init__(self):
+        for key, categories in (("outcome_spellings", OUTCOME_CATEGORIES),
+                                ("gender_spellings", GENDERS),
+                                ("age_band_spellings", ALL_AGE_BANDS)):
+            unknown = [v for v in getattr(self, key).values() if v not in categories]
+            if unknown:
+                raise SchemaError(
+                    f"schema {self.name}: {key} maps to unknown categories "
+                    f"{unknown}; expected one of {', '.join(categories)}"
+                )
 
     def required_columns(self) -> list[str]:
         cols = [

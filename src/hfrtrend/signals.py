@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -80,21 +80,21 @@ class RateSeries:
 WINDOW = 7
 
 
-def trailing_average_7d(raw: TimeSeries, window: int = WINDOW) -> TimeSeries:
-    """Trailing mean over [t-window+1, t] on a dense daily grid.
+def trailing_average_7d(raw: TimeSeries) -> TimeSeries:
+    """Trailing mean over [t-6, t] on a dense daily grid.
 
-    The first window-1 days have no complete trailing window inside the
-    series and are gap-marked, as is any day whose window touches a gap.
+    The first 6 days have no complete trailing window inside the series
+    and are gap-marked, as is any day whose window touches a gap.
     Callers wanting defined values early must supply pre-window data.
     """
     n = len(raw)
     values = np.zeros(n)
     gaps = np.ones(n, dtype=bool)
-    if n >= window:
-        windows = np.lib.stride_tricks.sliding_window_view(raw.values, window)
-        values[window - 1 :] = windows.sum(axis=1) / window
-        gap_windows = np.lib.stride_tricks.sliding_window_view(raw.gaps, window)
-        gaps[window - 1 :] = gap_windows.any(axis=1)
+    if n >= WINDOW:
+        windows = np.lib.stride_tricks.sliding_window_view(raw.values, WINDOW)
+        values[WINDOW - 1 :] = windows.sum(axis=1) / WINDOW
+        gap_windows = np.lib.stride_tricks.sliding_window_view(raw.gaps, WINDOW)
+        gaps[WINDOW - 1 :] = gap_windows.any(axis=1)
     values[gaps] = 0.0
     return TimeSeries(raw.start, values, gaps)
 
@@ -150,18 +150,6 @@ def hfr_series(
     )
 
 
-def crude_ratio(table: CohortTable, stratum: StratumKey, kind: str = "cfr") -> float:
-    """Unsmoothed grand ratio over the whole table (sanity companion)."""
-    counts = table.counts(stratum).sum(axis=0)
-    if kind == "cfr":
-        num, den = counts[2], counts[0]
-    elif kind == "hfr":
-        num, den = counts[3], counts[1]
-    else:
-        raise ValueError(f"unknown kind: {kind}")
-    return num / den if den else float("nan")
-
-
 def positive_test_rate(tests: Sequence[DailyTestRecord]) -> RateSeries:
     """Smoothed new positives over smoothed new tests on a dense grid."""
     if not tests:
@@ -177,19 +165,3 @@ def positive_test_rate(tests: Sequence[DailyTestRecord]) -> RateSeries:
         totals[i] += r.new_tests
     return _ratio_of_smoothed(start, positives, totals, "pos_test_rate")
 
-
-def incidence_cfr(
-    deaths: TimeSeries, cases: TimeSeries
-) -> RateSeries:
-    """Naive same-day deaths/cases ratio from incidence data.
-
-    This is NOT cohort-aligned; it exists to reproduce the headline
-    apparent-decline curve from secondary aggregate data and is labeled
-    distinctly from the cohort CFR.
-    """
-    if deaths.start != cases.start or len(deaths) != len(cases):
-        raise ValueError("deaths and cases series must share their grid")
-    return _ratio_of_smoothed(
-        deaths.start, deaths.values, cases.values, "cfr",
-        extra_gaps=deaths.gaps | cases.gaps,
-    )

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .records import AGE_BANDS, RawLineRecord, CONFIRMED_PCR
+from .records import RawLineRecord, CONFIRMED_PCR
 
 
 @dataclass
@@ -29,8 +29,6 @@ class SynthConfig:
     # fraction of boolean-"no" outcome fields relabeled unknown/missing,
     # which the recode-to-no rule maps back losslessly
     missingness_rate: float = 0.0
-    # relabel "yes" fields instead, to study missing-not-at-random bias
-    wrap_yes: bool = False
 
     @property
     def n_days(self) -> int:
@@ -101,10 +99,9 @@ def generate_line_records(
                 hosp_label = "yes" if hosp[i] else "no"
                 died_label = "yes" if died[i] else "no"
                 if config.missingness_rate > 0:
-                    target = "yes" if config.wrap_yes else "no"
-                    if hosp_label == target and rng.random() < config.missingness_rate:
+                    if hosp_label == "no" and rng.random() < config.missingness_rate:
                         hosp_label = unknown_labels[int(rng.random() < 0.5)]
-                    if died_label == target and rng.random() < config.missingness_rate:
+                    if died_label == "no" and rng.random() < config.missingness_rate:
                         died_label = unknown_labels[int(rng.random() < 0.5)]
                 records.append(
                     RawLineRecord(

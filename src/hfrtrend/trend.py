@@ -6,17 +6,19 @@ over natural cubic splines with knots at the data abscissae. With the
 standard tridiagonal Q (second-difference) and R (roughness) matrices,
 the interior second derivatives solve (R + lam Q'Q) g = Q'y and the
 fitted values are y - lam Q g; R + lam Q'Q is symmetric pentadiagonal,
-so the solve is banded and O(n). Block cross-validation solves the
-whole lam grid against each block's bands, about 1.8k small solves per
+so the solve is banded and O(n). The smoothing parameter is a given
+number or is chosen by block cross-validation, which solves the whole
+lam grid against each block's bands, about 1.8k small solves per
 selection, so LAPACK pbsv is called directly rather than through
-scipy's solveh_banded wrapper. scipy is imported inside the solvers,
+scipy's solveh_banded wrapper. scipy is imported on the first solve,
 so importing the package does not load it.
 
 Uncertainty: resample residual blocks with replacement, add them back
 onto the base trend (post-blackening), refit with the base smoothing
-parameter, and read percentile intervals off the replicate trends. A
-stratum is fitted and bootstrapped once, and every requested date and
-drop is read off that one replicate set (`read_estimates`).
+parameter, and read 95% percentile intervals off the replicate
+trends, with levels clipped to [0, 1]. A stratum is fitted and
+bootstrapped once, and every requested date and drop is read off that
+one replicate set (`read_estimates`).
 """
 
 from __future__ import annotations
@@ -104,8 +106,6 @@ class SplineFit:
             self.x, self.fitted, self.gamma, np.asarray(xq, dtype=float),
             extrapolate=extrapolate,
         )
-
-    __call__ = evaluate
 
 
 def _eval_natural_cubic(
@@ -206,44 +206,11 @@ def fit_points(x, y, lam: float) -> SplineFit:
     return SplineFit(x=x, y=y, lam=float(lam), fitted=fitted, gamma=gamma)
 
 
-def gcv_score(x, y, lam: float) -> float:
-    """Generalized cross-validation score at one smoothing parameter."""
-    from scipy.linalg import solveh_banded
-
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = len(x)
-    h = _spacings(x)
-    r_band, qtq_band = _penalty_matrices(h)
-    m_band = r_band + lam * qtq_band
-    qtq = _qt_matvec(h, _q_matvec(h, np.eye(n - 2)))  # dense Q'Q
-    df = n - lam * np.trace(solveh_banded(m_band, qtq))
-    resid = lam * _q_matvec(h, solveh_banded(m_band, _qt_matvec(h, y)))
-    rss = float(resid @ resid)
-    denom = 1.0 - df / n
-    if denom <= 0:
-        return math.inf
-    return (rss / n) / denom**2
-
-
 def default_lambda_grid(x, n_grid: int = 61) -> np.ndarray:
     """Logarithmic lam grid spanning 1e-6*s to 1e6*s, s set by spacing."""
     h = _spacings(np.asarray(x, dtype=float))
     scale = len(x) * float(np.mean(h)) ** 3
     return np.geomspace(1e-6 * scale, 1e6 * scale, n_grid)
-
-
-def select_lambda_gcv(x, y, grid=None) -> float:
-    """Pick lam minimizing GCV over a log grid; deterministic, first
-    minimizer wins on ties."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if len(x) < 5:
-        raise InsufficientDataError(f"need >= 5 points for GCV, got {len(x)}")
-    if grid is None:
-        grid = default_lambda_grid(x)
-    scores = np.array([gcv_score(x, y, lam) for lam in grid])
-    return float(grid[int(np.argmin(scores))])
 
 
 def select_lambda_block_cv(
@@ -256,8 +223,8 @@ def select_lambda_block_cv(
     """Pick lam by leave-block-out cross-validation with a buffer gap.
 
     Rates built from 7-day trailing averages carry noise correlated over
-    the window span, which makes leave-one-out criteria (GCV included)
-    undersmooth badly: every held-out point has near-duplicates in the
+    the window span, which makes leave-one-out criteria (generalized
+    cross-validation included) undersmooth badly: every held-out point has near-duplicates in the
     training set. Holding out `block_length`-day blocks and additionally
     dropping a `gap`-day buffer on each side from the training set breaks
     that leakage. Deterministic; first minimizer wins on ties.
@@ -309,19 +276,16 @@ def _block_cv_scores(x, y, block_length: int, gap: int, grid) -> np.ndarray:
 def fit_smoothing_spline(series: RateSeries, lam="block-cv") -> SplineFit:
     """Fit the trend spline to a rate series on its defined days only.
 
-    `lam` may be a number, "gcv", or "block-cv" (default: block CV, which
-    is robust to the window-induced residual correlation of these series).
+    `lam` may be a number or "block-cv" (default: block CV, which is
+    robust to the window-induced residual correlation of these series).
     """
     defined = ~series.series.gaps
     x = np.flatnonzero(defined).astype(float)
     y = series.series.values[defined]
     if isinstance(lam, str):
-        if lam == "gcv":
-            lam = select_lambda_gcv(x, y)
-        elif lam == "block-cv":
-            lam = select_lambda_block_cv(x, y)
-        else:
+        if lam != "block-cv":
             raise ValueError(f"unknown lam spec: {lam}")
+        lam = select_lambda_block_cv(x, y)
     return fit_points(x, y, float(lam))
 
 
@@ -330,15 +294,12 @@ class BootstrapConfig:
     replicates: int = 1000
     block_length: int = 7
     seed: int = 0
-    level: float = 0.95
 
     def __post_init__(self):
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         if self.block_length < 1:
             raise ValueError("block_length must be >= 1")
-        if not (0 < self.level < 1):
-            raise ValueError("level must be in (0, 1)")
 
 
 def moving_block_resample(
@@ -363,20 +324,11 @@ def moving_block_resample(
     return out[:n]
 
 
-def post_blacken(base: SplineFit, resampled_residuals: np.ndarray) -> np.ndarray:
-    """Synthetic ordinates: base fitted values plus resampled residuals."""
-    resampled_residuals = np.asarray(resampled_residuals, dtype=float)
-    if resampled_residuals.shape != base.fitted.shape:
-        raise ValueError("residual length does not match the fit")
-    return base.fitted + resampled_residuals
-
-
 @dataclass
 class ReplicateSet:
     """B refitted trends from one resampling pass over the base fit."""
 
     base: SplineFit
-    lams: np.ndarray  # per-replicate smoothing parameter
     fitted: np.ndarray  # (n, B)
     gammas: np.ndarray  # (n-2, B)
 
@@ -405,13 +357,12 @@ def build_replicates(base: SplineFit, config: BootstrapConfig) -> ReplicateSet:
     synthetic = np.empty((len(base.x), b))
     for j, child in enumerate(children):
         rng = np.random.default_rng(child)
-        synthetic[:, j] = post_blacken(
-            base, moving_block_resample(residuals, config.block_length, rng)
+        synthetic[:, j] = base.fitted + moving_block_resample(
+            residuals, config.block_length, rng
         )
 
     gammas, fitted = _smooth(_spacings(base.x), synthetic, base.lam)
-    lams = np.full(b, base.lam)
-    return ReplicateSet(base=base, lams=lams, fitted=fitted, gammas=gammas)
+    return ReplicateSet(base=base, fitted=fitted, gammas=gammas)
 
 
 @dataclass(frozen=True)
@@ -448,9 +399,12 @@ def _nearest_rank(sorted_values: np.ndarray, q: float) -> float:
     return float(sorted_values[k - 1])
 
 
-def _percentile_triplet(values: np.ndarray, level: float) -> tuple[float, float, float]:
+LEVEL = 0.95  # coverage of every reported interval
+
+
+def _percentile_triplet(values: np.ndarray) -> tuple[float, float, float]:
     s = np.sort(values)
-    alpha = (1.0 - level) / 2.0
+    alpha = (1.0 - LEVEL) / 2.0
     return (
         _nearest_rank(s, 0.5),
         _nearest_rank(s, alpha),
@@ -462,7 +416,6 @@ def _percentile_triplet(values: np.ndarray, level: float) -> tuple[float, float,
 class TrendResult:
     """Levels and drops read off one shared replicate set."""
 
-    base: SplineFit
     replicates: ReplicateSet
     levels: list[IntervalEstimate] = field(default_factory=list)
     drops: list[DropEstimate] = field(default_factory=list)
@@ -475,12 +428,10 @@ def analyze_trend(
     dates: list[dt.date],
     date_pairs: list[tuple[dt.date, dt.date]] = (),
     lam="block-cv",
-    clip_to_unit: bool = True,
 ) -> TrendResult:
     """Fit, bootstrap once, and extract levels and relative drops."""
     reps = build_replicates(fit_smoothing_spline(series, lam=lam), config)
-    return read_estimates(reps, series, dates, date_pairs, config.level,
-                          clip_to_unit)
+    return read_estimates(reps, series, dates, date_pairs)
 
 
 def read_estimates(
@@ -488,8 +439,6 @@ def read_estimates(
     series: RateSeries,
     dates: list[dt.date],
     date_pairs: list[tuple[dt.date, dt.date]] = (),
-    level: float = 0.95,
-    clip_to_unit: bool = True,
 ) -> TrendResult:
     """Levels and relative drops of `series`, read off its replicate set.
 
@@ -498,16 +447,15 @@ def read_estimates(
     Rates live on [0, 1]; reported values are clipped there with a count.
     A date outside the fitted range raises OutOfRangeError.
     """
-    result = TrendResult(base=reps.base, replicates=reps)
+    result = TrendResult(replicates=reps)
     all_dates = list(dates) + [d for pair in date_pairs for d in pair]
     xq = np.array([series.series.day_index(d) for d in all_dates], dtype=float)
     values = reps.evaluate(xq) if len(xq) else np.empty((0, reps.n_replicates))
 
     for i, date in enumerate(dates):
-        triplet = _percentile_triplet(values[i], level)
-        if clip_to_unit:
-            result.clipped_bounds += sum(v < 0.0 or v > 1.0 for v in triplet)
-            triplet = [min(max(v, 0.0), 1.0) for v in triplet]
+        triplet = _percentile_triplet(values[i])
+        result.clipped_bounds += sum(v < 0.0 or v > 1.0 for v in triplet)
+        triplet = [min(max(v, 0.0), 1.0) for v in triplet]
         result.levels.append(IntervalEstimate(date, *triplet))
 
     offset = len(dates)
@@ -520,18 +468,11 @@ def read_estimates(
             raise InsufficientDataError("all replicates have zero old-date value")
         rel = (new[ok] - old[ok]) / old[ok]
         result.drops.append(DropEstimate(
-            d_old, d_new, *_percentile_triplet(rel, level),
+            d_old, d_new, *_percentile_triplet(rel),
             excluded_replicates=excluded,
             flagged=excluded > 0.01 * reps.n_replicates,
         ))
     return result
-
-
-def estimate_with_ci(
-    series: RateSeries, config: BootstrapConfig, dates: list[dt.date], lam="block-cv"
-) -> list[IntervalEstimate]:
-    """Per-date median and percentile bounds across bootstrap replicates."""
-    return analyze_trend(series, config, dates, lam=lam).levels
 
 
 def estimate_drop(

@@ -184,6 +184,70 @@ class TestDeterminism:
         assert errors == []
 
 
+@pytest.fixture(scope="module")
+def replay_runs(tmp_path_factory):
+    """One run of every stage with the options whose recording is least
+    trivial, and the manifest `args` each must record."""
+    root = tmp_path_factory.mktemp("replay")
+    synth, ingested, analyzed, boot = (root / d for d in
+                                       ("synth", "ingested", "analyzed", "boot"))
+    source = root / "cases.csv"
+    runs = {
+        "synth": (["synth", "--seed", "3", "--daily-cases", "40",
+                   "--out", str(synth)],
+                  {"scenario": "step", "seed": 3, "daily_cases": 40.0,
+                   "out": str(synth)}),
+        "ingest": (["ingest", "--input", str(source), "--quarantine",
+                    "--out", str(ingested)],
+                   {"input": str(source), "schema": "florida",
+                    "schema_config": None, "use_specimen_date": False,
+                    "quarantine": True, "out": str(ingested)}),
+        "analyze": (["analyze", "--store", str(ingested / "store.npz"),
+                     "--window", "2020-04-05..2020-10-20", "--auto-exclude",
+                     "--out", str(analyzed)],
+                    {"store": str(ingested / "store.npz"),
+                     "window": "2020-04-05..2020-10-20", "maturity_days": 30,
+                     "vintage": "2020-12-04", "exclude_states": None,
+                     "auto_exclude": True, "min_deaths": 2,
+                     "testing_file": None, "daily_testing": False,
+                     "region": "florida", "out": str(analyzed)}),
+        "bootstrap": (["bootstrap", "--analyzed", str(analyzed),
+                       "--dates", "2020-05-01,2020-09-15",
+                       "--replicates", "40", "--seed", "2", "--out", str(boot)],
+                      {"analyzed": str(analyzed), "dates": "2020-05-01,2020-09-15",
+                       "seed": 2, "replicates": 40, "blocks": 7, "min_deaths": 2,
+                       "gender": "all", "out": str(boot)}),
+    }
+    for stage, (argv, _) in runs.items():
+        if stage == "ingest":
+            # two rejected rows, so the quarantine file has content
+            source.write_text((synth / "synthetic_florida.csv").read_text()
+                              + "2020-13-01,40,Male,NO,NO\n"
+                              + "2020-05-01,40,Male,MAYBE,NO\n")
+        assert main(argv) == EXIT_OK, stage
+    return {stage: (Path(argv[-1]), args) for stage, (argv, args) in runs.items()}
+
+
+class TestManifestReplay:
+    @pytest.mark.parametrize("stage", ["synth", "ingest", "analyze", "bootstrap"])
+    def test_manifest_replay_reproduces_every_stage(self, replay_runs, tmp_path,
+                                                    stage):
+        out, expected_args = replay_runs[stage]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["subcommand"] == stage
+        assert manifest["args"] == expected_args
+        replay = tmp_path / "replay"
+        manifest["args"]["out"] = str(replay)
+        manifest_path = tmp_path / "manifest.json"
+        manifest_path.write_text(json.dumps(manifest))
+        assert main(["report", "--manifest", str(manifest_path)]) == EXIT_OK
+        names = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+        assert sorted(p.name for p in replay.iterdir()
+                      if p.name != "manifest.json") == names
+        for name in names:
+            assert (replay / name).read_bytes() == (out / name).read_bytes(), name
+
+
 class TestExitCodes:
     def test_missing_input_is_data_error(self, tmp_path):
         code = main(["ingest", "--input", str(tmp_path / "nope.csv"),
@@ -207,6 +271,39 @@ class TestExitCodes:
         code = main(["analyze", "--store", "s.npz", "--window", "april..june",
                      "--out", str(tmp_path / "out")])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ["bootstrap", "--analyzed", "a", "--replicates", "0"],
+        ["bootstrap", "--analyzed", "a", "--blocks", "0"],
+        ["analyze", "--store", "s.npz", "--maturity-days", "-1"],
+        ["analyze", "--store", "s.npz", "--window", "2020-11-01..2020-04-01"],
+        ["synth", "--daily-cases", "-5"],
+    ], ids=["replicates", "blocks", "maturity_days", "reversed_window",
+            "daily_cases"])
+    def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith(f"hfrtrend {argv[0]}: error: ")
+
+    @pytest.mark.parametrize("spellings", [
+        "outcome_spellings: {maybe: perhaps}",
+        "gender_spellings: {nb: nonbinary}",
+        "age_band_spellings: {'90+': '90-99'}",
+    ], ids=["outcome", "gender", "age_band"])
+    def test_spelling_to_unknown_category_is_data_error(self, tmp_path, capsys,
+                                                        spellings):
+        src = tmp_path / "fl.csv"
+        src.write_text("ChartDate,Age,Gender,Hospitalized,Died\n"
+                       "2020-04-01,34,NB,maybe,NO\n"
+                       "2020-04-02,54,Male,NO,NO\n")
+        schema = tmp_path / "schema.yaml"
+        schema.write_text(f"base: florida\n{spellings}\n")
+        code = main(["ingest", "--input", str(src), "--schema-config",
+                     str(schema), "--out", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
     def test_old_store_version_is_data_error(self, tmp_path, capsys):
         store = tmp_path / "store.npz"

@@ -161,7 +161,6 @@ class TestColumnarPath:
         }
         assert demo.hospitalized_yes == sum(r.hospitalized for r in records)
         assert demo.died_yes == sum(r.died for r in records)
-        assert summarize_demographics(records) == demo
 
     def test_cells_are_the_nonempty_base_cells(self, rng):
         records, cases = self._cases(rng)
@@ -182,7 +181,7 @@ class TestDemographics:
             LineRecord(START, "50-59", "male", False, False),
             LineRecord(START, AGE_UNKNOWN, "other-unknown", True, False),
         ]
-        demo = summarize_demographics(records)
+        demo = summarize_demographics(as_columns(records))
         assert demo.total_cases == 3
         assert demo.age_counts["50-59"] == 2
         assert demo.age_counts[AGE_UNKNOWN] == 1
@@ -196,12 +195,12 @@ class TestDemographics:
         records = [
             LineRecord(START, band, "female", False, False) for band in AGE_BANDS
         ]
-        demo = summarize_demographics(records)
+        demo = summarize_demographics(as_columns(records))
         assert sum(demo.percentages(demo.age_counts).values()) == pytest.approx(100.0)
 
     def test_text_rendering_contains_counts(self):
         records = [LineRecord(START, "80+", "male", True, True)]
-        text = summarize_demographics(records).as_text()
+        text = summarize_demographics(as_columns(records)).as_text()
         assert "Lab Confirmed COVID-19 Cases  1" in text
         assert "80+" in text
 

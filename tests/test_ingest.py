@@ -18,10 +18,8 @@ from hfrtrend import LineRecord, ingest
 from hfrtrend.ingest import (
     cohort_mask,
     detect_reporting_artifacts,
-    filter_cohort,
     load_testing_series,
     parse_columns,
-    parse_cdc_lines,
     parse_florida_lines,
 )
 from hfrtrend.records import (
@@ -213,7 +211,7 @@ class TestParseCdc:
     def test_fixture_accounting(self, tmp_path):
         path = tmp_path / "cdc.csv"
         path.write_text(CDC_FIXTURE)
-        records, report = parse_cdc_lines(path)
+        records, report = parse_florida_lines(path, CDC_SCHEMA)
         assert report.total_rows == 6
         assert report.kept_rows == 5
         assert report.rejected_rows_by_reason == {"not_lab_confirmed": 1}
@@ -222,7 +220,7 @@ class TestParseCdc:
     def test_band_labels_and_state(self, tmp_path):
         path = tmp_path / "cdc.csv"
         path.write_text(CDC_FIXTURE)
-        records, _ = parse_cdc_lines(path)
+        records, _ = parse_florida_lines(path, CDC_SCHEMA)
         assert records[0].age_band == "30-39"
         assert records[1].age_band == "80+"
         assert records[1].state == "NJ"
@@ -233,8 +231,8 @@ class TestParseCdc:
     def test_alternate_event_date_column(self, tmp_path):
         path = tmp_path / "cdc.csv"
         path.write_text(CDC_FIXTURE)
-        default, _ = parse_cdc_lines(path)
-        alt, _ = parse_cdc_lines(path, use_alt_event_date=True)
+        default, _ = parse_florida_lines(path, CDC_SCHEMA)
+        alt, _ = parse_florida_lines(path, CDC_SCHEMA, use_alt_event_date=True)
         assert default[0].event_date == dt.date(2020, 4, 10)
         assert alt[0].event_date == dt.date(2020, 4, 8)
 
@@ -499,16 +497,16 @@ class TestFilterCohort:
             base + dt.timedelta(days=start_off + span),
         )
         vintage = base + dt.timedelta(days=vintage_off)
-        kept = filter_cohort(
-            records, window=window, maturity_days=maturity, data_vintage=vintage
+        mask = cohort_mask(
+            as_columns(records), window=window, maturity_days=maturity,
+            data_vintage=vintage,
         )
         expected = [
-            r
-            for r in records
-            if window[0] <= r.event_date <= window[1]
+            window[0] <= r.event_date <= window[1]
             and (vintage - r.event_date).days >= maturity
+            for r in records
         ]
-        assert kept == expected
+        assert mask.tolist() == expected
 
     def test_columnar_mask_matches_loop_oracle(self, rng):
         """Random records with states; the window edges and the maturity
@@ -535,7 +533,12 @@ class TestFilterCohort:
 
     def test_rejects_inverted_window(self):
         with pytest.raises(ValueError):
-            filter_cohort([], window=(dt.date(2020, 2, 1), dt.date(2020, 1, 1)))
+            cohort_mask(as_columns([]),
+                        window=(dt.date(2020, 2, 1), dt.date(2020, 1, 1)))
+
+
+def _artifacts(records, *args):
+    return detect_reporting_artifacts(as_columns(records), *args)
 
 
 class TestDetectReportingArtifacts:
@@ -547,7 +550,7 @@ class TestDetectReportingArtifacts:
 
     def test_flags_concentrated_state_only(self):
         records = self._dump_state("NJ", 80, 20) + self._dump_state("FL", 10, 90)
-        flagged = detect_reporting_artifacts(records)
+        flagged = _artifacts(records)
         assert [s for s, _ in flagged] == ["NJ"]
         evidence = flagged[0][1]
         assert evidence["total_cases"] == 100
@@ -556,18 +559,16 @@ class TestDetectReportingArtifacts:
 
     def test_threshold_is_inclusive(self):
         records = self._dump_state("CT", 50, 50)
-        assert [s for s, _ in detect_reporting_artifacts(records)] == ["CT"]
+        assert [s for s, _ in _artifacts(records)] == ["CT"]
 
     def test_order_invariant_under_permutation(self, rng):
         records = self._dump_state("NJ", 60, 20) + self._dump_state("IL", 70, 30)
         shuffled = list(records)
         rng.shuffle(shuffled)
-        assert detect_reporting_artifacts(records) == detect_reporting_artifacts(
-            shuffled
-        )
+        assert _artifacts(records) == _artifacts(shuffled)
 
     def test_stateless_records_ignored(self):
-        assert detect_reporting_artifacts([_rec(1), _rec(1)]) == []
+        assert _artifacts([_rec(1), _rec(1)]) == []
 
     def test_columnar_matches_loop_oracle(self, rng):
         for dump_fraction in (0.1, 0.3, 0.5, 1.0):
@@ -576,10 +577,7 @@ class TestDetectReportingArtifacts:
                 states=["FL", "NJ", "NYC", "NY", "CT", None],
             )
             expected = oracle_artifacts(records, dump_fraction)
-            got = detect_reporting_artifacts(as_columns(records),
-                                             dump_fraction)
-            assert got == expected
-            assert detect_reporting_artifacts(records, dump_fraction) == expected
+            assert _artifacts(records, dump_fraction) == expected
 
 
 def oracle_artifacts(records, dump_fraction):

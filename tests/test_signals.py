@@ -13,9 +13,7 @@ from hfrtrend.signals import (
     RateSeries,
     TimeSeries,
     cfr_series,
-    crude_ratio,
     hfr_series,
-    incidence_cfr,
     positive_test_rate,
     trailing_average_7d,
 )
@@ -178,13 +176,6 @@ class TestRateSeries:
         assert strict.series.gaps[6:].all()
         assert not loose.series.gaps[6:].all()
 
-    def test_crude_ratio_hand_count(self):
-        table = _table(_uniform_rows(10, 8))
-        assert crude_ratio(table, StratumKey(), "cfr") == pytest.approx(2 / 8)
-        assert crude_ratio(table, StratumKey(), "hfr") == pytest.approx(0.5)
-        with pytest.raises(ValueError):
-            crude_ratio(table, StratumKey(), "mortality")
-
     def test_zero_denominator_is_gap_not_zero(self):
         rows = [(d, "50-59", "female", True, True) for d in range(10)]
         table = _table(rows)
@@ -218,21 +209,6 @@ class TestPositiveTestRate:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             positive_test_rate([])
-
-
-class TestIncidenceCfr:
-    def test_same_day_ratio(self):
-        deaths = TimeSeries(START, np.full(14, 2.0))
-        cases = TimeSeries(START, np.full(14, 50.0))
-        series = incidence_cfr(deaths, cases)
-        ok = ~series.series.gaps
-        assert np.allclose(series.series.values[ok], 0.04)
-
-    def test_mismatched_grids_rejected(self):
-        deaths = TimeSeries(START, np.ones(5))
-        cases = TimeSeries(START + dt.timedelta(days=1), np.ones(5))
-        with pytest.raises(ValueError):
-            incidence_cfr(deaths, cases)
 
 
 class TestTimeSeries:

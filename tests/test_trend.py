@@ -16,15 +16,11 @@ from hfrtrend.trend import (
     build_replicates,
     default_lambda_grid,
     estimate_drop,
-    estimate_with_ci,
     fit_points,
     fit_smoothing_spline,
-    gcv_score,
     moving_block_resample,
-    post_blacken,
     read_estimates,
     select_lambda_block_cv,
-    select_lambda_gcv,
     _block_cv_scores,
     _nearest_rank,
     _penalty_matrices,
@@ -86,6 +82,20 @@ def dense_hat_matrix(x, lam):
     q, r = dense_q_r(x)
     k = q @ np.linalg.solve(r, q.T)
     return np.linalg.inv(np.eye(len(x)) + lam * k)
+
+
+def oracle_gcv_argmin(x, y):
+    """The default-grid lam minimizing the generalized cross-validation
+    score (rss/n) / (1 - tr(H)/n)^2, from dense hat matrices."""
+    n = len(x)
+    grid = default_lambda_grid(x)
+    scores = []
+    for lam in grid:
+        hat = dense_hat_matrix(x, lam)
+        resid = y - hat @ y
+        denom = 1.0 - np.trace(hat) / n
+        scores.append(resid @ resid / n / denom**2 if denom > 0 else math.inf)
+    return grid[int(np.argmin(scores))]
 
 
 class TestFitPoints:
@@ -222,25 +232,6 @@ class TestEvaluate:
 
 
 class TestLambdaSelection:
-    def test_gcv_score_matches_hat_matrix_oracle(self, rng):
-        x = np.arange(40, dtype=float)
-        y = np.sin(x / 5) + rng.normal(0, 0.2, size=40)
-        for lam in (0.1, 10.0, 1000.0):
-            hat = dense_hat_matrix(x, lam)
-            fitted = hat @ y
-            rss = float(np.sum((y - fitted) ** 2))
-            df = float(np.trace(hat))
-            expected = (rss / 40) / (1 - df / 40) ** 2
-            assert gcv_score(x, y, lam) == pytest.approx(expected, rel=1e-8)
-
-    def test_select_gcv_is_grid_argmin(self, rng):
-        x = np.arange(50, dtype=float)
-        y = np.sin(x / 8) + rng.normal(0, 0.3, size=50)
-        grid = default_lambda_grid(x)
-        chosen = select_lambda_gcv(x, y, grid)
-        scores = [gcv_score(x, y, lam) for lam in grid]
-        assert chosen == grid[int(np.argmin(scores))]
-
     def test_block_cv_returns_grid_element(self, rng):
         x = np.arange(60, dtype=float)
         y = np.sin(x / 10) + rng.normal(0, 0.1, size=60)
@@ -257,7 +248,7 @@ class TestLambdaSelection:
         white = rng.normal(0, 0.05, size=n + 6)
         ma7 = np.convolve(white, np.ones(7) / 7, mode="valid")
         y = truth + ma7
-        assert select_lambda_block_cv(x, y) > select_lambda_gcv(x, y)
+        assert select_lambda_block_cv(x, y) > oracle_gcv_argmin(x, y)
 
     def test_block_cv_matches_per_fit_oracle(self, rng):
         # uneven spacing, n from the minimum 4 + 7 + 2*6 = 23 up, and
@@ -291,8 +282,6 @@ class TestLambdaSelection:
             select_lambda_block_cv(x, y[:-1])
 
     def test_selection_needs_enough_points(self):
-        with pytest.raises(InsufficientDataError):
-            select_lambda_gcv(np.arange(4.0), np.ones(4))
         with pytest.raises(InsufficientDataError):
             select_lambda_block_cv(np.arange(10.0), np.ones(10))
 
@@ -349,19 +338,6 @@ class TestMovingBlockResample:
         assert np.array_equal(a, b)
 
 
-class TestPostBlacken:
-    def test_elementwise_sum(self, rng):
-        x = np.arange(20, dtype=float)
-        fit = fit_points(x, rng.normal(size=20), 3.0)
-        resampled = rng.normal(size=20)
-        assert np.array_equal(post_blacken(fit, resampled), fit.fitted + resampled)
-
-    def test_length_mismatch_rejected(self, rng):
-        fit = fit_points(np.arange(10.0), rng.normal(size=10), 1.0)
-        with pytest.raises(ValueError):
-            post_blacken(fit, np.zeros(9))
-
-
 class TestBuildReplicates:
     def test_batched_solve_equals_per_replicate_fits(self, rng):
         x = np.arange(50, dtype=float)
@@ -374,8 +350,8 @@ class TestBuildReplicates:
         children = np.random.SeedSequence(4).spawn(16)
         for j, child in enumerate(children):
             child_rng = np.random.default_rng(child)
-            synthetic = post_blacken(
-                base, moving_block_resample(base.residuals, 7, child_rng)
+            synthetic = base.fitted + moving_block_resample(
+                base.residuals, 7, child_rng
             )
             single = fit_points(x, synthetic, base.lam)
             assert np.allclose(reps.fitted[:, j], single.fitted, atol=1e-10)
@@ -463,9 +439,9 @@ class TestAnalyzeTrend:
     def test_interval_ordering(self, rng):
         series = self._series(rng)
         dates = [START + dt.timedelta(days=d) for d in (10, 60, 110)]
-        levels = estimate_with_ci(
+        levels = analyze_trend(
             series, BootstrapConfig(replicates=100, seed=5), dates, lam=500.0
-        )
+        ).levels
         for lv in levels:
             assert lv.lower <= lv.median <= lv.upper
 
@@ -473,13 +449,23 @@ class TestAnalyzeTrend:
         n = 60
         values = np.clip(0.02 + rng.normal(0, 0.02, size=n), 0.0, 1.0)
         series = _rate_series(values)
-        levels = estimate_with_ci(
+        levels = analyze_trend(
             series,
             BootstrapConfig(replicates=200, seed=1),
             [START + dt.timedelta(days=30)],
             lam=1.0,
-        )
+        ).levels
         assert levels[0].lower >= 0.0
+
+    def test_levels_outside_unit_interval_clipped_and_counted(self, rng):
+        dates = [START + dt.timedelta(days=30)]
+        config = BootstrapConfig(replicates=200, seed=1)
+        for centre, bound in ((0.0, "lower"), (1.0, "upper")):
+            # noise about the bound puts replicate trends on both sides
+            series = _rate_series(centre + rng.normal(0, 0.01, size=60))
+            result = analyze_trend(series, config, dates, lam=1e4)
+            assert getattr(result.levels[0], bound) == centre
+            assert result.clipped_bounds >= 1
 
     def test_recovers_known_drop_sign(self, rng):
         series = self._series(rng)
