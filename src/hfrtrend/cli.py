@@ -418,8 +418,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         config = synth_mod.step_down_scenario(
             seed=args.seed, daily_cases=args.daily_cases
         )
-    records, truth = synth_mod.generate_line_records(config)
-    synth_mod.write_florida_csv(records, out_dir / "synthetic_florida.csv")
+    codes, truth = synth_mod.generate_cases(config)
+    synth_mod.write_cases_csv(codes, truth, out_dir / "synthetic_florida.csv")
     with open(out_dir / "truth.json", "w", encoding="utf-8") as fh:
         json.dump(
             {
@@ -435,8 +435,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
             fh, sort_keys=True,
         )
         fh.write("\n")
-    _write_manifest(args, {"records": len(records)}, t0)
-    print(f"generated {len(records)} synthetic records -> {out_dir}")
+    _write_manifest(args, {"records": len(codes)}, t0)
+    print(f"generated {len(codes)} synthetic records -> {out_dir}")
     return EXIT_OK
 
 

@@ -153,11 +153,17 @@ def load_schema(path: str, base: str | None = None) -> ParseSchema:
     merged_maps = {}
     for key in ("outcome_spellings", "gender_spellings", "age_band_spellings"):
         if key in raw:
+            spellings = raw.pop(key)
+            if not isinstance(spellings, dict):
+                raise SchemaError(f"schema file {path}: {key} must be a mapping")
             combined = dict(getattr(schema, key)) if schema else {}
-            combined.update({str(k).lower(): v for k, v in raw.pop(key).items()})
+            combined.update({str(k).lower(): v for k, v in spellings.items()})
             merged_maps[key] = combined
     for key in ("date_formats", "confirmed_values"):
         if key in raw:
+            if not (isinstance(raw[key], list)
+                    and all(isinstance(v, str) for v in raw[key])):
+                raise SchemaError(f"schema file {path}: {key} must list strings")
             raw[key] = tuple(raw[key])
 
     try:

@@ -1,13 +1,18 @@
 """Synthetic line-level datasets with known ground-truth HFR trends.
 
-The generator is the end-to-end oracle for the pipeline: it emits raw
-records (optionally in the Florida file layout so the production parser
-is exercised) along with the exact per-band curves used to draw them.
+The generator is the end-to-end oracle for the pipeline: it draws cases
+from known per-band curves and writes them in the Florida file layout,
+so the production parser reads them as it reads real data. Per day, then
+per band, it draws one Poisson count n and three ``random(n)`` vectors,
+and keeps each case as one integer code (`_record_table`). The CSV is
+joined from a table of one line per code that occurs. A "no" label draws
+a double when ``missingness_rate > 0``, and a relabeled one a second, so
+a band-day draws 4n at once, counts the k its cases use, then rewinds
+the generator and advances it by k.
 """
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 from dataclasses import dataclass
 
@@ -35,12 +40,8 @@ class SynthConfig:
         return (self.end - self.start).days + 1
 
     def validate(self) -> None:
-        for name, curves in (
-            ("case_intensity", self.case_intensity),
-            ("p_hosp", self.p_hosp),
-            ("hfr", self.hfr),
-        ):
-            for band, curve in curves.items():
+        for name in ("case_intensity", "p_hosp", "hfr"):
+            for band, curve in getattr(self, name).items():
                 curve = np.asarray(curve, dtype=float)
                 if len(curve) != self.n_days:
                     raise ValueError(f"{name}[{band}] length != n_days")
@@ -65,103 +66,129 @@ class TruthTable:
     p_hosp: dict[str, np.ndarray]
     case_intensity: dict[str, np.ndarray]
 
+    @classmethod
+    def from_config(cls, config: SynthConfig) -> TruthTable:
+        bands = tuple(config.case_intensity)
+        return cls(config.start, bands, **{
+            name: {b: np.asarray(getattr(config, name)[b], dtype=float) for b in bands}
+            for name in ("hfr", "p_hosp", "case_intensity")})
+
     def aggregate_hfr(self) -> np.ndarray:
         """Hospitalization-weighted mixture of the per-band HFR curves."""
-        num = sum(
-            self.case_intensity[b] * self.p_hosp[b] * self.hfr[b] for b in self.bands
-        )
+        num = sum(self.case_intensity[b] * self.p_hosp[b] * self.hfr[b]
+                  for b in self.bands)
         den = sum(self.case_intensity[b] * self.p_hosp[b] for b in self.bands)
         return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+
+
+def generate_cases(config: SynthConfig) -> tuple[np.ndarray, TruthTable]:
+    """Draw a synthetic dataset: Poisson daily case counts per band, each
+    case hospitalized with p_hosp(t), each hospitalized case dying with
+    the true HFR(t). Returns one code per case, in draw order, and the
+    generating curves."""
+    config.validate()
+    rng = np.random.default_rng(config.seed)
+    bands = tuple(config.case_intensity)
+    chunks = []
+    for day in range(config.n_days):
+        for b, band in enumerate(bands):
+            n_cases = int(rng.poisson(config.case_intensity[band][day]))
+            if n_cases == 0:
+                continue
+            hosp = rng.random(n_cases) < config.p_hosp[band][day]
+            died = hosp & (rng.random(n_cases) < config.hfr[band][day])
+            female = rng.random(n_cases) < config.female_fraction
+            outcome = hosp * 4 + died
+            if config.missingness_rate > 0:
+                outcome = _relabel_missing(rng, hosp, died, config.missingness_rate)
+            chunks.append(((day * len(bands) + b) * 2 + female) * 16 + outcome)
+    codes = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
+    return codes, TruthTable.from_config(config)
+
+
+# A case's code is ((day * n_bands + band) * 2 + female) * 16 + hosp * 4 + died,
+# each outcome label indexing _LABELS.
+_LABELS = ("no", "yes", "unknown", "missing")
+
+
+def _relabel_missing(rng, hosp, died, rate: float) -> np.ndarray:
+    """Outcome codes with each "no" relabeled unknown or missing at `rate`,
+    leaving `rng` where one ``rng.random()`` per decision, in order, would."""
+    state = rng.bit_generator.state
+    u = rng.random(4 * len(hosp)).tolist()  # at most two draws a label
+    labels = np.column_stack([hosp, died]).ravel().tolist()
+    k = 0
+    for i, yes in enumerate(labels):
+        if not yes:
+            if u[k] < rate:
+                labels[i] = 3 if u[k + 1] < 0.5 else 2
+                k += 1
+            k += 1
+    rng.bit_generator.state = state
+    rng.bit_generator.advance(k)  # PCG64 spends one 64-bit output a double
+    return np.array(labels, dtype=np.int64).reshape(-1, 2) @ np.array([4, 1])
+
+
+def _record_table(codes: np.ndarray, truth: TruthTable) -> list:
+    """One shared RawLineRecord per code that occurs, indexed by code."""
+    table = [None] * (int(codes.max()) + 1 if len(codes) else 0)
+    for code in np.flatnonzero(np.bincount(codes)).tolist():
+        group, outcome = divmod(code, 16)
+        day, band = divmod(group // 2, len(truth.bands))
+        table[code] = RawLineRecord(
+            truth.start + dt.timedelta(days=day), None, truth.bands[band],
+            "female" if group % 2 else "male", _LABELS[outcome // 4],
+            _LABELS[outcome % 4], None, CONFIRMED_PCR)
+    return table
 
 
 def generate_line_records(
     config: SynthConfig,
 ) -> tuple[list[RawLineRecord], TruthTable]:
-    """Draw a synthetic dataset: Poisson daily case counts per band, each
-    case hospitalized with p_hosp(t), each hospitalized case dying with
-    the true HFR(t)."""
-    config.validate()
-    rng = np.random.default_rng(config.seed)
-    bands = tuple(config.case_intensity)
-    records: list[RawLineRecord] = []
-    unknown_labels = ("unknown", "missing")
-
-    for day_idx in range(config.n_days):
-        date = config.start + dt.timedelta(days=day_idx)
-        for band in bands:
-            n_cases = int(rng.poisson(config.case_intensity[band][day_idx]))
-            if n_cases == 0:
-                continue
-            hosp = rng.random(n_cases) < config.p_hosp[band][day_idx]
-            died = hosp & (rng.random(n_cases) < config.hfr[band][day_idx])
-            female = rng.random(n_cases) < config.female_fraction
-            for i in range(n_cases):
-                hosp_label = "yes" if hosp[i] else "no"
-                died_label = "yes" if died[i] else "no"
-                if config.missingness_rate > 0:
-                    if hosp_label == "no" and rng.random() < config.missingness_rate:
-                        hosp_label = unknown_labels[int(rng.random() < 0.5)]
-                    if died_label == "no" and rng.random() < config.missingness_rate:
-                        died_label = unknown_labels[int(rng.random() < 0.5)]
-                records.append(
-                    RawLineRecord(
-                        event_date=date,
-                        age_years=None,
-                        age_band=band,
-                        gender="female" if female[i] else "male",
-                        hospitalized_raw=hosp_label,
-                        died_raw=died_label,
-                        state=None,
-                        confirmation_kind=CONFIRMED_PCR,
-                    )
-                )
-    truth = TruthTable(
-        start=config.start,
-        bands=bands,
-        hfr={b: np.asarray(config.hfr[b], dtype=float) for b in bands},
-        p_hosp={b: np.asarray(config.p_hosp[b], dtype=float) for b in bands},
-        case_intensity={
-            b: np.asarray(config.case_intensity[b], dtype=float) for b in bands
-        },
-    )
-    return records, truth
+    """`generate_cases` as RawLineRecords, one shared record per code."""
+    codes, truth = generate_cases(config)
+    return list(map(_record_table(codes, truth).__getitem__, codes.tolist())), truth
 
 
-def _band_midpoint_age(band: str) -> int:
-    if band == "80+":
-        return 85
-    lo, hi = band.split("-")
-    return (int(lo) + int(hi)) // 2
+_FLORIDA_LABEL = {"yes": "YES", "no": "NO", "unknown": "UNKNOWN", "missing": ""}
+
+
+def _florida_line(r: RawLineRecord) -> str:
+    age = r.age_years
+    if age is None and r.age_band is not None:  # the band's midpoint age
+        age = 85 if r.age_band == "80+" else sum(map(int, r.age_band.split("-"))) // 2
+    gender = {"female": "Female", "male": "Male"}.get(r.gender, "Unknown")
+    return (f"{r.event_date.isoformat()},{'' if age is None else age},{gender},"
+            f"{_FLORIDA_LABEL[r.hospitalized_raw]},{_FLORIDA_LABEL[r.died_raw]}\r\n")
+
+
+def _write_florida(path, table: list, index: np.ndarray) -> None:
+    """Write the Florida layout: the header, then the line of table[i] for
+    each i in `index`, each distinct line formatted once. No field holds a
+    comma, quote or newline, so these are the lines `csv.writer` writes."""
+    lines = [None if r is None else _florida_line(r) for r in table]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("ChartDate,Age,Gender,Hospitalized,Died\r\n")
+        for i in range(0, len(index), 1 << 16):  # joined text stays ~2 MB
+            fh.write("".join(map(lines.__getitem__, index[i:i + (1 << 16)].tolist())))
+
+
+def write_cases_csv(codes: np.ndarray, truth: TruthTable, path) -> None:
+    """Write `generate_cases` output as `write_florida_csv` writes records."""
+    _write_florida(path, _record_table(codes, truth), codes)
 
 
 def write_florida_csv(records: list[RawLineRecord], path) -> None:
-    """Emit records in the Florida file layout so the production parser
-    ingests synthetic data through the same code path as real data."""
-    label = {"yes": "YES", "no": "NO", "unknown": "UNKNOWN", "missing": ""}
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ChartDate", "Age", "Gender", "Hospitalized", "Died"])
-        for r in records:
-            age = r.age_years
-            if age is None and r.age_band is not None:
-                age = _band_midpoint_age(r.age_band)
-            writer.writerow(
-                [
-                    r.event_date.isoformat(),
-                    "" if age is None else age,
-                    {"female": "Female", "male": "Male"}.get(r.gender, "Unknown"),
-                    label[r.hospitalized_raw],
-                    label[r.died_raw],
-                ]
-            )
+    """Emit records in the Florida file layout."""
+    position: dict[RawLineRecord, int] = {}
+    index = [position.setdefault(r, len(position)) for r in records]
+    _write_florida(path, list(position), np.asarray(index))
 
 
-def _sigmoid_step(
-    n_days: int, old: float, new: float, midpoint_frac: float = 0.5, width: float = 8.0
-) -> np.ndarray:
+def _sigmoid_step(n_days: int, old: float, new: float) -> np.ndarray:
+    """Smooth step old -> new centred on the middle day, 8 days wide."""
     t = np.arange(n_days)
-    mid = midpoint_frac * (n_days - 1)
-    return old + (new - old) / (1.0 + np.exp(-(t - mid) / width))
+    return old + (new - old) / (1.0 + np.exp(-(t - 0.5 * (n_days - 1)) / 8.0))
 
 
 def step_down_scenario(
@@ -204,22 +231,17 @@ def simpson_scenario(
     between the endpoints while the case mix shifts young enough that the
     aggregate HFR falls."""
     n = (end - start).days + 1
-    intensity = {}
-    p_hosp = {}
-    hfr = {}
-    for band in _SIMPSON_BANDS:
-        w_old = _SIMPSON_WEIGHT_OLD[band] * daily_hospitalizations
-        w_new = _SIMPSON_WEIGHT_NEW[band] * daily_hospitalizations
-        intensity[band] = _sigmoid_step(n, w_old, w_new)
-        p_hosp[band] = np.ones(n)
-        h_old = _SIMPSON_HFR_OLD[band]
-        hfr[band] = _sigmoid_step(n, h_old, h_old * _SIMPSON_HFR_RISE[band])
+    lo, hi = _SIMPSON_WEIGHT_OLD, _SIMPSON_WEIGHT_NEW
     return SynthConfig(
         start=start,
         end=end,
-        case_intensity=intensity,
-        p_hosp=p_hosp,
-        hfr=hfr,
+        case_intensity={b: _sigmoid_step(n, lo[b] * daily_hospitalizations,
+                                         hi[b] * daily_hospitalizations)
+                        for b in _SIMPSON_BANDS},
+        p_hosp={b: np.ones(n) for b in _SIMPSON_BANDS},
+        hfr={b: _sigmoid_step(n, _SIMPSON_HFR_OLD[b],
+                              _SIMPSON_HFR_OLD[b] * _SIMPSON_HFR_RISE[b])
+             for b in _SIMPSON_BANDS},
         seed=seed,
     )
 
@@ -227,14 +249,6 @@ def simpson_scenario(
 def simpson_paradox_holds(config: SynthConfig) -> bool:
     """Analytic check on the configured curves: first vs last day, every
     band's HFR rises yet the aggregate HFR falls."""
-    bands = tuple(config.case_intensity)
-    rises = all(config.hfr[b][-1] > config.hfr[b][0] for b in bands)
-    w_old = np.array([config.case_intensity[b][0] * config.p_hosp[b][0] for b in bands])
-    w_new = np.array(
-        [config.case_intensity[b][-1] * config.p_hosp[b][-1] for b in bands]
-    )
-    h_old = np.array([config.hfr[b][0] for b in bands])
-    h_new = np.array([config.hfr[b][-1] for b in bands])
-    agg_old = float(w_old @ h_old / w_old.sum())
-    agg_new = float(w_new @ h_new / w_new.sum())
-    return rises and agg_new < agg_old
+    truth = TruthTable.from_config(config)
+    agg = truth.aggregate_hfr()
+    return all(h[-1] > h[0] for h in truth.hfr.values()) and bool(agg[-1] < agg[0])

@@ -392,23 +392,24 @@ class DropEstimate:
             raise ValueError("percentiles out of order")
 
 
-def _nearest_rank(sorted_values: np.ndarray, q: float) -> float:
-    """Nearest-rank percentile: the ceil(q*B)-th order statistic."""
+def _nearest_rank(sorted_values: np.ndarray, q: float, per: int = 1) -> float:
+    """Nearest-rank percentile: the ceil(B*q/per)-th order statistic, exact
+    when q and per are integers."""
     b = len(sorted_values)
-    k = min(max(math.ceil(q * b), 1), b)
+    k = min(max(int(-(-q * b // per)), 1), b)
     return float(sorted_values[k - 1])
 
 
-LEVEL = 0.95  # coverage of every reported interval
+LEVEL_PERCENT = 95  # coverage of every reported interval
 
 
 def _percentile_triplet(values: np.ndarray) -> tuple[float, float, float]:
     s = np.sort(values)
-    alpha = (1.0 - LEVEL) / 2.0
+    tails = 100 - LEVEL_PERCENT  # per 200 for each tail: ranks 25 and 975 of 1000
     return (
-        _nearest_rank(s, 0.5),
-        _nearest_rank(s, alpha),
-        _nearest_rank(s, 1.0 - alpha),
+        _nearest_rank(s, 1, 2),
+        _nearest_rank(s, tails, 200),
+        _nearest_rank(s, 200 - tails, 200),
     )
 
 

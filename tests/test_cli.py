@@ -305,6 +305,29 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    @pytest.mark.parametrize("entry", [
+        "outcome_spellings: [yes]",
+        "gender_spellings: female",
+        "age_band_spellings: 5",
+        "date_formats: 5",
+        "date_formats: '%Y-%m-%d'",
+        "confirmed_values: {a: b}",
+    ], ids=["outcome_spellings", "gender_spellings", "age_band_spellings",
+            "date_formats", "date_formats_string", "confirmed_values"])
+    def test_wrong_typed_schema_value_is_data_error(self, tmp_path, capsys,
+                                                     entry):
+        src = tmp_path / "fl.csv"
+        src.write_text("ChartDate,Age,Gender,Hospitalized,Died\n"
+                       "2020-04-02,54,Male,NO,NO\n")
+        schema = tmp_path / "schema.yaml"
+        schema.write_text(f"base: florida\n{entry}\n")
+        code = main(["ingest", "--input", str(src), "--schema-config",
+                     str(schema), "--out", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert entry.split(":")[0] in err[0]
+
     def test_old_store_version_is_data_error(self, tmp_path, capsys):
         store = tmp_path / "store.npz"
         np.savez_compressed(store, version=np.int64(1), meta_json=np.str_("{}"))

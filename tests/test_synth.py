@@ -1,17 +1,23 @@
-"""Synthetic data generator: determinism, calibration, scenario shapes."""
+"""Synthetic data generator: determinism, calibration, scenario shapes, and
+the columnar generator and writers against the per-case oracle."""
 
+import csv
 import datetime as dt
 
 import numpy as np
 import pytest
 
 from hfrtrend import normalize_record
+from hfrtrend.records import CONFIRMED_PCR, RawLineRecord
 from hfrtrend.synth import (
     SynthConfig,
+    TruthTable,
+    generate_cases,
     generate_line_records,
     simpson_paradox_holds,
     simpson_scenario,
     step_down_scenario,
+    write_cases_csv,
     write_florida_csv,
 )
 
@@ -138,3 +144,165 @@ class TestWriteFloridaCsv:
         recovered = [(normalize_record(r).hospitalized, normalize_record(r).died)
                      for r in parsed]
         assert original == recovered
+
+
+# ---------------------------------------------------------------- oracle
+# The per-case generator and csv.writer writer the columnar code replaced,
+# kept as the reference its output must equal byte for byte.
+
+
+def oracle_generate_line_records(config: SynthConfig):
+    config.validate()
+    rng = np.random.default_rng(config.seed)
+    bands = tuple(config.case_intensity)
+    records = []
+    unknown_labels = ("unknown", "missing")
+
+    for day_idx in range(config.n_days):
+        date = config.start + dt.timedelta(days=day_idx)
+        for band in bands:
+            n_cases = int(rng.poisson(config.case_intensity[band][day_idx]))
+            if n_cases == 0:
+                continue
+            hosp = rng.random(n_cases) < config.p_hosp[band][day_idx]
+            died = hosp & (rng.random(n_cases) < config.hfr[band][day_idx])
+            female = rng.random(n_cases) < config.female_fraction
+            for i in range(n_cases):
+                hosp_label = "yes" if hosp[i] else "no"
+                died_label = "yes" if died[i] else "no"
+                if config.missingness_rate > 0:
+                    if hosp_label == "no" and rng.random() < config.missingness_rate:
+                        hosp_label = unknown_labels[int(rng.random() < 0.5)]
+                    if died_label == "no" and rng.random() < config.missingness_rate:
+                        died_label = unknown_labels[int(rng.random() < 0.5)]
+                records.append(
+                    RawLineRecord(
+                        event_date=date,
+                        age_years=None,
+                        age_band=band,
+                        gender="female" if female[i] else "male",
+                        hospitalized_raw=hosp_label,
+                        died_raw=died_label,
+                        state=None,
+                        confirmation_kind=CONFIRMED_PCR,
+                    )
+                )
+    truth = TruthTable(
+        start=config.start,
+        bands=bands,
+        hfr={b: np.asarray(config.hfr[b], dtype=float) for b in bands},
+        p_hosp={b: np.asarray(config.p_hosp[b], dtype=float) for b in bands},
+        case_intensity={
+            b: np.asarray(config.case_intensity[b], dtype=float) for b in bands
+        },
+    )
+    return records, truth
+
+
+def _oracle_midpoint_age(band):
+    if band == "80+":
+        return 85
+    lo, hi = band.split("-")
+    return (int(lo) + int(hi)) // 2
+
+
+def oracle_write_florida_csv(records, path):
+    label = {"yes": "YES", "no": "NO", "unknown": "UNKNOWN", "missing": ""}
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["ChartDate", "Age", "Gender", "Hospitalized", "Died"])
+        for r in records:
+            age = r.age_years
+            if age is None and r.age_band is not None:
+                age = _oracle_midpoint_age(r.age_band)
+            writer.writerow(
+                [
+                    r.event_date.isoformat(),
+                    "" if age is None else age,
+                    {"female": "Female", "male": "Male"}.get(r.gender, "Unknown"),
+                    label[r.hospitalized_raw],
+                    label[r.died_raw],
+                ]
+            )
+
+
+def _nine_band_config(seed=11, rows=20_000):
+    """Shaped like the CDC benchmark input: nine bands, two waves, a step
+    in every band's HFR, and "no" outcomes relabeled at rate 0.3."""
+    bands = ("0-9", "10-19", "20-29", "30-39", "40-49", "50-59", "60-69",
+             "70-79", "80+")
+    mix = np.array([0.04, 0.09, 0.19, 0.16, 0.15, 0.15, 0.10, 0.06, 0.06])
+    p_hosp = (0.01, 0.01, 0.02, 0.04, 0.07, 0.11, 0.19, 0.30, 0.40)
+    hfr_old = (0.01, 0.01, 0.03, 0.06, 0.09, 0.14, 0.23, 0.33, 0.45)
+    start, end = dt.date(2020, 3, 20), dt.date(2020, 11, 1)
+    t = np.arange((end - start).days + 1, dtype=float)
+    wave = (0.6 + 0.8 * np.exp(-(((t - 21) / 20.0) ** 2))
+            + 1.2 * np.exp(-(((t - 117) / 25.0) ** 2)))
+    wave *= rows / wave.sum()
+    step = 1.0 - 0.4 / (1.0 + np.exp(-(t - 82) / 6.0))
+    return SynthConfig(
+        start=start,
+        end=end,
+        case_intensity={b: wave * w for b, w in zip(bands, mix)},
+        p_hosp={b: np.full(len(t), p) for b, p in zip(bands, p_hosp)},
+        hfr={b: h * step for b, h in zip(bands, hfr_old)},
+        seed=seed,
+        missingness_rate=0.3,
+    )
+
+
+ORACLE_CONFIGS = {
+    "step": lambda: step_down_scenario(daily_cases=400.0, seed=7),  # > 1 << 16 rows
+    "simpson": lambda: simpson_scenario(daily_hospitalizations=300.0, seed=7),
+    "missing_0.3": lambda: _flat_config(seed=4, missingness_rate=0.3),
+    "missing_0.5": lambda: _flat_config(seed=5, missingness_rate=0.5),
+    "nine_bands": _nine_band_config,
+    "no_cases": lambda: step_down_scenario(daily_cases=0.0, seed=7),
+}
+
+
+class TestColumnarMatchesOracle:
+    @pytest.mark.parametrize("name", ORACLE_CONFIGS)
+    def test_records_truth_and_csv_bytes(self, tmp_path, name):
+        config = ORACLE_CONFIGS[name]()
+        expected, expected_truth = oracle_generate_line_records(config)
+        records, truth = generate_line_records(config)
+        assert records == expected
+        assert (truth.start, truth.bands) == (expected_truth.start,
+                                              expected_truth.bands)
+        for curves in ("hfr", "p_hosp", "case_intensity"):
+            got, want = getattr(truth, curves), getattr(expected_truth, curves)
+            assert list(got) == list(want)
+            assert all(np.array_equal(got[b], want[b]) for b in want)
+        # equal records are one shared object, not one object per case
+        assert len(set(map(id, records))) == len(set(records))
+
+        oracle_write_florida_csv(expected, tmp_path / "oracle.csv")
+        write_florida_csv(records, tmp_path / "records.csv")
+        codes, truth = generate_cases(config)
+        write_cases_csv(codes, truth, tmp_path / "codes.csv")
+        want = (tmp_path / "oracle.csv").read_bytes()
+        assert (tmp_path / "records.csv").read_bytes() == want
+        assert (tmp_path / "codes.csv").read_bytes() == want
+        assert len(codes) == len(expected)
+
+    def test_cli_with_no_cases_writes_header_only(self, tmp_path):
+        from hfrtrend.cli import main
+
+        assert main(["synth", "--daily-cases", "0", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "synthetic_florida.csv").read_bytes() == (
+            b"ChartDate,Age,Gender,Hospitalized,Died\r\n")
+
+    def test_record_writer_keeps_age_years_and_unknown_gender(self, tmp_path):
+        records = [
+            RawLineRecord(dt.date(2020, 4, 1), 34, None, "other-unknown",
+                          "missing", "unknown", None, CONFIRMED_PCR),
+            RawLineRecord(dt.date(2020, 4, 2), None, "80+", "female",
+                          "yes", "no", None, CONFIRMED_PCR),
+            RawLineRecord(dt.date(2020, 4, 3), None, None, "male",
+                          "no", "no", None, CONFIRMED_PCR),
+        ]
+        oracle_write_florida_csv(records, tmp_path / "oracle.csv")
+        write_florida_csv(records, tmp_path / "new.csv")
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "oracle.csv").read_bytes())

@@ -23,6 +23,7 @@ from hfrtrend.trend import (
     select_lambda_block_cv,
     _block_cv_scores,
     _nearest_rank,
+    _percentile_triplet,
     _penalty_matrices,
     _solve_band,
 )
@@ -384,6 +385,12 @@ class TestPercentiles:
         assert _nearest_rank(values, 0.5) == 500.0
         assert _nearest_rank(values, 0.975) == 975.0
         assert _nearest_rank(values, 1.0) == 1000.0
+
+    @pytest.mark.parametrize("b, ranks", [(1000, (500, 25, 975)),
+                                          (200, (100, 5, 195))])
+    def test_triplet_ranks_are_exact(self, b, ranks):
+        values = np.arange(1.0, b + 1.0)[::-1]  # order statistic k is k
+        assert _percentile_triplet(values) == tuple(map(float, ranks))
 
     @given(
         st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=50),
