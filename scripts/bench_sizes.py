@@ -7,6 +7,8 @@ process, one child at a time. The two sizes are set through
 ``--daily-cases`` over the scenario's 215-day window: 930 and 9,300 cases
 a day. Per stage it records the wall time and the child's peak RSS (from
 ``os.wait4``), and writes them as JSON with nproc and the numpy version.
+Each size also has a ``startup`` row: one ``--help`` child, the fixed
+cost every stage pays before it reads a byte.
 
 Usage:
     python3 scripts/bench_sizes.py --out BENCH.json [--seed 0]
@@ -57,11 +59,12 @@ def run_size(work: Path, daily_cases: int, seed: int) -> dict:
         "bootstrap": ["bootstrap", "--analyzed", str(analyzed), "--replicates",
                       str(REPLICATES), "--out", str(work / "bootstrap")],
     }
+    startup = run_stage(["--help"], work / "startup.log")
     timed = {name: run_stage(argv, work / f"{name}.log")
              for name, argv in stages.items()}
     manifest = json.loads((synth / "manifest.json").read_text(encoding="utf-8"))
     return {"daily_cases": daily_cases, "rows": manifest["stats"]["records"],
-            "stages": timed,
+            "startup": startup, "stages": timed,
             "total_wall_s": round(sum(s["wall_s"] for s in timed.values()), 3)}
 
 

@@ -2,6 +2,9 @@
 data generation and manifest replay.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 insufficient data.
+
+Building the parser loads only `records` and `schemas`; each `cmd_*`
+imports the modules it runs, so no stage pays for another's imports.
 """
 
 from __future__ import annotations
@@ -10,24 +13,16 @@ import argparse
 import csv
 import dataclasses
 import datetime as dt
-import gzip
 import json
 import logging
 import sys
 import time
-import zlib
-from importlib.metadata import PackageNotFoundError, version as pkg_version
 from pathlib import Path
 
 import numpy as np
 
-from . import cohort as cohort_mod
-from . import ingest as ingest_mod
-from . import signals as signals_mod
-from . import store as store_mod
-from . import synth as synth_mod
-from . import trend as trend_mod
-from .records import AGE_BANDS, IngestReport
+from . import __version__
+from .records import AGE_BANDS, DATA_VINTAGE, STUDY_WINDOW, IngestReport
 from .schemas import BUILTIN_SCHEMAS, SchemaError, load_schema
 
 log = logging.getLogger(__name__)
@@ -37,21 +32,11 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INSUFFICIENT = 3
 
-# A truncated or corrupt gzip stream, or bytes that are not UTF-8.
-DECODE_ERRORS = (EOFError, gzip.BadGzipFile, zlib.error, UnicodeDecodeError)
-
 TABLE_BANDS = ("aggregate", "30-39", "40-49", "50-59", "60-69", "70-79", "80+")
 DEFAULT_DATE_PAIRS = (
     (dt.date(2020, 4, 15), dt.date(2020, 7, 15)),
     (dt.date(2020, 4, 1), dt.date(2020, 11, 1)),
 )
-
-
-def _tool_version() -> str:
-    try:
-        return pkg_version("hfrtrend")
-    except PackageNotFoundError:  # pragma: no cover
-        return "unknown"
 
 
 def _parse_date(text: str) -> dt.date:
@@ -107,7 +92,7 @@ def _manifest_args(args: argparse.Namespace) -> dict:
 
 def _write_manifest(args: argparse.Namespace, stats: dict, t0: float) -> None:
     _write_json(Path(args.out) / "manifest.json", {
-        "tool_version": _tool_version(),
+        "tool_version": __version__,
         "subcommand": args.subcommand,
         "args": _manifest_args(args),
         "stats": stats,
@@ -130,6 +115,8 @@ def _interval_text(median: float, lower: float, upper: float) -> str:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    from . import ingest as ingest_mod, store as store_mod
+
     t0 = time.monotonic()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -159,7 +146,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     except FileNotFoundError as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except DECODE_ERRORS as exc:
+    except ingest_mod.DECODE_ERRORS as exc:
         print(f"error: cannot decode input {args.input}: {exc}", file=sys.stderr)
         return EXIT_DATA
     finally:
@@ -179,7 +166,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------- analyze
 
 
-def _save_cohort_npz(path, table: cohort_mod.CohortTable) -> None:
+def _save_cohort_npz(path, table) -> None:
     np.savez_compressed(
         path,
         start=np.str_(table.start.isoformat()),
@@ -188,22 +175,21 @@ def _save_cohort_npz(path, table: cohort_mod.CohortTable) -> None:
     )
 
 
-def _load_cohort_npz(path) -> cohort_mod.CohortTable:
+def _load_cohort_npz(path):
+    from .cohort import CohortTable
+
     with np.load(path, allow_pickle=False) as npz:
-        return cohort_mod.CohortTable(
+        return CohortTable(
             start=dt.date.fromisoformat(str(npz["start"])),
             end=dt.date.fromisoformat(str(npz["end"])),
             array=npz["array"],
         )
 
 
-def _strata_for_tables(gender: str = "all"):
-    yield "aggregate", cohort_mod.StratumKey("aggregate", gender)
-    for band in AGE_BANDS:
-        yield band, cohort_mod.StratumKey(band, gender)
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from . import cohort as cohort_mod, ingest as ingest_mod
+    from . import signals as signals_mod, store as store_mod
+
     t0 = time.monotonic()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -227,7 +213,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         except FileNotFoundError as exc:
             print(f"error: cannot read testing file: {exc}", file=sys.stderr)
             return EXIT_DATA
-        except DECODE_ERRORS as exc:
+        except ingest_mod.DECODE_ERRORS as exc:
             print(f"error: cannot decode testing file {args.testing_file}: {exc}",
                   file=sys.stderr)
             return EXIT_DATA
@@ -257,7 +243,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "died_no": demo.died_no,
     })
 
-    for name, stratum in _strata_for_tables():
+    for name in ("aggregate", *AGE_BANDS):
+        stratum = cohort_mod.StratumKey(name, "all")
         signals_mod.cfr_series(table, stratum).write_long_csv(
             out_dir / f"cfr_{name}.csv", stratum=name
         )
@@ -303,6 +290,9 @@ def _write_band_series_csv(path, band_series: dict) -> None:
 
 
 def cmd_bootstrap(args: argparse.Namespace) -> int:
+    from . import signals as signals_mod, trend as trend_mod
+    from .cohort import StratumKey
+
     t0 = time.monotonic()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -333,10 +323,17 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
     )
     # One fit and one replicate set per stratum; every pair is read off it.
     tables = {pair: [] for pair in date_pairs}
+    dash_cells = []  # why each "-" row is one, for the manifest
+
+    def dash(rows, name, d_old, d_new, exc) -> None:
+        rows.append([name, "-", "-", "-"])
+        dash_cells.append({"stratum": name, "d_old": d_old.isoformat(),
+                           "d_new": d_new.isoformat(), "reason": str(exc)})
+
     any_rows = False
     for name in TABLE_BANDS:
         series = signals_mod.hfr_series(
-            table, cohort_mod.StratumKey(name, args.gender),
+            table, StratumKey(name, args.gender),
             min_deaths=args.min_deaths,
         )
         try:
@@ -345,8 +342,8 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
             )
         except trend_mod.InsufficientDataError as exc:
             log.info("band %s: %s", name, exc)
-            for rows in tables.values():
-                rows.append([name, "-", "-", "-"])
+            for (d_old, d_new), rows in tables.items():
+                dash(rows, name, d_old, d_new, exc)
             continue
         for (d_old, d_new), rows in tables.items():
             try:
@@ -356,7 +353,7 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
             except (trend_mod.InsufficientDataError,
                     trend_mod.OutOfRangeError) as exc:
                 log.info("band %s, %s to %s: %s", name, d_old, d_new, exc)
-                rows.append([name, "-", "-", "-"])
+                dash(rows, name, d_old, d_new, exc)
                 continue
             old_lv, new_lv = result.levels
             drop = result.drops[0]
@@ -369,15 +366,13 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
             any_rows = True
     for (d_old, d_new), rows in tables.items():
         _write_drop_table(out_dir, d_old, d_new, rows)
+    _write_manifest(args, {
+        "date_pairs": [[a.isoformat(), b.isoformat()] for a, b in date_pairs],
+        "dash_cells": dash_cells,
+    }, t0)
     if not any_rows:
         print("error: no stratum had sufficient data", file=sys.stderr)
         return EXIT_INSUFFICIENT
-
-    _write_manifest(
-        args,
-        {"date_pairs": [[a.isoformat(), b.isoformat()] for a, b in date_pairs]},
-        t0,
-    )
     print(f"bootstrap reports -> {out_dir}")
     return EXIT_OK
 
@@ -409,6 +404,8 @@ def _write_drop_table(out_dir: Path, d_old: dt.date, d_new: dt.date,
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from . import synth as synth_mod
+
     t0 = time.monotonic()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -492,11 +489,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", help="cohort, rates, demographics")
     p_analyze.add_argument("--store", required=True)
     p_analyze.add_argument("--window", type=_parse_window,
-                           default=ingest_mod.STUDY_WINDOW,
+                           default=STUDY_WINDOW,
                            metavar="START..END")
     p_analyze.add_argument("--maturity-days", type=_at_least(0), default=30)
     p_analyze.add_argument("--vintage", type=_parse_date,
-                           default=ingest_mod.DATA_VINTAGE)
+                           default=DATA_VINTAGE)
     p_analyze.add_argument("--exclude-states", default=None,
                            help="comma-separated state codes to drop")
     p_analyze.add_argument("--auto-exclude", action="store_true",
@@ -547,9 +544,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except trend_mod.InsufficientDataError as exc:
-        print(f"error: insufficient data: {exc}", file=sys.stderr)
-        return EXIT_INSUFFICIENT
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

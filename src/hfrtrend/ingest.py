@@ -22,6 +22,7 @@ import datetime as dt
 import gzip
 import io
 import logging
+import zlib
 from itertools import compress, islice
 from operator import itemgetter
 from typing import IO, Iterable, Iterator
@@ -31,6 +32,8 @@ import numpy as np
 from .records import (
     AGE_UNKNOWN,
     CONFIRMED_PCR,
+    DATA_VINTAGE,
+    STUDY_WINDOW,
     IngestReport,
     DailyTestRecord,
     Memo,
@@ -41,8 +44,8 @@ from .store import CaseColumns, columns_from_codes, day_date, day_index
 
 log = logging.getLogger(__name__)
 
-STUDY_WINDOW = (dt.date(2020, 3, 26), dt.date(2020, 11, 1))
-DATA_VINTAGE = dt.date(2020, 12, 4)
+# A truncated or corrupt gzip stream, or bytes that are not UTF-8.
+DECODE_ERRORS = (EOFError, gzip.BadGzipFile, zlib.error, UnicodeDecodeError)
 # Rows decoded per step. Each chunk is turned into store dtypes before
 # the next is read, so a small chunk keeps peak memory near the final
 # columns' size; past a few hundred rows the per-chunk numpy overhead

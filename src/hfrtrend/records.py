@@ -36,6 +36,10 @@ OUTCOME_CATEGORIES = ("yes", "no", "unknown", "missing")
 
 CONFIRMED_PCR = "pcr_positive"
 
+# The paper's cohort window and data pull date (`analyze` defaults).
+STUDY_WINDOW = (dt.date(2020, 3, 26), dt.date(2020, 11, 1))
+DATA_VINTAGE = dt.date(2020, 12, 4)
+
 
 @dataclass(frozen=True, slots=True)
 class RawLineRecord:

@@ -19,6 +19,12 @@ parameter, and read 95% percentile intervals off the replicate
 trends, with levels clipped to [0, 1]. A stratum is fitted and
 bootstrapped once, and every requested date and drop is read off that
 one replicate set (`read_estimates`).
+
+Replicate stream contract: replicate j of a series of n residuals takes
+ceil(n/L) block starts, uniform on [0, n-L], from
+`default_rng(SeedSequence(seed).spawn(B)[j])`. The starts depend only
+on (seed, B, n, L), not on the residuals, so strata of equal length
+share them; they are drawn once per key and cached (`_block_starts`).
 """
 
 from __future__ import annotations
@@ -302,26 +308,20 @@ class BootstrapConfig:
             raise ValueError("block_length must be >= 1")
 
 
-def moving_block_resample(
-    residuals: np.ndarray, block_length: int, rng: np.random.Generator
-) -> np.ndarray:
-    """One moving-block resample of a residual series.
+@functools.lru_cache(maxsize=1)  # one (seed, B) per bootstrap run
+def _children(seed: int, replicates: int) -> list:
+    return np.random.SeedSequence(seed).spawn(replicates)
 
-    Draws ceil(n/L) of the n-L+1 overlapping length-L windows uniformly
-    with replacement, concatenates, truncates to length n.
-    """
-    residuals = np.asarray(residuals, dtype=float)
-    n = len(residuals)
-    if n < block_length:
-        raise InsufficientDataError(
-            f"series length {n} shorter than block length {block_length}"
-        )
-    n_blocks = -(-n // block_length)
-    starts = rng.integers(0, n - block_length + 1, size=n_blocks)
-    out = np.concatenate(
-        [residuals[s : s + block_length] for s in starts]
-    )
-    return out[:n]
+
+@functools.lru_cache(maxsize=8)
+def _block_starts(seed: int, replicates: int, n: int, block_length: int):
+    """(B, ceil(n/L)) moving-block starts, row j drawn from replicate j's
+    stream; read-only, as it is shared between calls."""
+    high, size = n - block_length + 1, -(-n // block_length)
+    starts = np.array([np.random.default_rng(child).integers(0, high, size=size)
+                       for child in _children(seed, replicates)])
+    starts.flags.writeable = False
+    return starts
 
 
 @dataclass
@@ -346,20 +346,22 @@ class ReplicateSet:
 def build_replicates(base: SplineFit, config: BootstrapConfig) -> ReplicateSet:
     """Resample residual blocks, post-blacken, refit each replicate.
 
-    Per-replicate RNG streams are spawned deterministically from the
-    master seed, so parallel and sequential execution agree; here all
-    replicates share one banded factorization (same lam, same knots) and
-    are solved as a single multi-RHS system.
+    Each replicate concatenates ceil(n/L) of the n-L+1 overlapping
+    length-L residual windows, drawn uniformly with replacement from its
+    own stream (module docstring), truncated to n. All replicates share
+    one banded factorization (same lam, same knots) and are solved as a
+    single multi-RHS system.
     """
-    b = config.replicates
-    children = np.random.SeedSequence(config.seed).spawn(b)
-    residuals = base.residuals
-    synthetic = np.empty((len(base.x), b))
-    for j, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        synthetic[:, j] = base.fitted + moving_block_resample(
-            residuals, config.block_length, rng
+    n, length = len(base.x), config.block_length
+    if n < length:
+        raise InsufficientDataError(
+            f"series length {n} shorter than block length {length}"
         )
+    starts = _block_starts(config.seed, config.replicates, n, length)
+    index = (starts[:, :, None] + np.arange(length)).reshape(len(starts), -1)
+    synthetic = base.residuals[index[:, :n].T]  # (n, B)
+    del index  # before the solve, so it does not add to the peak
+    synthetic += base.fitted[:, None]
 
     gammas, fitted = _smooth(_spacings(base.x), synthetic, base.lam)
     return ReplicateSet(base=base, fitted=fitted, gammas=gammas)

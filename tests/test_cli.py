@@ -116,6 +116,7 @@ class TestBootstrapTables:
         table = _load_cohort_npz(analyzed / "cohort_table.npz")
         config = trend.BootstrapConfig(replicates=60, seed=3)
         tables = {}
+        dash_cells = []
         for d_old, d_new in DEFAULT_DATE_PAIRS:
             expected = []
             for name in TABLE_BANDS:
@@ -124,8 +125,13 @@ class TestBootstrapTables:
                     result = trend.analyze_trend(
                         series, config, [d_old, d_new], [(d_old, d_new)]
                     )
-                except (trend.InsufficientDataError, trend.OutOfRangeError):
+                except (trend.InsufficientDataError,
+                        trend.OutOfRangeError) as exc:
                     expected.append([name, "-", "-", "-"])
+                    dash_cells.append({"stratum": name,
+                                       "d_old": d_old.isoformat(),
+                                       "d_new": d_new.isoformat(),
+                                       "reason": str(exc)})
                     continue
                 cells = [*result.levels, result.drops[0]]
                 expected.append([name] + [
@@ -138,20 +144,57 @@ class TestBootstrapTables:
         filled = {row[0]: row[1] != "-" for row in tables[dt.date(2020, 4, 15)]}
         assert filled["aggregate"] and filled["50-59"]
         assert all(row[1] == "-" for row in tables[dt.date(2020, 4, 1)])
+        # the manifest gives the reason for every "-" row, stratum by stratum
+        manifest = json.loads((boot / "manifest.json").read_text())
+        assert manifest["stats"]["dash_cells"] == sorted(
+            dash_cells, key=lambda c: TABLE_BANDS.index(c["stratum"]))
+
+
+def _loaded_after(code: str, watched: tuple[str, ...]) -> list[str]:
+    """Run `code` in a fresh interpreter on this package; return which of
+    the `watched` modules (or their submodules) it left loaded."""
+    src = str(Path(hfrtrend.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = (f"import json, sys\n{code}\n"
+             f"print(json.dumps(sorted(w for w in {watched!r} if any("
+             "m == w or m.startswith(w + '.') for m in sys.modules))))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
 
 
 class TestImports:
     def test_cli_import_leaves_scipy_unloaded(self):
-        src = str(Path(hfrtrend.__file__).resolve().parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(
-                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        probe = ("import sys, hfrtrend, hfrtrend.cli; "
-                 "print(sorted(m for m in sys.modules "
-                 "if m.split('.')[0] in ('scipy', 'yaml')))")
-        out = subprocess.run([sys.executable, "-c", probe], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        # nor any stage module: building the parser loads none of them
+        code = "import hfrtrend.cli\nhfrtrend.cli.build_parser()"
+        watched = ("hfrtrend.trend", "hfrtrend.synth", "hfrtrend.ingest",
+                   "hfrtrend.store", "hfrtrend.cohort", "hfrtrend.signals",
+                   "importlib.metadata", "scipy", "yaml")
+        assert _loaded_after(code, watched) == []
+
+    def test_ingest_loads_only_what_it_runs(self, tmp_path):
+        src = tmp_path / "cases.csv"
+        src.write_text("ChartDate,Age,Gender,Hospitalized,Died\n"
+                       "2020-04-01,34,Female,NO,NO\n")
+        argv = ["ingest", "--input", str(src), "--out", str(tmp_path / "out")]
+        code = f"import hfrtrend.cli\nassert hfrtrend.cli.main({argv!r}) == 0"
+        watched = ("hfrtrend.ingest", "hfrtrend.store", "hfrtrend.trend",
+                   "hfrtrend.cohort", "hfrtrend.signals", "hfrtrend.synth",
+                   "scipy")
+        assert _loaded_after(code, watched) == ["hfrtrend.ingest",
+                                                "hfrtrend.store"]
+
+    def test_manifest_tool_version_is_the_package_version(self, pipeline_dirs):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with open(pyproject, "rb") as fh:
+            declared = tomllib.load(fh)["project"]["version"]
+        for stage in ("synth", "ingested", "analyzed", "boot"):
+            manifest = json.loads(
+                (pipeline_dirs[stage] / "manifest.json").read_text())
+            assert manifest["tool_version"] == hfrtrend.__version__ == declared
 
 
 class TestDeterminism:
@@ -352,6 +395,27 @@ class TestExitCodes:
         code = main(["bootstrap", "--analyzed", str(analyzed),
                      "--replicates", "20", "--out", str(tmp_path / "boot")])
         assert code == EXIT_INSUFFICIENT
+
+    def test_blocks_longer_than_every_series_is_insufficient(
+            self, pipeline_dirs, tmp_path, capsys):
+        boot = tmp_path / "boot"
+        code = main(["bootstrap", "--analyzed", str(pipeline_dirs["analyzed"]),
+                     "--blocks", "1000", "--replicates", "20",
+                     "--out", str(boot)])
+        assert code == EXIT_INSUFFICIENT
+        assert "Traceback" not in capsys.readouterr().err
+        for d_old, d_new in DEFAULT_DATE_PAIRS:
+            tag = f"{d_old:%m-%d}_to_{d_new:%m-%d}"
+            with open(boot / f"hfr_drop_{tag}.csv", newline="") as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert [row[0] for row in rows] == list(TABLE_BANDS)
+            assert all(cell == "-" for row in rows for cell in row[1:])
+        cells = json.loads((boot / "manifest.json").read_text())[
+            "stats"]["dash_cells"]
+        assert len(cells) == len(TABLE_BANDS) * len(DEFAULT_DATE_PAIRS)
+        reasons = {c["stratum"]: c["reason"] for c in cells}
+        for fitted in ("aggregate", "50-59"):
+            assert reasons[fitted].endswith("shorter than block length 1000")
 
 
 class TestIngestRows:

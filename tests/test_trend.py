@@ -18,14 +18,15 @@ from hfrtrend.trend import (
     estimate_drop,
     fit_points,
     fit_smoothing_spline,
-    moving_block_resample,
     read_estimates,
     select_lambda_block_cv,
     _block_cv_scores,
     _nearest_rank,
     _percentile_triplet,
     _penalty_matrices,
+    _smooth,
     _solve_band,
+    _spacings,
 )
 
 START = dt.date(2020, 4, 1)
@@ -309,6 +310,40 @@ class TestFitSmoothingSpline:
             fit_smoothing_spline(series, lam="aic")
 
 
+def moving_block_resample(residuals, block_length, rng):
+    """Oracle: one moving-block resample of a residual series.
+
+    Draws ceil(n/L) of the n-L+1 overlapping length-L windows uniformly
+    with replacement, concatenates, truncates to length n.
+    """
+    residuals = np.asarray(residuals, dtype=float)
+    n = len(residuals)
+    if n < block_length:
+        raise InsufficientDataError(
+            f"series length {n} shorter than block length {block_length}"
+        )
+    n_blocks = -(-n // block_length)
+    starts = rng.integers(0, n - block_length + 1, size=n_blocks)
+    out = np.concatenate(
+        [residuals[s : s + block_length] for s in starts]
+    )
+    return out[:n]
+
+
+def per_replicate_build(base, config):
+    """Oracle for build_replicates: one spawned stream and one resample
+    per replicate column, then the same multi-RHS solve. Returns the
+    synthetic series and their fitted values and second derivatives."""
+    children = np.random.SeedSequence(config.seed).spawn(config.replicates)
+    synthetic = np.empty((len(base.x), config.replicates))
+    for j, child in enumerate(children):
+        synthetic[:, j] = base.fitted + moving_block_resample(
+            base.residuals, config.block_length, np.random.default_rng(child)
+        )
+    gammas, fitted = _smooth(_spacings(base.x), synthetic, base.lam)
+    return synthetic, fitted, gammas
+
+
 class TestMovingBlockResample:
     def test_output_is_concatenation_of_real_blocks(self, rng):
         residuals = rng.normal(size=50)  # distinct values w.p. 1
@@ -340,23 +375,31 @@ class TestMovingBlockResample:
 
 
 class TestBuildReplicates:
+    # (n, L, B): n % L != 0 truncates the last block, L = 1 resamples
+    # i.i.d., L = n leaves a single window; B = 1 is one column
+    SHAPES = ((50, 7, 16), (49, 7, 16), (30, 1, 12), (33, 7, 1), (20, 20, 5))
+
     def test_batched_solve_equals_per_replicate_fits(self, rng):
-        x = np.arange(50, dtype=float)
-        y = np.sin(x / 8) + rng.normal(0, 0.1, size=50)
-        base = fit_points(x, y, 100.0)
-        config = BootstrapConfig(replicates=16, seed=4)
-        reps = build_replicates(base, config)
-        # rebuild each synthetic series with the same spawned streams and
-        # fit it individually; the batched solve must agree
-        children = np.random.SeedSequence(4).spawn(16)
-        for j, child in enumerate(children):
-            child_rng = np.random.default_rng(child)
-            synthetic = base.fitted + moving_block_resample(
-                base.residuals, 7, child_rng
-            )
-            single = fit_points(x, synthetic, base.lam)
-            assert np.allclose(reps.fitted[:, j], single.fitted, atol=1e-10)
-            assert np.allclose(reps.gammas[:, j], single.gamma, atol=1e-10)
+        for n, block_length, replicates in self.SHAPES:
+            x = np.arange(n, dtype=float)
+            config = BootstrapConfig(replicates=replicates,
+                                     block_length=block_length, seed=4)
+            # two series of one length share the cached block starts
+            for _ in range(2):
+                y = np.sin(x / 8) + rng.normal(0, 0.1, size=n)
+                base = fit_points(x, y, 100.0)
+                reps = build_replicates(base, config)
+                # the per-replicate resampling loop, bit for bit
+                synthetic, fitted, gammas = per_replicate_build(base, config)
+                assert reps.fitted.tobytes() == fitted.tobytes()
+                assert reps.gammas.tobytes() == gammas.tobytes()
+                # and each column agrees with its own fit
+                for j in range(replicates):
+                    single = fit_points(x, synthetic[:, j], base.lam)
+                    assert np.allclose(reps.fitted[:, j], single.fitted,
+                                       atol=1e-10)
+                    assert np.allclose(reps.gammas[:, j], single.gamma,
+                                       atol=1e-10)
 
     def test_deterministic_across_runs(self, rng):
         x = np.arange(40, dtype=float)
