@@ -4,13 +4,15 @@ Two layouts are supported (Florida FDOH line list and the national CDC
 case-surveillance file) via declarative schemas, plus daily testing
 aggregates. `parse_columns` reads `csv.reader` rows CHUNK_ROWS at a
 time and decodes them column by column: each column's coder maps cell
-text to an int code for the decoded value (negative for a reject
-reason), so each distinct date, age or label is decoded once (a study
-window has a few hundred distinct dates and ages) and the per-row work
-is dict lookups driven from C. The kept rows' codes go to
-`store.columns_from_codes` chunk by chunk; no Python object is built
-per row and the file is never held in memory. `parse_florida_lines`
-builds RawLineRecords from the same decoded chunks, for either layout.
+text to an int code (negative for a reject reason), so each distinct
+date, age or label is decoded once (a study window has a few hundred
+distinct dates and ages) and the per-row work is dict lookups driven
+from C. Category columns code into fixed code spaces laid out for the
+store (AGE_VALUES, BAND_VALUES, GENDERS, OUTCOME_CATEGORIES), so each
+chunk turns into store columns by array arithmetic; only dates and
+states grow a vocabulary. No Python object is built per row and the
+file is never held in memory. `parse_florida_lines` builds
+RawLineRecords from the same decoded chunks, for either layout.
 Cohort filtering and artifact detection work on store columns.
 """
 
@@ -30,17 +32,21 @@ from typing import IO, Iterable, Iterator
 import numpy as np
 
 from .records import (
+    AGE_BANDS,
     AGE_UNKNOWN,
     CONFIRMED_PCR,
     DATA_VINTAGE,
+    GENDERS,
+    OUTCOME_CATEGORIES,
     STUDY_WINDOW,
     IngestReport,
     DailyTestRecord,
-    Memo,
     RawLineRecord,
+    resolve_age_band,
 )
 from .schemas import FLORIDA_SCHEMA, ParseSchema, SchemaError
-from .store import CaseColumns, columns_from_codes, day_date, day_index
+from .store import (BAND_INDEX, COLUMN_DTYPES, NO_STATE, CaseColumns,
+                    day_date, day_index)
 
 log = logging.getLogger(__name__)
 
@@ -97,27 +103,40 @@ _BAD_DATE, _BAD_AGE, _BAD_GENDER, _BAD_OUTCOME, _NOT_CONFIRMED, _MALFORMED = (
     range(-1, -7, -1))
 
 
-class _Coder(Memo):
-    """Memo from cell text to an int code: the index of the decoded value
-    in `values`, which lists each distinct value once, or the negative
-    reject code."""
+# The fixed code spaces of the age and band columns; GENDERS and
+# OUTCOME_CATEGORIES are those of the gender and outcome columns. The
+# schema's checks and `_decode_age` keep every decoded value inside them.
+AGE_VALUES = (None, *range(121))
+BAND_VALUES = (None, *AGE_BANDS)
+# store band code by (band code, age code): an explicit band wins
+_BAND_TABLE = np.array([[BAND_INDEX[resolve_age_band(b, a)] for a in AGE_VALUES]
+                        for b in BAND_VALUES], np.uint8)
+_YES = OUTCOME_CATEGORIES.index("yes")
 
-    __slots__ = ("values",)
 
-    def __init__(self, decode):
-        self.values: list = []
-        index: dict = {}
+class _Coder(dict):
+    """Maps cell text to an int code, decoding each distinct text once:
+    the index of the decoded value in `values`, or the negative reject
+    code. `values` starts as the column's code space; a value outside it
+    (a new date or state) is appended."""
 
-        def code(text: str) -> int:
-            value = decode(text)
-            if isinstance(value, int) and value < 0:
-                return value
-            if value not in index:
-                index[value] = len(self.values)
-                self.values.append(value)
-            return index[value]
+    __slots__ = ("decode", "values", "index")
 
-        super().__init__(code)
+    def __init__(self, decode, values):
+        super().__init__()
+        self.decode = decode
+        self.values = list(values)
+        self.index = {v: i for i, v in enumerate(self.values)}
+
+    def __missing__(self, text: str) -> int:
+        value = self.decode(text)
+        if isinstance(value, int) and value < 0:
+            code = value
+        elif (code := self.index.get(value)) is None:
+            code = self.index[value] = len(self.values)
+            self.values.append(value)
+        self[text] = code
+        return code
 
 
 def _decode_age(text: str) -> int | None:
@@ -151,11 +170,11 @@ def _decode_chunks(
     """Decode a delimited file CHUNK_ROWS rows at a time under the rules
     of `parse_columns`, filling `report`.
 
-    Yields per chunk the RawLineRecord fields' lists of distinct decoded
-    values (they grow as the file is read) and an int array whose row k
-    holds the kept rows' indices into list k. Each cell goes through its
-    column's `_Coder`, so a cell text seen before costs one dict lookup
-    made from C.
+    Yields per chunk the RawLineRecord fields' code spaces (the date and
+    state lists grow as the file is read) and an int array whose row k
+    holds the kept rows' indices into code space k. Each cell goes
+    through its column's `_Coder`, so a cell text seen before costs one
+    dict lookup made from C.
     """
     date_col = schema.event_date_column
     if use_alt_event_date:
@@ -178,33 +197,31 @@ def _decode_chunks(
             writer = csv.writer(quarantine, delimiter=schema.delimiter)
             writer.writerow(header + ["rejection_reason"])
 
-        def coder(column, decode, absent=None):
-            """(cell index, coder); a column the schema lacks reads as
-            its one value `absent`, code 0."""
-            codes = _Coder(decode)
-            if column is None:
-                codes.values.append(absent)
-                return None, codes
-            return index[column], codes
+        def coder(column, decode, values):
+            """(cell index, coder over `values`); a column the schema
+            lacks reads as code 0."""
+            return index.get(column), _Coder(decode, values)
 
         outcome = _label(schema.outcome_spellings, _BAD_OUTCOME)
         confirmed = schema.confirmed_values
         # In RawLineRecord field order, which is also the reject precedence.
         columns = [
             coder(date_col,
-                  lambda t: _parse_date(t, schema.date_formats) or _BAD_DATE),
-            coder(schema.age_column, _decode_age),
+                  lambda t: _parse_date(t, schema.date_formats) or _BAD_DATE, ()),
+            coder(schema.age_column, _decode_age, AGE_VALUES),
             coder(schema.age_band_column,
-                  _label(schema.age_band_spellings, _BAD_AGE, AGE_UNKNOWN)),
+                  _label(schema.age_band_spellings, _BAD_AGE, AGE_UNKNOWN),
+                  BAND_VALUES),
             coder(schema.gender_column,
-                  _label(schema.gender_spellings, _BAD_GENDER)),
-            coder(schema.hospitalized_column, outcome),
-            coder(schema.died_column, outcome),
-            coder(schema.state_column, lambda t: t.strip().upper() or None),
+                  _label(schema.gender_spellings, _BAD_GENDER), GENDERS),
+            coder(schema.hospitalized_column, outcome, OUTCOME_CATEGORIES),
+            coder(schema.died_column, outcome, OUTCOME_CATEGORIES),
+            coder(schema.state_column, lambda t: t.strip().upper() or None,
+                  (None,)),
             coder(schema.confirmation_column,
                   lambda t: CONFIRMED_PCR if t.strip().lower() in confirmed
                   else _NOT_CONFIRMED,
-                  CONFIRMED_PCR),
+                  (CONFIRMED_PCR,)),
         ]
         values = [codes.values for _, codes in columns]
         read = [(k, i, codes.__getitem__)
@@ -237,7 +254,7 @@ def _decode_chunks(
                     )
             kept = codes[:, row_reason == 0]
             # fields 4 and 5: hospitalized and died
-            report.tally_kept((values[4], kept[4]), (values[5], kept[5]))
+            report.tally_kept(kept[4], kept[5])
             yield values, kept
 
 
@@ -258,10 +275,31 @@ def parse_columns(
     given, rejected rows are written there in input order with a trailing
     reason column. As with csv.DictReader, blank lines are skipped
     uncounted and fields past the header's are ignored.
+
+    Each chunk is turned into store columns before the next is decoded,
+    so memory holds the final columns plus one chunk.
     """
-    return columns_from_codes(
-        _decode_chunks(file, schema, report, use_alt_event_date, quarantine)
-    )
+    days = np.empty(0, np.int32)  # store day by date code
+    states: list = []
+    seen: dict[int, None] = {}  # state codes in the order kept rows meet them
+    parts = [[np.empty(0, t) for t in COLUMN_DTYPES]]
+    for values, codes in _decode_chunks(
+            file, schema, report, use_alt_event_date, quarantine):
+        dates, states = values[0], values[6]
+        if len(days) < len(dates):
+            days = np.concatenate([days, np.fromiter(
+                map(day_index, dates[len(days):]), np.int32)])
+        day, age, band, gender, hosp, died, state, _ = codes
+        found, first = np.unique(state, return_index=True)
+        seen.update(dict.fromkeys(found[np.argsort(first)].tolist()))
+        parts.append([days[day], _BAND_TABLE[band, age], gender.astype(np.uint8),
+                      hosp == _YES, died == _YES, state])
+    *columns, state = (np.concatenate(c) for c in zip(*parts))
+    named = [code for code in seen if states[code]]
+    vocab_code = np.full(len(states), NO_STATE, np.int32)
+    vocab_code[named] = np.arange(len(named))
+    return CaseColumns(*columns, vocab_code[state],
+                       state_vocab=np.array([states[c] for c in named], dtype=str))
 
 
 def parse_florida_lines(
@@ -378,7 +416,7 @@ def load_testing_series(
             try:
                 pos = int(float(row[i_pos] or 0))
                 tests = int(float(row[i_tests] or 0))
-            except ValueError:
+            except (ValueError, OverflowError):
                 report.reject("bad_count")
                 continue
             report.total_rows += 1

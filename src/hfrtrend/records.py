@@ -2,10 +2,11 @@
 
 Line-level surveillance rows come in raw (four-category outcome labels,
 age as years or a pre-binned band) and normalized (strict booleans, decade
-age bands) flavors. The normalization rules live here; the store keeps
-the normalized form as columns, and LineRecord is its per-record view.
-Ingest counts kept rows per chunk from their outcome label codes
-(`IngestReport.tally_kept`), never per row.
+age bands) flavors. The normalization rules live here, and ingest
+applies them to whole code spaces, never per row (its band table comes
+from `resolve_age_band`); the store keeps the normalized form as
+columns, and LineRecord is its per-record view. Ingest counts kept
+rows per chunk from their outcome codes (`IngestReport.tally_kept`).
 """
 
 from __future__ import annotations
@@ -83,17 +84,15 @@ class IngestReport:
         self.rejected_rows_by_reason[reason] += count
 
     def tally_kept(self, hospitalized, died) -> None:
-        """Count kept rows from their raw outcome labels. Each argument is
-        a (labels, codes) pair: one int code per kept row, indexing the
-        label sequence."""
-        for tallies, (labels, codes) in (
-            (self.hospitalized_tallies, hospitalized),
-            (self.died_tallies, died),
-        ):
-            counts = np.bincount(codes, minlength=len(labels))
-            tallies.update({lab: int(n) for lab, n in zip(labels, counts) if n})
-        self.total_rows += len(died[1])
-        self.kept_rows += len(died[1])
+        """Count kept rows from their raw outcome labels, given as one int
+        code per kept row indexing OUTCOME_CATEGORIES."""
+        for tallies, codes in ((self.hospitalized_tallies, hospitalized),
+                               (self.died_tallies, died)):
+            counts = np.bincount(codes, minlength=len(OUTCOME_CATEGORIES))
+            tallies.update({label: int(n) for label, n
+                            in zip(OUTCOME_CATEGORIES, counts) if n})
+        self.total_rows += len(died)
+        self.kept_rows += len(died)
 
     @property
     def conserved(self) -> bool:
@@ -120,20 +119,6 @@ class DailyTestRecord:
     new_positives: int
     new_tests: int
     region: str
-
-
-class Memo(dict):
-    """Maps a key to decode(key), computing each distinct key once."""
-
-    __slots__ = ("decode",)
-
-    def __init__(self, decode):
-        super().__init__()
-        self.decode = decode
-
-    def __missing__(self, key):
-        value = self[key] = self.decode(key)
-        return value
 
 
 def recode_outcome(raw: str) -> bool:

@@ -7,7 +7,7 @@ below) rather than in parser code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .records import AGE_BANDS, ALL_AGE_BANDS, GENDERS, OUTCOME_CATEGORIES
 
@@ -36,6 +36,15 @@ class ParseSchema:
     age_band_spellings: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name.endswith("_column") and not (
+                    isinstance(value, str) or value is None and f.default is None):
+                raise SchemaError(f"schema {self.name}: {f.name} must be a "
+                                  f"column name, not {value!r}")
+        if not (isinstance(self.delimiter, str) and len(self.delimiter) == 1):
+            raise SchemaError(f"schema {self.name}: delimiter must be one "
+                              f"character, not {self.delimiter!r}")
         for key, categories in (("outcome_spellings", OUTCOME_CATEGORIES),
                                 ("gender_spellings", GENDERS),
                                 ("age_band_spellings", ALL_AGE_BANDS)):
@@ -143,8 +152,13 @@ def load_schema(path: str, base: str | None = None) -> ParseSchema:
     """
     import yaml  # only schema files need it; keeps it off the CLI's import
 
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh) or {}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = yaml.safe_load(fh) or {}
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+        # YAML errors span lines; the CLI reports one
+        raise SchemaError(f"cannot read schema file {path}: "
+                          + " ".join(str(exc).split())) from exc
     if not isinstance(raw, dict):
         raise SchemaError(f"schema file {path} must contain a mapping")
     base_name = raw.pop("base", base)

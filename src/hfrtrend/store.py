@@ -2,11 +2,9 @@
 
 Parsing the multi-gigabyte national file is slow; analysis is iterated
 many times with different strata and dates. The store decouples the two:
-ingest hands over each chunk of rows as int codes into per-column lists
-of decoded values, `columns_from_codes` maps the codes to parallel numpy
-columns (`CaseColumns`) through per-value lookup tables, `save_store`
-writes them as a versioned .npz, and analysis works on those columns
-without a Python object per case.
+ingest turns a file into parallel numpy columns (`CaseColumns`),
+`save_store` writes them as a versioned .npz, and analysis works on
+those columns without a Python object per case.
 """
 
 from __future__ import annotations
@@ -14,20 +12,11 @@ from __future__ import annotations
 import datetime as dt
 import json
 from dataclasses import dataclass, fields
-from itertools import product
-from math import prod
 from typing import Iterable
 
 import numpy as np
 
-from .records import (
-    ALL_AGE_BANDS,
-    GENDERS,
-    LineRecord,
-    Memo,
-    recode_outcome,
-    resolve_age_band,
-)
+from .records import ALL_AGE_BANDS, GENDERS, LineRecord
 
 STORE_VERSION = 2
 NO_STATE = -1  # state code of a case without a state
@@ -73,57 +62,8 @@ class CaseColumns:
         return np.flatnonzero(np.isin(self.state_vocab, list(names)))
 
 
-_DTYPES = (np.int32, np.uint8, np.uint8, bool, bool, np.int32)
-
-
-def columns_from_codes(chunks: Iterable[tuple[list[list], np.ndarray]]) -> CaseColumns:
-    """Normalize decoded row chunks into columns (the ingest path).
-
-    A chunk gives, per RawLineRecord field, the list of distinct decoded
-    values, and an int array whose row k holds the kept rows' indices into
-    list k. The rules of `normalize_record` run once per distinct value,
-    through lookup tables rebuilt when a value list grows; each chunk is
-    turned into store dtypes before the next is decoded, so memory holds
-    the final columns plus one chunk.
-    """
-    memos: dict[int, Memo] = {}
-    tables: dict[int, np.ndarray] = {}
-
-    def lookup(key, rule, dtype, *values) -> np.ndarray:
-        """rule(*v) for every combination v of decoded values, indexed by
-        their codes."""
-        shape = tuple(map(len, values))
-        table = tables.get(key)
-        if table is None or table.shape != shape:
-            memo = memos.setdefault(key, Memo(lambda v: rule(*v)))
-            table = tables[key] = np.fromiter(
-                map(memo.__getitem__, product(*values)), dtype, prod(shape)
-            ).reshape(shape)
-        return table
-
-    states: list = []
-    seen: dict[int, None] = {}  # decoded states in the order kept rows meet them
-    parts = [[np.empty(0, t) for t in _DTYPES]]
-    for values, codes in chunks:
-        dates, ages, bands, genders, hosps, dieds, states, _ = values
-        day, age, band, gender, hosp, died, state, _ = codes
-        found, first = np.unique(state, return_index=True)
-        seen.update(dict.fromkeys(found[np.argsort(first)].tolist()))
-        parts.append([
-            lookup(0, day_index, np.int32, dates)[day],
-            lookup(1, lambda b, a: BAND_INDEX[resolve_age_band(b, a)],
-                   np.uint8, bands, ages)[band, age],
-            lookup(2, GENDER_INDEX.__getitem__, np.uint8, genders)[gender],
-            lookup(3, recode_outcome, bool, hosps)[hosp],
-            lookup(4, recode_outcome, bool, dieds)[died],
-            state,
-        ])
-    *columns, state = (np.concatenate(c) for c in zip(*parts))
-    named = [code for code in seen if states[code]]
-    vocab_code = np.full(len(states), NO_STATE, np.int32)
-    vocab_code[named] = np.arange(len(named))
-    return CaseColumns(*columns, vocab_code[state],
-                       state_vocab=np.array([states[c] for c in named], dtype=str))
+# dtypes of the CaseColumns fields before state_vocab, in field order
+COLUMN_DTYPES = (np.int32, np.uint8, np.uint8, bool, bool, np.int32)
 
 
 def as_columns(records: Iterable[LineRecord] | CaseColumns) -> CaseColumns:
@@ -143,7 +83,7 @@ def as_columns(records: Iterable[LineRecord] | CaseColumns) -> CaseColumns:
         [state_code.get(r.state, NO_STATE) for r in records],
     )
     return CaseColumns(
-        *(np.array(c, t) for c, t in zip(columns, _DTYPES)),
+        *(np.array(c, t) for c, t in zip(columns, COLUMN_DTYPES)),
         state_vocab=np.array(vocab, dtype=str),
     )
 

@@ -355,21 +355,32 @@ class TestExitCodes:
         "date_formats: 5",
         "date_formats: '%Y-%m-%d'",
         "confirmed_values: {a: b}",
+        "event_date_column: 5",
+        "delimiter: 5",
+        "delimiter: ';;'",
+        "schema.yaml: [unclosed",
+        "schema.yaml: \xff",
+        None,
     ], ids=["outcome_spellings", "gender_spellings", "age_band_spellings",
-            "date_formats", "date_formats_string", "confirmed_values"])
+            "date_formats", "date_formats_string", "confirmed_values",
+            "column_name", "delimiter", "delimiter_string", "malformed_yaml",
+            "not_utf8", "missing_file"])
     def test_wrong_typed_schema_value_is_data_error(self, tmp_path, capsys,
                                                      entry):
         src = tmp_path / "fl.csv"
         src.write_text("ChartDate,Age,Gender,Hospitalized,Died\n"
                        "2020-04-02,54,Male,NO,NO\n")
         schema = tmp_path / "schema.yaml"
-        schema.write_text(f"base: florida\n{entry}\n")
+        if entry is not None:  # else the file is missing
+            # in Latin-1 the "\xff" entry is a byte that is not UTF-8
+            schema.write_text(f"base: florida\n{entry}\n", encoding="latin-1")
         code = main(["ingest", "--input", str(src), "--schema-config",
                      str(schema), "--out", str(tmp_path / "out")])
         assert code == EXIT_DATA
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
-        assert entry.split(":")[0] in err[0]
+        # the bad key, or the file for an unreadable one
+        assert (entry or "schema.yaml").split(":")[0] in err[0]
 
     def test_old_store_version_is_data_error(self, tmp_path, capsys):
         store = tmp_path / "store.npz"

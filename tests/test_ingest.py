@@ -8,7 +8,7 @@ import io
 import os
 import warnings
 from collections import Counter, defaultdict
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -457,7 +457,9 @@ class TestColumnParser:
     @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 7, 64])
     def test_rows_spanning_chunks(self, monkeypatch, rng, chunk_rows):
         monkeypatch.setattr(ingest, "CHUNK_ROWS", chunk_rows)
-        for schema in (CDC_SCHEMA, FLORIDA_SCHEMA):
+        # the last schema has both age columns: an explicit band wins
+        for schema in (CDC_SCHEMA, FLORIDA_SCHEMA,
+                       replace(CDC_SCHEMA, age_column="age")):
             text = _random_line_list(rng, schema, 150)
             report = self.check(text, schema)
             assert report.kept_rows and sum(
@@ -644,6 +646,19 @@ class TestLoadTestingSeries:
         assert report.rejected_rows_by_reason == {"malformed_row": 1}
         assert report.total_rows == 3 and report.kept_rows == 2
         assert report.clamped_values == 0
+
+    def test_unreadable_count_is_bad_count(self, tmp_path):
+        path = tmp_path / "tests.csv"
+        path.write_text("date,positive,totalTestResults\n"
+                        "2020-04-01,10,50\n"
+                        "2020-04-02,x,60\n"
+                        "2020-04-03,20,inf\n"
+                        "2020-04-04,1e400,90\n")
+        report = IngestReport()
+        out = load_testing_series(path, region="x", report=report)
+        assert [r.date.day for r in out] == [1]
+        assert report.rejected_rows_by_reason == {"bad_count": 3}
+        assert report.conserved
 
     def test_missing_column_is_schema_error(self, tmp_path):
         path = tmp_path / "tests.csv"

@@ -93,8 +93,9 @@ class TestNormalizeRecord:
 
 
 def _keep(report, raw):
-    """Count one kept row the way ingest does, from label codes."""
-    report.tally_kept(([raw.hospitalized_raw], [0]), ([raw.died_raw], [0]))
+    """Count one kept row the way ingest does, from outcome codes."""
+    report.tally_kept([OUTCOME_CATEGORIES.index(raw.hospitalized_raw)],
+                      [OUTCOME_CATEGORIES.index(raw.died_raw)])
 
 
 class TestIngestReport:
