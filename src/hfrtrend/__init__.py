@@ -19,7 +19,8 @@ _EXPORTS = {
     "cohort": (
         "CohortTable", "DemographicsSummary", "StratumKey",
         "age_distribution_shares", "build_cohort_table",
-        "gender_fraction_series", "summarize_demographics",
+        "detect_reporting_artifacts", "gender_fraction_series",
+        "summarize_demographics",
     ),
     "signals": (
         "RateSeries", "TimeSeries", "cfr_series", "hfr_series",
@@ -31,10 +32,7 @@ _EXPORTS = {
         "TrendResult", "analyze_trend", "build_replicates", "estimate_drop",
         "fit_points", "fit_smoothing_spline", "read_estimates",
     ),
-    "ingest": (
-        "detect_reporting_artifacts", "load_testing_series",
-        "parse_florida_lines",
-    ),
+    "ingest": ("load_testing_series", "parse_florida_lines"),
     "synth": (
         "SynthConfig", "TruthTable", "generate_line_records",
         "simpson_paradox_holds", "simpson_scenario", "step_down_scenario",

@@ -187,8 +187,7 @@ def _load_cohort_npz(path):
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    from . import cohort as cohort_mod, ingest as ingest_mod
-    from . import signals as signals_mod, store as store_mod
+    from . import cohort as cohort_mod, signals as signals_mod, store as store_mod
 
     t0 = time.monotonic()
     out_dir = Path(args.out)
@@ -205,6 +204,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     tests = None
     if args.testing_file:
+        from . import ingest as ingest_mod
         try:
             tests = ingest_mod.load_testing_series(
                 args.testing_file, region=args.region,
@@ -220,21 +220,21 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     excluded_states: list[str] = []
     if args.auto_exclude:
-        flagged = ingest_mod.detect_reporting_artifacts(cases)
+        flagged = cohort_mod.detect_reporting_artifacts(cases)
         excluded_states = [state for state, _ in flagged]
         _write_json(out_dir / "excluded_states.json", dict(flagged))
     elif args.exclude_states:
         excluded_states = [s.strip().upper() for s in args.exclude_states.split(",")]
 
-    cohort = cases.select(ingest_mod.cohort_mask(
+    mask = cohort_mod.cohort_mask(
         cases, window=args.window, maturity_days=args.maturity_days,
         data_vintage=args.vintage, excluded_states=excluded_states,
-    ))
-    table = cohort_mod.build_cohort_table(cohort, *args.window)
+    )
+    table = cohort_mod.build_cohort_table(cases, *args.window, mask=mask)
     _save_cohort_npz(out_dir / "cohort_table.npz", table)
     table.write_long_csv(out_dir / "cohort_long.csv")
 
-    demo = cohort_mod.summarize_demographics(cohort)
+    demo = cohort_mod.summarize_demographics(table)
     with open(out_dir / "demographics.txt", "w", encoding="utf-8") as fh:
         fh.write(demo.as_text() + "\n")
     _write_json(out_dir / "demographics.json", {
@@ -265,10 +265,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     else:
         log.info("no testing file supplied; skipping positive test rate")
 
-    _write_manifest(
-        args, {"cohort_records": len(cohort), "excluded_states": excluded_states}, t0
-    )
-    print(f"analyzed {len(cohort)} cohort records -> {out_dir}")
+    _write_manifest(args, {"cohort_records": demo.total_cases,
+                           "excluded_states": excluded_states}, t0)
+    print(f"analyzed {demo.total_cases} cohort records -> {out_dir}")
     return EXIT_OK
 
 
@@ -510,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_boot.add_argument("--analyzed", required=True,
                         help="directory written by analyze")
     p_boot.add_argument("--dates", default=None, metavar="D1,D2")
-    p_boot.add_argument("--seed", type=int, default=0)
+    p_boot.add_argument("--seed", type=_at_least(0), default=0)
     p_boot.add_argument("--replicates", type=_at_least(1), default=1000)
     p_boot.add_argument("--blocks", type=_at_least(1), default=7)
     p_boot.add_argument("--min-deaths", type=int, default=2)
@@ -522,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="generate synthetic line lists")
     p_synth.add_argument("--scenario", choices=("step", "simpson"),
                          default="step")
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--seed", type=_at_least(0), default=0)
     p_synth.add_argument("--daily-cases", type=_at_least(0.0, float),
                          default=1000.0)
     p_synth.add_argument("--out", required=True)

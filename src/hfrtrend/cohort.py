@@ -1,23 +1,29 @@
-"""Per-day, per-stratum cohort counts and demographic summaries.
+"""Cohort selection, daily per-stratum counts and demographics.
 
 A CohortTable holds, for every (age band, gender) cell and every date in
 a contiguous range, the number of cases confirmed that day together with
 how many of them were eventually hospitalized, eventually died, and were
-hospitalized AND died (the HFR numerator). Tables and summaries are
-counted from store columns with np.bincount.
+hospitalized AND died (the HFR numerator). `build_cohort_table` counts
+the store columns under `cohort_mask` with np.bincount, copying no
+column; the demographics summary is read off the table.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import logging
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .records import AGE_BANDS, ALL_AGE_BANDS, GENDERS, LineRecord
-from .store import BAND_INDEX, GENDER_INDEX, CaseColumns, as_columns, day_index
+from .records import (AGE_BANDS, ALL_AGE_BANDS, DATA_VINTAGE, GENDERS,
+                      STUDY_WINDOW, LineRecord)
+from .store import (BAND_INDEX, GENDER_INDEX, CaseColumns, as_columns,
+                    day_date, day_index)
+
+log = logging.getLogger(__name__)
 
 AGGREGATE = "aggregate"
 ALL_GENDERS = "all"
@@ -92,21 +98,81 @@ class CohortTable:
                     writer.writerow([date, band, gender, *row])
 
 
+def cohort_mask(
+    cases: CaseColumns,
+    window: tuple[dt.date, dt.date] = STUDY_WINDOW,
+    maturity_days: int = 30,
+    data_vintage: dt.date = DATA_VINTAGE,
+    excluded_states: Iterable[str] = (),
+) -> np.ndarray:
+    """Cases inside the study window whose outcomes had time to be
+    recorded (event date at least `maturity_days` before the vintage),
+    outside the excluded states."""
+    start, end = window
+    if start > end:
+        raise ValueError("window start after end")
+    if maturity_days < 0:
+        raise ValueError("maturity_days must be nonnegative")
+    last = min(end, data_vintage - dt.timedelta(days=maturity_days))
+    day = cases.event_day
+    mask = (day >= day_index(start)) & (day <= day_index(last))
+    # a state is looked up only when named: np.isin on strings imports numpy.ma
+    if excluded_states := list(excluded_states):
+        mask &= ~np.isin(cases.state, cases.state_codes(excluded_states))
+    if not mask.any():
+        log.warning("cohort filter produced an empty result")
+    return mask
+
+
+def detect_reporting_artifacts(
+    cases: CaseColumns, dump_fraction: float = 0.5
+) -> list[tuple[str, dict]]:
+    """Flag states whose top two event dates hold >= dump_fraction of
+    their cases (bulk-dump reporting rather than daily reporting).
+
+    Returns (state, evidence) pairs sorted by state code; evidence gives
+    the offending dates and the joint fraction.
+    """
+    if not (0 < dump_fraction <= 1):
+        raise ValueError("dump_fraction must be in (0, 1]")
+    by_state = np.argsort(cases.state)
+    bounds = np.searchsorted(
+        cases.state[by_state], np.arange(len(cases.state_vocab) + 1)
+    )
+    flagged = []
+    for code in np.argsort(cases.state_vocab):
+        rows = by_state[bounds[code]:bounds[code + 1]]
+        days, counts = np.unique(cases.event_day[rows], return_counts=True)
+        # ties broken by date so the evidence is input-order invariant
+        top = np.lexsort((days, -counts))[:2]
+        total, top_total = int(counts.sum()), int(counts[top].sum())
+        if total and top_total / total >= dump_fraction:
+            flagged.append((str(cases.state_vocab[code]), {
+                "top_dates": [day_date(d).isoformat() for d in days[top]],
+                "top_fraction": top_total / total,
+                "total_cases": total,
+            }))
+    return flagged
+
+
 def build_cohort_table(
-    records: Iterable[LineRecord] | CaseColumns, start: dt.date, end: dt.date
+    records: Iterable[LineRecord] | CaseColumns, start: dt.date, end: dt.date,
+    mask: np.ndarray | None = None,
 ) -> CohortTable:
-    """Aggregate cohort-filtered cases into a dense daily table.
+    """Aggregate cases into a dense daily table.
 
     Every base cell covers exactly [start, end] with zero-filled gaps so
-    downstream rolling windows stay well-defined; cases outside the range
-    are dropped.
+    downstream rolling windows stay well-defined; cases outside the range,
+    or outside `mask` when one is given, are dropped.
     """
     if start > end:
         raise ValueError("start after end")
     cases = as_columns(records)
     n_days = (end - start).days + 1
-    day = cases.event_day.astype(np.int64) - day_index(start)
+    day = cases.event_day - np.int32(day_index(start))
     keep = (day >= 0) & (day < n_days)
+    if mask is not None:
+        keep &= mask
     shape = (len(ALL_AGE_BANDS), len(GENDERS), n_days)
     cell = np.ravel_multi_index(
         (cases.age_band[keep], cases.gender[keep], day[keep]), shape
@@ -164,15 +230,16 @@ class DemographicsSummary:
         return "\n".join(lines)
 
 
-def summarize_demographics(cases: CaseColumns) -> DemographicsSummary:
-    bands = np.bincount(cases.age_band, minlength=len(ALL_AGE_BANDS))
-    genders = np.bincount(cases.gender, minlength=len(GENDERS))
+def summarize_demographics(table: CohortTable) -> DemographicsSummary:
+    """Totals of the cases a table counts, summed over its days."""
+    totals = table.array.sum(axis=2)  # (band, gender, signal)
+    cases = totals[..., _SIG_INDEX["cases"]]
     return DemographicsSummary(
-        total_cases=len(cases),
-        age_counts={b: int(n) for b, n in zip(ALL_AGE_BANDS, bands)},
-        gender_counts={g: int(n) for g, n in zip(GENDERS, genders)},
-        hospitalized_yes=int(cases.hospitalized.sum()),
-        died_yes=int(cases.died.sum()),
+        total_cases=int(cases.sum()),
+        age_counts={b: int(n) for b, n in zip(ALL_AGE_BANDS, cases.sum(axis=1))},
+        gender_counts={g: int(n) for g, n in zip(GENDERS, cases.sum(axis=0))},
+        hospitalized_yes=int(totals[..., _SIG_INDEX["hosp"]].sum()),
+        died_yes=int(totals[..., _SIG_INDEX["deaths"]].sum()),
     )
 
 

@@ -1,4 +1,4 @@
-"""Parsing and filtering of line-level surveillance files.
+"""Readers of line-level surveillance files and testing aggregates.
 
 Two layouts are supported (Florida FDOH line list and the national CDC
 case-surveillance file) via declarative schemas, plus daily testing
@@ -13,7 +13,7 @@ chunk turns into store columns by array arithmetic; only dates and
 states grow a vocabulary. No Python object is built per row and the
 file is never held in memory. `parse_florida_lines` builds
 RawLineRecords from the same decoded chunks, for either layout.
-Cohort filtering and artifact detection work on store columns.
+Cohort selection and artifact detection on store columns live in `cohort`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import logging
 import zlib
 from itertools import compress, islice
 from operator import itemgetter
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -35,18 +35,15 @@ from .records import (
     AGE_BANDS,
     AGE_UNKNOWN,
     CONFIRMED_PCR,
-    DATA_VINTAGE,
     GENDERS,
     OUTCOME_CATEGORIES,
-    STUDY_WINDOW,
     IngestReport,
     DailyTestRecord,
     RawLineRecord,
     resolve_age_band,
 )
 from .schemas import FLORIDA_SCHEMA, ParseSchema, SchemaError
-from .store import (BAND_INDEX, COLUMN_DTYPES, NO_STATE, CaseColumns,
-                    day_date, day_index)
+from .store import BAND_INDEX, COLUMN_DTYPES, NO_STATE, CaseColumns, day_index
 
 log = logging.getLogger(__name__)
 
@@ -315,63 +312,6 @@ def parse_florida_lines(
             map(v.__getitem__, c.tolist()) for v, c in zip(values, codes)
         ))
     return records, report
-
-
-def cohort_mask(
-    cases: CaseColumns,
-    window: tuple[dt.date, dt.date] = STUDY_WINDOW,
-    maturity_days: int = 30,
-    data_vintage: dt.date = DATA_VINTAGE,
-    excluded_states: Iterable[str] = (),
-) -> np.ndarray:
-    """Cases inside the study window whose outcomes had time to be
-    recorded (event date at least `maturity_days` before the vintage),
-    outside the excluded states."""
-    start, end = window
-    if start > end:
-        raise ValueError("window start after end")
-    if maturity_days < 0:
-        raise ValueError("maturity_days must be nonnegative")
-    last = min(end, data_vintage - dt.timedelta(days=maturity_days))
-    day = cases.event_day
-    mask = (day >= day_index(start)) & (day <= day_index(last))
-    excluded = cases.state_codes(excluded_states)
-    if excluded.size:
-        mask &= ~np.isin(cases.state, excluded)
-    if not mask.any():
-        log.warning("cohort filter produced an empty result")
-    return mask
-
-
-def detect_reporting_artifacts(
-    cases: CaseColumns, dump_fraction: float = 0.5
-) -> list[tuple[str, dict]]:
-    """Flag states whose top two event dates hold >= dump_fraction of
-    their cases (bulk-dump reporting rather than daily reporting).
-
-    Returns (state, evidence) pairs sorted by state code; evidence gives
-    the offending dates and the joint fraction.
-    """
-    if not (0 < dump_fraction <= 1):
-        raise ValueError("dump_fraction must be in (0, 1]")
-    by_state = np.argsort(cases.state)
-    bounds = np.searchsorted(
-        cases.state[by_state], np.arange(len(cases.state_vocab) + 1)
-    )
-    flagged = []
-    for code in np.argsort(cases.state_vocab):
-        rows = by_state[bounds[code]:bounds[code + 1]]
-        days, counts = np.unique(cases.event_day[rows], return_counts=True)
-        # ties broken by date so the evidence is input-order invariant
-        top = np.lexsort((days, -counts))[:2]
-        total, top_total = int(counts.sum()), int(counts[top].sum())
-        if total and top_total / total >= dump_fraction:
-            flagged.append((str(cases.state_vocab[code]), {
-                "top_dates": [day_date(d).isoformat() for d in days[top]],
-                "top_fraction": top_total / total,
-                "total_cases": total,
-            }))
-    return flagged
 
 
 def load_testing_series(

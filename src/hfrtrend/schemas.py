@@ -36,6 +36,8 @@ class ParseSchema:
     age_band_spellings: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise SchemaError(f"schema name must be a string, not {self.name!r}")
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name.endswith("_column") and not (

@@ -3,8 +3,8 @@
 Parsing the multi-gigabyte national file is slow; analysis is iterated
 many times with different strata and dates. The store decouples the two:
 ingest turns a file into parallel numpy columns (`CaseColumns`),
-`save_store` writes them as a versioned .npz, and analysis works on
-those columns without a Python object per case.
+`save_store` writes them as a versioned .npz, and `cohort` masks and
+counts the loaded columns in place, with no copy and no per-case object.
 """
 
 from __future__ import annotations
@@ -49,13 +49,6 @@ class CaseColumns:
 
     def __len__(self) -> int:
         return len(self.event_day)
-
-    def select(self, mask: np.ndarray) -> CaseColumns:
-        return CaseColumns(
-            self.event_day[mask], self.age_band[mask], self.gender[mask],
-            self.hospitalized[mask], self.died[mask], self.state[mask],
-            self.state_vocab,
-        )
 
     def state_codes(self, names: Iterable[str]) -> np.ndarray:
         """Codes of the named states present in the vocabulary."""

@@ -186,6 +186,24 @@ class TestImports:
         assert _loaded_after(code, watched) == ["hfrtrend.ingest",
                                                 "hfrtrend.store"]
 
+    def test_analyze_loads_only_what_it_runs(self, tmp_path):
+        src = tmp_path / "cases.csv"
+        src.write_text("ChartDate,Age,Gender,Hospitalized,Died\n"
+                       "2020-04-01,34,Female,NO,NO\n"
+                       "2020-04-02,71,Male,YES,YES\n")
+        store = tmp_path / "ingested"
+        assert main(["ingest", "--input", str(src), "--out", str(store)]) == EXIT_OK
+        argv = ["analyze", "--store", str(store / "store.npz"),
+                "--out", str(tmp_path / "out")]
+        code = f"import hfrtrend.cli\nassert hfrtrend.cli.main({argv!r}) == 0"
+        # a Florida store has no states, so nothing needs numpy.ma
+        watched = ("hfrtrend.ingest", "hfrtrend.store", "hfrtrend.cohort",
+                   "hfrtrend.signals", "hfrtrend.trend", "hfrtrend.synth",
+                   "scipy", "numpy.ma")
+        assert _loaded_after(code, watched) == ["hfrtrend.cohort",
+                                                "hfrtrend.signals",
+                                                "hfrtrend.store"]
+
     def test_manifest_tool_version_is_the_package_version(self, pipeline_dirs):
         tomllib = pytest.importorskip("tomllib")  # Python 3.11+
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -321,8 +339,10 @@ class TestExitCodes:
         ["analyze", "--store", "s.npz", "--maturity-days", "-1"],
         ["analyze", "--store", "s.npz", "--window", "2020-11-01..2020-04-01"],
         ["synth", "--daily-cases", "-5"],
+        ["bootstrap", "--analyzed", "a", "--seed", "-1"],
+        ["synth", "--seed", "-1"],
     ], ids=["replicates", "blocks", "maturity_days", "reversed_window",
-            "daily_cases"])
+            "daily_cases", "bootstrap_seed", "synth_seed"])
     def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, argv):
         assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_USAGE
         err = capsys.readouterr().err
@@ -358,13 +378,14 @@ class TestExitCodes:
         "event_date_column: 5",
         "delimiter: 5",
         "delimiter: ';;'",
+        "name: 5",
         "schema.yaml: [unclosed",
         "schema.yaml: \xff",
         None,
     ], ids=["outcome_spellings", "gender_spellings", "age_band_spellings",
             "date_formats", "date_formats_string", "confirmed_values",
-            "column_name", "delimiter", "delimiter_string", "malformed_yaml",
-            "not_utf8", "missing_file"])
+            "column_name", "delimiter", "delimiter_string", "name",
+            "malformed_yaml", "not_utf8", "missing_file"])
     def test_wrong_typed_schema_value_is_data_error(self, tmp_path, capsys,
                                                      entry):
         src = tmp_path / "fl.csv"

@@ -12,10 +12,10 @@ from hfrtrend.cohort import (
     ALL_GENDERS,
     SIGNALS,
     age_distribution_shares,
+    cohort_mask,
     gender_fraction_series,
     summarize_demographics,
 )
-from hfrtrend.ingest import cohort_mask
 from hfrtrend.records import AGE_BANDS, AGE_UNKNOWN, ALL_AGE_BANDS, GENDERS
 from hfrtrend.signals import TimeSeries, trailing_average_7d
 from hfrtrend.store import as_columns
@@ -123,7 +123,7 @@ class TestBuildCohortTable:
 
 
 class TestColumnarPath:
-    """The analyze path (store columns -> one mask -> bincount table and
+    """The analyze path (store columns and one mask -> bincount table ->
     summary) against plain loops over the same LineRecords."""
 
     def _cases(self, rng, states=("FL", "NJ", "NYC", "NY", None)):
@@ -136,7 +136,7 @@ class TestColumnarPath:
         for excluded in ([], ["NYC"], ["FL", "NJ"]):
             records, cases = self._cases(rng)
             mask = cohort_mask(cases, window, 20, vintage, excluded)
-            table = build_cohort_table(cases.select(mask), *window)
+            table = build_cohort_table(cases, *window, mask=mask)
             kept = [
                 r for r in records
                 if window[0] <= r.event_date <= vintage - dt.timedelta(days=20)
@@ -151,7 +151,8 @@ class TestColumnarPath:
 
     def test_demographics_match_loop_oracle(self, rng):
         records, cases = self._cases(rng)
-        demo = summarize_demographics(cases)
+        demo = summarize_demographics(
+            build_cohort_table(cases, START, START + dt.timedelta(days=49)))
         assert demo.total_cases == len(records)
         assert demo.age_counts == {
             b: sum(r.age_band == b for r in records) for b in ALL_AGE_BANDS
@@ -181,7 +182,7 @@ class TestDemographics:
             LineRecord(START, "50-59", "male", False, False),
             LineRecord(START, AGE_UNKNOWN, "other-unknown", True, False),
         ]
-        demo = summarize_demographics(as_columns(records))
+        demo = summarize_demographics(build_cohort_table(records, START, START))
         assert demo.total_cases == 3
         assert demo.age_counts["50-59"] == 2
         assert demo.age_counts[AGE_UNKNOWN] == 1
@@ -195,12 +196,13 @@ class TestDemographics:
         records = [
             LineRecord(START, band, "female", False, False) for band in AGE_BANDS
         ]
-        demo = summarize_demographics(as_columns(records))
+        demo = summarize_demographics(build_cohort_table(records, START, START))
         assert sum(demo.percentages(demo.age_counts).values()) == pytest.approx(100.0)
 
     def test_text_rendering_contains_counts(self):
         records = [LineRecord(START, "80+", "male", True, True)]
-        text = summarize_demographics(as_columns(records)).as_text()
+        text = summarize_demographics(
+            build_cohort_table(records, START, START)).as_text()
         assert "Lab Confirmed COVID-19 Cases  1" in text
         assert "80+" in text
 

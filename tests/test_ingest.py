@@ -15,9 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hfrtrend import LineRecord, ingest
+from hfrtrend.cohort import cohort_mask, detect_reporting_artifacts
 from hfrtrend.ingest import (
-    cohort_mask,
-    detect_reporting_artifacts,
     load_testing_series,
     parse_columns,
     parse_florida_lines,
