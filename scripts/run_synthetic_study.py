@@ -2,8 +2,10 @@
 """Run the full pipeline on a synthetic step-down dataset and compare the
 recovered HFR drop against the generating truth.
 
-Exercises the same path as real data: records are written in the Florida
-file layout, re-parsed, cohorted, smoothed, fitted, and bootstrapped.
+Exercises the same path as real data: `hfrtrend synth` writes the cases
+in the Florida file layout, `hfrtrend ingest` parses them into the
+columnar store, and the loaded columns are cohorted, smoothed, fitted
+and bootstrapped.
 
 Usage:
     python3 scripts/run_synthetic_study.py --out /tmp/synth_study \\
@@ -13,9 +15,18 @@ Usage:
 import argparse
 import datetime as dt
 import json
+import sys
 from pathlib import Path
 
 import hfrtrend as H
+from hfrtrend.cli import main as cli_main
+from hfrtrend.store import load_store
+
+
+def run(argv) -> None:
+    code = cli_main(argv)
+    if code != 0:
+        sys.exit(code)
 
 
 def main() -> None:
@@ -31,20 +42,18 @@ def main() -> None:
     args = parser.parse_args()
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    run(["synth", "--scenario", "step", "--seed", str(args.seed),
+         "--daily-cases", str(args.daily_cases), "--out", str(out)])
+    ingested = out / "ingested"
+    run(["ingest", "--input", str(out / "synthetic_florida.csv"),
+         "--out", str(ingested)])
 
     config = H.step_down_scenario(seed=args.seed, daily_cases=args.daily_cases)
-    records, truth = H.generate_line_records(config)
-    csv_path = out / "synthetic_florida.csv"
-    H.write_florida_csv(records, csv_path)
-    print(f"generated {len(records)} records -> {csv_path}")
-
-    raws, report = H.parse_florida_lines(csv_path)
-    normalized = [H.normalize_record(r) for r in raws]
-    table = H.build_cohort_table(normalized, config.start, config.end)
+    cases, _meta = load_store(ingested / "store.npz")
+    table = H.build_cohort_table(cases, config.start, config.end)
     series = H.hfr_series(table, H.StratumKey("50-59", "all"))
 
-    curve = truth.hfr["50-59"]
+    curve = H.TruthTable.from_config(config).hfr["50-59"]
     i_old = (args.date_old - config.start).days
     i_new = (args.date_new - config.start).days
     true_drop = curve[i_new] / curve[i_old] - 1
@@ -56,7 +65,7 @@ def main() -> None:
         args.date_new,
     )
     summary = {
-        "records": len(records),
+        "records": len(cases),
         "date_old": args.date_old.isoformat(),
         "date_new": args.date_new.isoformat(),
         "true_drop": round(float(true_drop), 4),

@@ -12,19 +12,19 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "records": (
-        "AGE_BANDS", "ALL_AGE_BANDS", "GENDERS", "DailyTestRecord",
-        "IngestReport", "LineRecord", "RawLineRecord", "bin_age",
-        "normalize_record", "recode_outcome",
+        "AGE_BANDS", "ALL_AGE_BANDS", "GENDERS", "IngestReport",
+        "LineRecord", "RawLineRecord", "bin_age", "normalize_record",
+        "recode_outcome",
     ),
     "cohort": (
         "CohortTable", "DemographicsSummary", "StratumKey",
-        "age_distribution_shares", "build_cohort_table",
-        "detect_reporting_artifacts", "gender_fraction_series",
+        "build_cohort_table", "detect_reporting_artifacts",
         "summarize_demographics",
     ),
     "signals": (
-        "RateSeries", "TimeSeries", "cfr_series", "hfr_series",
-        "positive_test_rate", "trailing_average_7d",
+        "RateSeries", "TimeSeries", "age_distribution_shares", "cfr_series",
+        "gender_fraction_series", "hfr_series", "positive_test_rate",
+        "trailing_average_7d",
     ),
     "trend": (
         "BootstrapConfig", "DropEstimate", "InsufficientDataError",

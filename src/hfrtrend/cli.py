@@ -202,13 +202,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
-    tests = None
+    testing = None
     if args.testing_file:
         from . import ingest as ingest_mod
         try:
-            tests = ingest_mod.load_testing_series(
-                args.testing_file, region=args.region,
-                cumulative=not args.daily_testing,
+            testing = ingest_mod.load_testing_series(
+                args.testing_file, cumulative=not args.daily_testing
             )
         except FileNotFoundError as exc:
             print(f"error: cannot read testing file: {exc}", file=sys.stderr)
@@ -253,13 +252,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         )
 
     for signal in ("cases", "hosp", "deaths"):
-        shares = cohort_mod.age_distribution_shares(table, signal)
+        shares = signals_mod.age_distribution_shares(table, signal)
         _write_band_series_csv(out_dir / f"age_shares_{signal}.csv", shares)
-        fractions = cohort_mod.gender_fraction_series(table, signal)
+        fractions = signals_mod.gender_fraction_series(table, signal)
         _write_band_series_csv(out_dir / f"gender_fraction_{signal}.csv", fractions)
 
-    if tests is not None:
-        signals_mod.positive_test_rate(tests).write_long_csv(
+    if testing is not None:
+        signals_mod.positive_test_rate(*testing).write_long_csv(
             out_dir / "pos_test_rate.csv", stratum=args.region
         )
     else:
@@ -497,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="comma-separated state codes to drop")
     p_analyze.add_argument("--auto-exclude", action="store_true",
                            help="drop states flagged by the dump detector")
-    p_analyze.add_argument("--min-deaths", type=int, default=2)
+    p_analyze.add_argument("--min-deaths", type=_at_least(0), default=2)
     p_analyze.add_argument("--testing-file", default=None)
     p_analyze.add_argument("--daily-testing", action="store_true",
                            help="testing file has daily, not cumulative, counts")
@@ -512,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_boot.add_argument("--seed", type=_at_least(0), default=0)
     p_boot.add_argument("--replicates", type=_at_least(1), default=1000)
     p_boot.add_argument("--blocks", type=_at_least(1), default=7)
-    p_boot.add_argument("--min-deaths", type=int, default=2)
+    p_boot.add_argument("--min-deaths", type=_at_least(0), default=2)
     p_boot.add_argument("--gender", choices=("all", "female", "male"),
                         default="all")
     p_boot.add_argument("--out", required=True)

@@ -18,8 +18,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .records import (AGE_BANDS, ALL_AGE_BANDS, DATA_VINTAGE, GENDERS,
-                      STUDY_WINDOW, LineRecord)
+from .records import (ALL_AGE_BANDS, DATA_VINTAGE, GENDERS, STUDY_WINDOW,
+                      LineRecord)
 from .store import (BAND_INDEX, GENDER_INDEX, CaseColumns, as_columns,
                     day_date, day_index)
 
@@ -242,60 +242,3 @@ def summarize_demographics(table: CohortTable) -> DemographicsSummary:
         died_yes=int(totals[..., _SIG_INDEX["deaths"]].sum()),
     )
 
-
-def age_distribution_shares(
-    table: CohortTable, signal: str
-) -> dict[str, "signals_mod.TimeSeries"]:
-    """Per-date share of each known-age band in the smoothed signal.
-
-    Shares over the named bands sum to 1 wherever the smoothed known-age
-    denominator is positive; dates with zero denominator are gap-marked.
-    """
-    from . import signals as signals_mod
-
-    smoothed = {}
-    for band in AGE_BANDS:
-        raw = table.signal(StratumKey(band, ALL_GENDERS), signal).astype(float)
-        smoothed[band] = signals_mod.trailing_average_7d(
-            signals_mod.TimeSeries(table.start, raw)
-        )
-    denom = np.sum([smoothed[b].values for b in AGE_BANDS], axis=0)
-    gaps = next(iter(smoothed.values())).gaps | (denom <= 0)
-    out = {}
-    safe = np.where(denom > 0, denom, 1.0)
-    for band in AGE_BANDS:
-        out[band] = signals_mod.TimeSeries(
-            table.start, smoothed[band].values / safe, gaps.copy()
-        )
-    return out
-
-
-def gender_fraction_series(
-    table: CohortTable, signal: str
-) -> dict[str, "signals_mod.TimeSeries"]:
-    """Per-date female fraction per age band on smoothed counts.
-
-    fraction = female / (female + male); dates where the smoothed
-    female+male denominator is below 5 are gap-marked.
-    """
-    from . import signals as signals_mod
-
-    out = {}
-    for band in AGE_BANDS:
-        female = signals_mod.trailing_average_7d(
-            signals_mod.TimeSeries(
-                table.start,
-                table.signal(StratumKey(band, "female"), signal).astype(float),
-            )
-        )
-        male = signals_mod.trailing_average_7d(
-            signals_mod.TimeSeries(
-                table.start,
-                table.signal(StratumKey(band, "male"), signal).astype(float),
-            )
-        )
-        denom = female.values + male.values
-        gaps = female.gaps | male.gaps | (denom < 5.0)
-        safe = np.where(denom > 0, denom, 1.0)
-        out[band] = signals_mod.TimeSeries(table.start, female.values / safe, gaps)
-    return out

@@ -13,6 +13,8 @@ chunk turns into store columns by array arithmetic; only dates and
 states grow a vocabulary. No Python object is built per row and the
 file is never held in memory. `parse_florida_lines` builds
 RawLineRecords from the same decoded chunks, for either layout.
+`load_testing_series` reads the few hundred rows of a testing file one
+by one into a dense daily grid of new positives and new tests.
 Cohort selection and artifact detection on store columns live in `cohort`.
 """
 
@@ -34,11 +36,9 @@ import numpy as np
 from .records import (
     AGE_BANDS,
     AGE_UNKNOWN,
-    CONFIRMED_PCR,
     GENDERS,
     OUTCOME_CATEGORIES,
     IngestReport,
-    DailyTestRecord,
     RawLineRecord,
     resolve_age_band,
 )
@@ -167,11 +167,11 @@ def _decode_chunks(
     """Decode a delimited file CHUNK_ROWS rows at a time under the rules
     of `parse_columns`, filling `report`.
 
-    Yields per chunk the RawLineRecord fields' code spaces (the date and
-    state lists grow as the file is read) and an int array whose row k
-    holds the kept rows' indices into code space k. Each cell goes
-    through its column's `_Coder`, so a cell text seen before costs one
-    dict lookup made from C.
+    Yields per chunk the code spaces of the RawLineRecord fields and of
+    the confirmation column (the date and state lists grow as the file
+    is read) and an int array whose row k holds the kept rows' indices
+    into code space k. Each cell goes through its column's `_Coder`, so
+    a cell text seen before costs one dict lookup made from C.
     """
     date_col = schema.event_date_column
     if use_alt_event_date:
@@ -201,7 +201,8 @@ def _decode_chunks(
 
         outcome = _label(schema.outcome_spellings, _BAD_OUTCOME)
         confirmed = schema.confirmed_values
-        # In RawLineRecord field order, which is also the reject precedence.
+        # In RawLineRecord field order, which is also the reject precedence,
+        # then the confirmation column, which only rejects.
         columns = [
             coder(date_col,
                   lambda t: _parse_date(t, schema.date_formats) or _BAD_DATE, ()),
@@ -216,9 +217,8 @@ def _decode_chunks(
             coder(schema.state_column, lambda t: t.strip().upper() or None,
                   (None,)),
             coder(schema.confirmation_column,
-                  lambda t: CONFIRMED_PCR if t.strip().lower() in confirmed
-                  else _NOT_CONFIRMED,
-                  (CONFIRMED_PCR,)),
+                  lambda t: None if t.strip().lower() in confirmed
+                  else _NOT_CONFIRMED, (None,)),
         ]
         values = [codes.values for _, codes in columns]
         read = [(k, i, codes.__getitem__)
@@ -289,8 +289,9 @@ def parse_columns(
         day, age, band, gender, hosp, died, state, _ = codes
         found, first = np.unique(state, return_index=True)
         seen.update(dict.fromkeys(found[np.argsort(first)].tolist()))
+        # a copy: a row view of `codes` would keep the whole chunk alive
         parts.append([days[day], _BAND_TABLE[band, age], gender.astype(np.uint8),
-                      hosp == _YES, died == _YES, state])
+                      hosp == _YES, died == _YES, state.copy()])
     *columns, state = (np.concatenate(c) for c in zip(*parts))
     named = [code for code in seen if states[code]]
     vocab_code = np.full(len(states), NO_STATE, np.int32)
@@ -308,27 +309,31 @@ def parse_florida_lines(
     report = IngestReport()
     records: list[RawLineRecord] = []
     for values, codes in _decode_chunks(file, schema, report, **kwargs):
+        # every field but the confirmation column's, which only rejects
         records += map(RawLineRecord, *(
-            map(v.__getitem__, c.tolist()) for v, c in zip(values, codes)
+            map(v.__getitem__, c.tolist()) for v, c in zip(values, codes[:-1])
         ))
     return records, report
 
 
 def load_testing_series(
     file,
-    region: str,
     cumulative: bool = True,
     report: IngestReport | None = None,
-) -> list[DailyTestRecord]:
+) -> tuple[dt.date, np.ndarray, np.ndarray]:
     """Load daily testing aggregates, differencing cumulative inputs.
 
     The file has `date`, `positive` and `totalTestResults` columns, with
-    dates as YYYY-MM-DD, YYYYMMDD or MM/DD/YYYY.
+    dates as YYYY-MM-DD, YYYYMMDD or MM/DD/YYYY. Returns the first date
+    and the new positives and new tests of each day from it to the last
+    date, on a dense grid: rows of one date are summed, a day with no
+    row holds 0.
 
     Negative daily increments (reporting corrections) are clamped to zero
     and counted on the report. As in the line-list parser, a row with
     fewer fields than the header is rejected as malformed_row and blank
-    lines are skipped; an empty count cell reads as 0.
+    lines are skipped; an empty count cell reads as 0. A file with no
+    usable row is a SchemaError.
     """
     if report is None:
         report = IngestReport()
@@ -362,9 +367,13 @@ def load_testing_series(
             report.total_rows += 1
             report.kept_rows += 1
             rows.append((date, pos, tests))
-    rows.sort(key=lambda t: t[0])
+    if not rows:
+        raise SchemaError("testing file has no usable row")
+    rows.sort(key=itemgetter(0))
 
-    out = []
+    start = rows[0][0]
+    positives = np.zeros((rows[-1][0] - start).days + 1)
+    totals = np.zeros(len(positives))
     prev_pos = prev_tests = 0
     for date, pos, tests in rows:
         if cumulative:
@@ -382,11 +391,9 @@ def load_testing_series(
             # positives can't exceed tests; trust tests, clamp positives
             report.clamped_values += 1
             d_pos = d_tests
-        out.append(
-            DailyTestRecord(
-                date=date, new_positives=d_pos, new_tests=d_tests, region=region
-            )
-        )
+        i = (date - start).days
+        positives[i] += d_pos
+        totals[i] += d_tests
     if report.clamped_values:
         log.warning("clamped %d non-monotone testing values", report.clamped_values)
-    return out
+    return start, positives, totals

@@ -35,8 +35,6 @@ GENDERS = ("female", "male", "other-unknown")
 
 OUTCOME_CATEGORIES = ("yes", "no", "unknown", "missing")
 
-CONFIRMED_PCR = "pcr_positive"
-
 # The paper's cohort window and data pull date (`analyze` defaults).
 STUDY_WINDOW = (dt.date(2020, 3, 26), dt.date(2020, 11, 1))
 DATA_VINTAGE = dt.date(2020, 12, 4)
@@ -53,7 +51,6 @@ class RawLineRecord:
     hospitalized_raw: str  # one of OUTCOME_CATEGORIES
     died_raw: str  # one of OUTCOME_CATEGORIES
     state: str | None
-    confirmation_kind: str  # CONFIRMED_PCR (unconfirmed rows are rejected)
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,16 +106,6 @@ class IngestReport:
             "died_tallies": dict(self.died_tallies),
             "clamped_values": self.clamped_values,
         }
-
-
-@dataclass(frozen=True, slots=True)
-class DailyTestRecord:
-    """Daily testing aggregates (already differenced to daily increments)."""
-
-    date: dt.date
-    new_positives: int
-    new_tests: int
-    region: str
 
 
 def recode_outcome(raw: str) -> bool:

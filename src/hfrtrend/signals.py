@@ -2,7 +2,9 @@
 
 All rates are ratios of 7-day trailing-averaged counts: numerator and
 denominator are smoothed separately, then divided. Undefined dates carry
-a gap mark, never a zero, so exports and spline fits can skip them.
+a gap mark, never a zero, so exports and spline fits can skip them. The
+rates are read off a cohort table (CFR, HFR, age-band shares, female
+fractions) or off a dense daily testing grid (positive-test rate).
 """
 
 from __future__ import annotations
@@ -10,12 +12,11 @@ from __future__ import annotations
 import csv
 import datetime as dt
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .cohort import CohortTable, StratumKey
-from .records import DailyTestRecord
+from .cohort import ALL_GENDERS, CohortTable, StratumKey
+from .records import AGE_BANDS
 
 
 @dataclass
@@ -150,18 +151,55 @@ def hfr_series(
     )
 
 
-def positive_test_rate(tests: Sequence[DailyTestRecord]) -> RateSeries:
-    """Smoothed new positives over smoothed new tests on a dense grid."""
-    if not tests:
-        raise ValueError("no testing records")
-    recs = sorted(tests, key=lambda r: r.date)
-    start, end = recs[0].date, recs[-1].date
-    n = (end - start).days + 1
-    positives = np.zeros(n)
-    totals = np.zeros(n)
-    for r in recs:
-        i = (r.date - start).days
-        positives[i] += r.new_positives
-        totals[i] += r.new_tests
-    return _ratio_of_smoothed(start, positives, totals, "pos_test_rate")
+def positive_test_rate(start: dt.date, positives, tests) -> RateSeries:
+    """Smoothed new positives over smoothed new tests, on a dense daily
+    grid from `start`."""
+    if len(tests) == 0:
+        raise ValueError("no testing days")
+    return _ratio_of_smoothed(start, positives, tests, "pos_test_rate")
 
+
+def age_distribution_shares(table: CohortTable, signal: str) -> dict[str, TimeSeries]:
+    """Per-date share of each known-age band in the smoothed signal.
+
+    Shares over the named bands sum to 1 wherever the smoothed known-age
+    denominator is positive; dates with zero denominator are gap-marked.
+    """
+    smoothed = {}
+    for band in AGE_BANDS:
+        raw = table.signal(StratumKey(band, ALL_GENDERS), signal).astype(float)
+        smoothed[band] = trailing_average_7d(TimeSeries(table.start, raw))
+    denom = np.sum([smoothed[b].values for b in AGE_BANDS], axis=0)
+    gaps = next(iter(smoothed.values())).gaps | (denom <= 0)
+    out = {}
+    safe = np.where(denom > 0, denom, 1.0)
+    for band in AGE_BANDS:
+        out[band] = TimeSeries(table.start, smoothed[band].values / safe, gaps.copy())
+    return out
+
+
+def gender_fraction_series(table: CohortTable, signal: str) -> dict[str, TimeSeries]:
+    """Per-date female fraction per age band on smoothed counts.
+
+    fraction = female / (female + male); dates where the smoothed
+    female+male denominator is below 5 are gap-marked.
+    """
+    out = {}
+    for band in AGE_BANDS:
+        female = trailing_average_7d(
+            TimeSeries(
+                table.start,
+                table.signal(StratumKey(band, "female"), signal).astype(float),
+            )
+        )
+        male = trailing_average_7d(
+            TimeSeries(
+                table.start,
+                table.signal(StratumKey(band, "male"), signal).astype(float),
+            )
+        )
+        denom = female.values + male.values
+        gaps = female.gaps | male.gaps | (denom < 5.0)
+        safe = np.where(denom > 0, denom, 1.0)
+        out[band] = TimeSeries(table.start, female.values / safe, gaps)
+    return out

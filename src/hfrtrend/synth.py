@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .records import RawLineRecord, CONFIRMED_PCR
+from .records import RawLineRecord
 
 
 @dataclass
@@ -138,7 +138,7 @@ def _record_table(codes: np.ndarray, truth: TruthTable) -> list:
         table[code] = RawLineRecord(
             truth.start + dt.timedelta(days=day), None, truth.bands[band],
             "female" if group % 2 else "male", _LABELS[outcome // 4],
-            _LABELS[outcome % 4], None, CONFIRMED_PCR)
+            _LABELS[outcome % 4], None)
     return table
 
 

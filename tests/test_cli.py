@@ -341,8 +341,11 @@ class TestExitCodes:
         ["synth", "--daily-cases", "-5"],
         ["bootstrap", "--analyzed", "a", "--seed", "-1"],
         ["synth", "--seed", "-1"],
+        ["analyze", "--store", "s.npz", "--min-deaths", "-1"],
+        ["bootstrap", "--analyzed", "a", "--min-deaths", "-1"],
     ], ids=["replicates", "blocks", "maturity_days", "reversed_window",
-            "daily_cases", "bootstrap_seed", "synth_seed"])
+            "daily_cases", "bootstrap_seed", "synth_seed", "analyze_min_deaths",
+            "bootstrap_min_deaths"])
     def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, argv):
         assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_USAGE
         err = capsys.readouterr().err
@@ -505,19 +508,42 @@ class TestTestingFile:
         b"date,positive,totalTestResults\n2020-04-01,\xff\xfe,50\n",  # not UTF-8
         b"date,totalTestResults\n2020-04-01,50\n",  # no positive column
         None,  # no such file
-    ], ids=["truncated_gzip", "non_utf8", "missing_column", "missing_file"])
+        b"date,positive,totalTestResults\n",  # no row
+        b"date,positive,totalTestResults\nsoon,1,2\n2020-04-01,x,3\n",
+    ], ids=["truncated_gzip", "non_utf8", "missing_column", "missing_file",
+            "header_only", "all_rejected"])
     def test_bad_testing_file_is_data_error(self, pipeline_dirs, tmp_path,
                                             capsys, payload):
         testing = tmp_path / "testing.csv"
         if payload is not None:
             testing.write_bytes(payload)
+        out = tmp_path / "out"
         code = main(["analyze", "--store",
                      str(pipeline_dirs["ingested"] / "store.npz"),
-                     "--testing-file", str(testing),
-                     "--out", str(tmp_path / "out")])
+                     "--testing-file", str(testing), "--out", str(out)])
         assert code == EXIT_DATA
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+        assert not list(out.glob("*.csv"))  # failed before any rate CSV
+
+    def test_rate_csv_from_shuffled_daily_rows(self, pipeline_dirs, tmp_path):
+        # two rows a day, in reverse date order: 10 of 100 tests positive
+        days = [dt.date(2020, 4, 1) + dt.timedelta(days=d) for d in range(14)]
+        rows = [f"{d.isoformat()},{p},{t}" for d in reversed(days)
+                for p, t in ((4, 30), (6, 70))]
+        testing = tmp_path / "testing.csv"
+        testing.write_text("date,positive,totalTestResults\n"
+                           + "\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        assert main(["analyze", "--store",
+                     str(pipeline_dirs["ingested"] / "store.npz"),
+                     "--testing-file", str(testing), "--daily-testing",
+                     "--region", "fl", "--out", str(out)]) == EXIT_OK
+        with open(out / "pos_test_rate.csv", newline="") as fh:
+            got = list(csv.DictReader(fh))
+        assert [r["date"] for r in got] == [d.isoformat() for d in days]
+        assert {r["stratum"] for r in got} == {"fl"}
+        assert [r["value"] for r in got] == [""] * 6 + ["0.1"] * 8
 
 
 class TestStateExclusion:

@@ -11,13 +11,16 @@ from hfrtrend.cohort import (
     AGGREGATE,
     ALL_GENDERS,
     SIGNALS,
-    age_distribution_shares,
     cohort_mask,
-    gender_fraction_series,
     summarize_demographics,
 )
 from hfrtrend.records import AGE_BANDS, AGE_UNKNOWN, ALL_AGE_BANDS, GENDERS
-from hfrtrend.signals import TimeSeries, trailing_average_7d
+from hfrtrend.signals import (
+    TimeSeries,
+    age_distribution_shares,
+    gender_fraction_series,
+    trailing_average_7d,
+)
 from hfrtrend.store import as_columns
 from tests.conftest import make_records
 

@@ -23,7 +23,6 @@ from hfrtrend.ingest import (
 )
 from hfrtrend.records import (
     AGE_UNKNOWN,
-    CONFIRMED_PCR,
     IngestReport,
     RawLineRecord,
     normalize_record,
@@ -84,7 +83,7 @@ class TestParseFlorida:
         assert first.gender == "female"
         assert first.hospitalized_raw == "no"
         assert first.died_raw == "no"
-        assert first.confirmation_kind == CONFIRMED_PCR
+        assert first.state is None
 
     def test_spelling_variants_normalize(self, tmp_path):
         path = tmp_path / "fl.csv"
@@ -281,10 +280,10 @@ def oracle_parse(text, schema, use_alt_event_date=False):
         (schema.died_column, outcome),
         (schema.state_column, lambda cell: cell.strip().upper() or None),
         (schema.confirmation_column,
-         lambda cell: CONFIRMED_PCR if cell.strip().lower() in confirmed
+         lambda cell: None if cell.strip().lower() in confirmed
          else "not_lab_confirmed"),
     ]
-    absent = [None] * 7 + [CONFIRMED_PCR]
+    absent = [None] * len(decoders)
     reasons = {"bad_date", "bad_age", "bad_gender", "bad_outcome",
                "not_lab_confirmed"}
 
@@ -308,7 +307,7 @@ def oracle_parse(text, schema, use_alt_event_date=False):
             padded = row[:len(header)] + [""] * (len(header) - len(row))
             writer.writerow(padded + [reason])
             continue
-        raw = RawLineRecord(*values)
+        raw = RawLineRecord(*values[:-1])  # all but the confirmation
         report.total_rows += 1
         report.kept_rows += 1
         report.hospitalized_tallies[raw.hospitalized_raw] += 1
@@ -439,6 +438,26 @@ class TestColumnParser:
         assert report.rejected_rows_by_reason["bad_date"] == 1  # and band
         report = self.check(MESSY_FLORIDA, FLORIDA_SCHEMA)
         assert report.rejected_rows_by_reason["bad_date"] == 1  # and 3 more
+
+    def test_parts_own_their_memory(self, monkeypatch):
+        """Every per-chunk part joined into a column owns its memory: a
+        row view of a chunk's (8, n) code matrix would keep the whole
+        matrix alive until the join."""
+        joined = []
+
+        class Spy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def concatenate(self, arrays):
+                joined.extend(arrays)
+                return np.concatenate(arrays)
+
+        monkeypatch.setattr(ingest, "np", Spy())
+        monkeypatch.setattr(ingest, "CHUNK_ROWS", 2)
+        parse_columns(io.StringIO(MESSY_CDC), CDC_SCHEMA, IngestReport())
+        assert len(joined) > 6
+        assert all(part.flags.owndata for part in joined)
 
     def test_states_keep_their_full_codes(self):
         got = parse_columns(io.StringIO(MESSY_CDC), CDC_SCHEMA, IngestReport())
@@ -617,20 +636,43 @@ class TestLoadTestingSeries:
         path = tmp_path / "tests.csv"
         path.write_text(TESTING_FIXTURE)
         report = IngestReport()
-        out = load_testing_series(path, region="florida", report=report)
-        assert [r.date.day for r in out] == [1, 2, 3, 4, 5]
-        assert [r.new_positives for r in out] == [100, 30, 20, 0, 0]
+        start, positives, tests = load_testing_series(path, report=report)
+        assert start == dt.date(2020, 4, 1)
+        assert positives.tolist() == [100, 30, 20, 0, 0]
         # day 4: positives drop -10 clamped; day 5: tests drop -50 clamped,
         # then positives 20 > tests 0 clamped to 0
-        assert [r.new_tests for r in out] == [500, 200, 200, 200, 0]
+        assert tests.tolist() == [500, 200, 200, 200, 0]
         assert report.clamped_values == 3
 
     def test_daily_mode_passthrough(self, tmp_path):
         path = tmp_path / "tests.csv"
         path.write_text("date,positive,totalTestResults\n2020-04-01,10,50\n")
-        out = load_testing_series(path, region="x", cumulative=False)
-        assert out[0].new_positives == 10
-        assert out[0].new_tests == 50
+        start, positives, tests = load_testing_series(path, cumulative=False)
+        assert start == dt.date(2020, 4, 1)
+        assert positives.tolist() == [10]
+        assert tests.tolist() == [50]
+
+    @pytest.mark.parametrize("cumulative, want_pos, want_tests, clamped", [
+        (False, [4, 0, 7], [40, 0, 70], 0),
+        # in date order, rows of one date in file order: the last row
+        # falls below its predecessor and both counts clamp to 0
+        (True, [3, 0, 2], [30, 0, 20], 2),
+    ], ids=["daily", "cumulative"])
+    def test_rows_of_one_date_are_summed(self, tmp_path, cumulative, want_pos,
+                                         want_tests, clamped):
+        path = tmp_path / "tests.csv"
+        path.write_text("date,positive,totalTestResults\n"
+                        "2020-04-03,5,50\n"
+                        "2020-04-01,1,10\n"
+                        "2020-04-03,2,20\n"
+                        "2020-04-01,3,30\n")
+        report = IngestReport()
+        start, positives, tests = load_testing_series(
+            path, cumulative=cumulative, report=report)
+        assert start == dt.date(2020, 4, 1)
+        assert positives.tolist() == want_pos
+        assert tests.tolist() == want_tests
+        assert report.clamped_values == clamped
 
     def test_short_row_is_malformed(self, tmp_path):
         path = tmp_path / "tests.csv"
@@ -640,8 +682,10 @@ class TestLoadTestingSeries:
                         "\n"
                         "2020-04-03,20,80\n")
         report = IngestReport()
-        out = load_testing_series(path, region="x", report=report)
-        assert [r.date.day for r in out] == [1, 3]
+        start, positives, tests = load_testing_series(path, report=report)
+        assert start == dt.date(2020, 4, 1)
+        assert positives.tolist() == [10, 0, 10]  # no row for 04-02
+        assert tests.tolist() == [50, 0, 30]
         assert report.rejected_rows_by_reason == {"malformed_row": 1}
         assert report.total_rows == 3 and report.kept_rows == 2
         assert report.clamped_values == 0
@@ -654,8 +698,9 @@ class TestLoadTestingSeries:
                         "2020-04-03,20,inf\n"
                         "2020-04-04,1e400,90\n")
         report = IngestReport()
-        out = load_testing_series(path, region="x", report=report)
-        assert [r.date.day for r in out] == [1]
+        start, positives, tests = load_testing_series(path, report=report)
+        assert (start, positives.tolist(), tests.tolist()) == (
+            dt.date(2020, 4, 1), [10], [50])
         assert report.rejected_rows_by_reason == {"bad_count": 3}
         assert report.conserved
 
@@ -663,4 +708,4 @@ class TestLoadTestingSeries:
         path = tmp_path / "tests.csv"
         path.write_text("date,positive\n2020-04-01,10\n")
         with pytest.raises(SchemaError):
-            load_testing_series(path, region="x")
+            load_testing_series(path)

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from hfrtrend.records import (
     AGE_BANDS,
     AGE_UNKNOWN,
-    CONFIRMED_PCR,
     OUTCOME_CATEGORIES,
     IngestReport,
     RawLineRecord,
@@ -71,7 +70,6 @@ def _raw(age_years=None, age_band=None, hosp="yes", died="no"):
         hospitalized_raw=hosp,
         died_raw=died,
         state="FL",
-        confirmation_kind=CONFIRMED_PCR,
     )
 
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as npst
 
 from hfrtrend import LineRecord, StratumKey, build_cohort_table
-from hfrtrend.records import DailyTestRecord
 from hfrtrend.signals import (
     RateSeries,
     TimeSeries,
@@ -196,11 +195,7 @@ class TestRateSeries:
 
 class TestPositiveTestRate:
     def test_matches_hand_ratio(self):
-        tests = [
-            DailyTestRecord(START + dt.timedelta(days=d), 10 + d, 100, "fl")
-            for d in range(14)
-        ]
-        series = positive_test_rate(tests)
+        series = positive_test_rate(START, 10 + np.arange(14), np.full(14, 100))
         ok = ~series.series.gaps
         expected = np.array([(10 + d - 3) / 100 for d in range(14)])
         # trailing mean of an arithmetic ramp lags the ramp by 3 days
@@ -208,7 +203,7 @@ class TestPositiveTestRate:
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            positive_test_rate([])
+            positive_test_rate(START, [], [])
 
 
 class TestTimeSeries:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hfrtrend import normalize_record
-from hfrtrend.records import CONFIRMED_PCR, RawLineRecord
+from hfrtrend.records import RawLineRecord
 from hfrtrend.synth import (
     SynthConfig,
     TruthTable,
@@ -184,7 +184,6 @@ def oracle_generate_line_records(config: SynthConfig):
                         hospitalized_raw=hosp_label,
                         died_raw=died_label,
                         state=None,
-                        confirmation_kind=CONFIRMED_PCR,
                     )
                 )
     truth = TruthTable(
@@ -296,11 +295,11 @@ class TestColumnarMatchesOracle:
     def test_record_writer_keeps_age_years_and_unknown_gender(self, tmp_path):
         records = [
             RawLineRecord(dt.date(2020, 4, 1), 34, None, "other-unknown",
-                          "missing", "unknown", None, CONFIRMED_PCR),
+                          "missing", "unknown", None),
             RawLineRecord(dt.date(2020, 4, 2), None, "80+", "female",
-                          "yes", "no", None, CONFIRMED_PCR),
+                          "yes", "no", None),
             RawLineRecord(dt.date(2020, 4, 3), None, None, "male",
-                          "no", "no", None, CONFIRMED_PCR),
+                          "no", "no", None),
         ]
         oracle_write_florida_csv(records, tmp_path / "oracle.csv")
         write_florida_csv(records, tmp_path / "new.csv")
