@@ -3,6 +3,11 @@ data generation and manifest replay.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 insufficient data.
 
+`main` is the one error boundary: a stage raises, and `main` turns any of
+`DATA_ERRORS` into one `error:` line and exit 2, while any other exception
+is a bug and keeps its traceback. `main` also creates `--out`, times the
+stage and writes `manifest.json` from the stats the stage returns.
+
 Building the parser loads only `records` and `schemas`; each `cmd_*`
 imports the modules it runs, so no stage pays for another's imports.
 """
@@ -23,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .records import AGE_BANDS, DATA_VINTAGE, STUDY_WINDOW, IngestReport
-from .schemas import BUILTIN_SCHEMAS, SchemaError, load_schema
+from .schemas import BUILTIN_SCHEMAS, DATA_ERRORS, SchemaError, load_schema
 
 log = logging.getLogger(__name__)
 
@@ -90,16 +95,6 @@ def _manifest_args(args: argparse.Namespace) -> dict:
     return recorded
 
 
-def _write_manifest(args: argparse.Namespace, stats: dict, t0: float) -> None:
-    _write_json(Path(args.out) / "manifest.json", {
-        "tool_version": __version__,
-        "subcommand": args.subcommand,
-        "args": _manifest_args(args),
-        "stats": stats,
-        "wall_clock_s": round(time.monotonic() - t0, 3),
-    })
-
-
 def _sig2(value: float) -> str:
     """Two-significant-digit formatting used in the report tables."""
     if value == 0:
@@ -114,12 +109,10 @@ def _interval_text(median: float, lower: float, upper: float) -> str:
 # ---------------------------------------------------------------- ingest
 
 
-def cmd_ingest(args: argparse.Namespace) -> int:
+def cmd_ingest(args: argparse.Namespace) -> tuple[int, dict]:
     from . import ingest as ingest_mod, store as store_mod
 
-    t0 = time.monotonic()
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.schema_config:
         schema = load_schema(args.schema_config, base=args.schema)
     else:
@@ -143,12 +136,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             cases,
             meta={"schema": schema.name, "source": str(args.input)},
         )
-    except FileNotFoundError as exc:
-        print(f"error: cannot read input: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ingest_mod.DECODE_ERRORS as exc:
-        print(f"error: cannot decode input {args.input}: {exc}", file=sys.stderr)
-        return EXIT_DATA
     finally:
         if quarantine_fh is not None:
             quarantine_fh.close()
@@ -156,11 +143,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     _write_json(out_dir / "ingest_report.json", report.as_dict())
     if report.kept_rows == 0:
         log.warning("no rows kept from %s", args.input)
-    _write_manifest(
-        args, {"total_rows": report.total_rows, "kept_rows": report.kept_rows}, t0
-    )
     print(f"ingested {report.kept_rows}/{report.total_rows} rows -> {out_dir}")
-    return EXIT_OK
+    return EXIT_OK, {"total_rows": report.total_rows, "kept_rows": report.kept_rows}
 
 
 # --------------------------------------------------------------- analyze
@@ -177,8 +161,9 @@ def _save_cohort_npz(path, table) -> None:
 
 def _load_cohort_npz(path):
     from .cohort import CohortTable
+    from .store import open_npz
 
-    with np.load(path, allow_pickle=False) as npz:
+    with open_npz(path, "analyze") as npz:
         return CohortTable(
             start=dt.date.fromisoformat(str(npz["start"])),
             end=dt.date.fromisoformat(str(npz["end"])),
@@ -186,36 +171,18 @@ def _load_cohort_npz(path):
         )
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(args: argparse.Namespace) -> tuple[int, dict]:
     from . import cohort as cohort_mod, signals as signals_mod, store as store_mod
 
-    t0 = time.monotonic()
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    store_path = Path(args.store)
-    if not store_path.exists():
-        print(f"error: store not found: {store_path}", file=sys.stderr)
-        return EXIT_DATA
-    try:
-        cases, _meta = store_mod.load_store(store_path)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    cases, _meta = store_mod.load_store(args.store)
 
     testing = None
     if args.testing_file:
         from . import ingest as ingest_mod
-        try:
-            testing = ingest_mod.load_testing_series(
-                args.testing_file, cumulative=not args.daily_testing
-            )
-        except FileNotFoundError as exc:
-            print(f"error: cannot read testing file: {exc}", file=sys.stderr)
-            return EXIT_DATA
-        except ingest_mod.DECODE_ERRORS as exc:
-            print(f"error: cannot decode testing file {args.testing_file}: {exc}",
-                  file=sys.stderr)
-            return EXIT_DATA
+        testing = ingest_mod.load_testing_series(
+            args.testing_file, cumulative=not args.daily_testing
+        )
 
     excluded_states: list[str] = []
     if args.auto_exclude:
@@ -264,10 +231,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     else:
         log.info("no testing file supplied; skipping positive test rate")
 
-    _write_manifest(args, {"cohort_records": demo.total_cases,
-                           "excluded_states": excluded_states}, t0)
     print(f"analyzed {demo.total_cases} cohort records -> {out_dir}")
-    return EXIT_OK
+    return EXIT_OK, {"cohort_records": demo.total_cases,
+                     "excluded_states": excluded_states}
 
 
 def _write_band_series_csv(path, band_series: dict) -> None:
@@ -287,31 +253,19 @@ def _write_band_series_csv(path, band_series: dict) -> None:
 # -------------------------------------------------------------- bootstrap
 
 
-def cmd_bootstrap(args: argparse.Namespace) -> int:
+def cmd_bootstrap(args: argparse.Namespace) -> tuple[int, dict | None]:
     from . import signals as signals_mod, trend as trend_mod
     from .cohort import StratumKey
 
-    t0 = time.monotonic()
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    table_path = Path(args.analyzed) / "cohort_table.npz"
-    if not table_path.exists():
-        print(f"error: analyzed cohort table not found: {table_path}",
-              file=sys.stderr)
-        return EXIT_DATA
-    try:
-        table = _load_cohort_npz(table_path)
-    except KeyError:
-        print(f"error: {table_path} is not a cohort table of this version; "
-              "re-run analyze", file=sys.stderr)
-        return EXIT_DATA
+    table = _load_cohort_npz(Path(args.analyzed) / "cohort_table.npz")
 
     if args.dates:
         try:
             d1, d2 = (_parse_date(d) for d in args.dates.split(","))
         except ValueError:
             print("error: --dates must be D1,D2 in ISO format", file=sys.stderr)
-            return EXIT_USAGE
+            return EXIT_USAGE, None
         date_pairs = [(d1, d2)]
     else:
         date_pairs = list(DEFAULT_DATE_PAIRS)
@@ -364,15 +318,15 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
             any_rows = True
     for (d_old, d_new), rows in tables.items():
         _write_drop_table(out_dir, d_old, d_new, rows)
-    _write_manifest(args, {
+    stats = {
         "date_pairs": [[a.isoformat(), b.isoformat()] for a, b in date_pairs],
         "dash_cells": dash_cells,
-    }, t0)
+    }
     if not any_rows:
         print("error: no stratum had sufficient data", file=sys.stderr)
-        return EXIT_INSUFFICIENT
+        return EXIT_INSUFFICIENT, stats
     print(f"bootstrap reports -> {out_dir}")
-    return EXIT_OK
+    return EXIT_OK, stats
 
 
 def _write_drop_table(out_dir: Path, d_old: dt.date, d_new: dt.date,
@@ -401,12 +355,10 @@ def _write_drop_table(out_dir: Path, d_old: dt.date, d_new: dt.date,
 # ------------------------------------------------------------------ synth
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
+def cmd_synth(args: argparse.Namespace) -> tuple[int, dict]:
     from . import synth as synth_mod
 
-    t0 = time.monotonic()
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.scenario == "simpson":
         config = synth_mod.simpson_scenario(seed=args.seed)
     else:
@@ -430,25 +382,24 @@ def cmd_synth(args: argparse.Namespace) -> int:
             fh, sort_keys=True,
         )
         fh.write("\n")
-    _write_manifest(args, {"records": len(codes)}, t0)
     print(f"generated {len(codes)} synthetic records -> {out_dir}")
-    return EXIT_OK
+    return EXIT_OK, {"records": len(codes)}
 
 
 # ----------------------------------------------------------------- report
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    """Replay a recorded run from its manifest (reproducibility check)."""
-    try:
-        with open(args.manifest, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read manifest: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    sub = manifest.get("subcommand")
-    recorded = manifest.get("args", {})
-    argv = [sub]
+def cmd_report(args: argparse.Namespace) -> tuple[int, None]:
+    """Replay a recorded stage run from its manifest (reproducibility
+    check). The replayed stage writes its own manifest."""
+    with open(args.manifest, "r", encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    stages = ("ingest", "analyze", "bootstrap", "synth")
+    recorded = manifest.get("args", {}) if isinstance(manifest, dict) else None
+    if not isinstance(recorded, dict) or manifest.get("subcommand") not in stages:
+        raise SchemaError(f"{args.manifest} is not the manifest of a stage "
+                          f"run ({', '.join(stages)})")
+    argv = [manifest["subcommand"]]
     for key, value in recorded.items():
         if value is None or value is False:
             continue
@@ -457,7 +408,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             argv.append(flag)
         else:
             argv.extend([flag, str(value)])
-    return main(argv)
+    return main(argv), None
 
 
 # ------------------------------------------------------------------- main
@@ -540,11 +491,23 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    t0 = time.monotonic()
     try:
-        return args.func(args)
-    except SchemaError as exc:
+        if args.subcommand != "report":  # the replayed stage makes its own
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+        code, stats = args.func(args)
+        if stats is not None:
+            _write_json(Path(args.out) / "manifest.json", {
+                "tool_version": __version__,
+                "subcommand": args.subcommand,
+                "args": _manifest_args(args),
+                "stats": stats,
+                "wall_clock_s": round(time.monotonic() - t0, 3),
+            })
+    except DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

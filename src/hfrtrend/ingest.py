@@ -26,7 +26,6 @@ import datetime as dt
 import gzip
 import io
 import logging
-import zlib
 from itertools import compress, islice
 from operator import itemgetter
 from typing import IO, Iterator
@@ -47,8 +46,6 @@ from .store import BAND_INDEX, COLUMN_DTYPES, NO_STATE, CaseColumns, day_index
 
 log = logging.getLogger(__name__)
 
-# A truncated or corrupt gzip stream, or bytes that are not UTF-8.
-DECODE_ERRORS = (EOFError, gzip.BadGzipFile, zlib.error, UnicodeDecodeError)
 # Rows decoded per step. Each chunk is turned into store dtypes before
 # the next is read, so a small chunk keeps peak memory near the final
 # columns' size; past a few hundred rows the per-chunk numpy overhead
@@ -326,8 +323,9 @@ def load_testing_series(
     The file has `date`, `positive` and `totalTestResults` columns, with
     dates as YYYY-MM-DD, YYYYMMDD or MM/DD/YYYY. Returns the first date
     and the new positives and new tests of each day from it to the last
-    date, on a dense grid: rows of one date are summed, a day with no
-    row holds 0.
+    date, on a dense grid; a day with no row holds 0. In a daily file the
+    rows of one date are summed; in a cumulative file they are running
+    totals, so a date's last row in file order is its total.
 
     Negative daily increments (reporting corrections) are clamped to zero
     and counted on the report. As in the line-list parser, a row with
@@ -369,6 +367,8 @@ def load_testing_series(
             rows.append((date, pos, tests))
     if not rows:
         raise SchemaError("testing file has no usable row")
+    if cumulative:
+        rows = list({row[0]: row for row in rows}.values())
     rows.sort(key=itemgetter(0))
 
     start = rows[0][0]

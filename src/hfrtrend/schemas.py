@@ -7,13 +7,22 @@ below) rather than in parser code.
 
 from __future__ import annotations
 
+import json
+import zlib
 from dataclasses import dataclass, field, fields, replace
 
 from .records import AGE_BANDS, ALL_AGE_BANDS, GENDERS, OUTCOME_CATEGORIES
 
 
 class SchemaError(ValueError):
-    """Raised when a schema config or an input header is unusable."""
+    """Raised when a schema config, an input header or a file the tool
+    reads back is unusable."""
+
+
+# Bad input, not a bad program: each exits 2 from the CLI. OSError covers
+# an unreadable or unwritable path and a corrupt gzip header.
+DATA_ERRORS = (SchemaError, OSError, EOFError, zlib.error, UnicodeDecodeError,
+               json.JSONDecodeError)
 
 
 @dataclass(frozen=True)

@@ -9,14 +9,17 @@ counts the loaded columns in place, with no copy and no per-case object.
 
 from __future__ import annotations
 
+import contextlib
 import datetime as dt
 import json
+import zipfile
 from dataclasses import dataclass, fields
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .records import ALL_AGE_BANDS, GENDERS, LineRecord
+from .schemas import SchemaError
 
 STORE_VERSION = 2
 NO_STATE = -1  # state code of a case without a state
@@ -92,12 +95,28 @@ def save_store(path, cases: CaseColumns, meta: dict | None = None) -> int:
     return len(cases)
 
 
+@contextlib.contextmanager
+def open_npz(path, writer: str) -> Iterator[np.lib.npyio.NpzFile]:
+    """Open an .npz that the `writer` stage wrote; any other file is a
+    SchemaError naming the path and the stage to re-run. Unlike `np.load`,
+    this never returns a .npy file's array or leaks a bad zip's handle."""
+    try:
+        with open(path, "rb") as fh, \
+                np.lib.npyio.NpzFile(fh, allow_pickle=False) as npz:
+            yield npz
+    except SchemaError:
+        raise
+    except (ValueError, KeyError, zipfile.BadZipFile) as exc:
+        raise SchemaError(f"{path} is not an .npz written by this version's "
+                          f"{writer} ({exc}); re-run {writer}") from exc
+
+
 def load_store(path) -> tuple[CaseColumns, dict]:
     """Load the columns and the metadata dict."""
-    with np.load(path, allow_pickle=False) as npz:
+    with open_npz(path, "ingest") as npz:
         version = int(npz["version"]) if "version" in npz.files else None
         if version != STORE_VERSION:
-            raise ValueError(
+            raise SchemaError(
                 f"unsupported store version {version} in {path} (this tool "
                 f"reads version {STORE_VERSION}); re-run ingest"
             )

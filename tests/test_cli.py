@@ -416,6 +416,71 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert "store version 1" in err
 
+    @pytest.mark.parametrize("case", [
+        "ingest_input_dir", "testing_file_dir", "store_dir", "store_bad_zip",
+        "out_below_file", "analyze_out_is_file", "cohort_table_not_zip",
+        "report_list", "report_replays_itself",
+    ])
+    def test_unreadable_path_or_foreign_file_is_data_error(
+            self, pipeline_dirs, tmp_path, capsys, case):
+        store = str(pipeline_dirs["ingested"] / "store.npz")
+        a_file = tmp_path / "file.txt"
+        a_file.write_text("not a directory\n")
+        bad_zip = tmp_path / "bad.npz"
+        bad_zip.write_bytes(b"PK\x03\x04" + b"\0" * 60)
+        analyzed = tmp_path / "analyzed"
+        analyzed.mkdir()
+        (analyzed / "cohort_table.npz").write_text("date,cases\n")
+        manifest = tmp_path / "manifest.json"
+        if case == "report_list":
+            manifest.write_text("[]\n")
+        else:
+            manifest.write_text(json.dumps(
+                {"subcommand": "report", "args": {"manifest": str(manifest)}}))
+        out = str(tmp_path / "out")
+        argv = {
+            "ingest_input_dir": ["ingest", "--input", str(tmp_path), "--out", out],
+            "testing_file_dir": ["analyze", "--store", store,
+                                 "--testing-file", str(tmp_path), "--out", out],
+            "store_dir": ["analyze", "--store", str(tmp_path), "--out", out],
+            "store_bad_zip": ["analyze", "--store", str(bad_zip), "--out", out],
+            "out_below_file": ["ingest", "--input", str(a_file),
+                               "--out", str(a_file / "out")],
+            "analyze_out_is_file": ["analyze", "--store", store,
+                                    "--out", str(a_file)],
+            "cohort_table_not_zip": ["bootstrap", "--analyzed", str(analyzed),
+                                     "--out", out],
+            "report_list": ["report", "--manifest", str(manifest)],
+            "report_replays_itself": ["report", "--manifest", str(manifest)],
+        }[case]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_manifest_only_from_a_stage_that_finished(self, pipeline_dirs,
+                                                      tmp_path):
+        analyzed = tmp_path / "analyzed"
+        analyzed.mkdir()
+        (analyzed / "cohort_table.npz").write_text("date,cases\n")
+        failed = tmp_path / "failed"
+        assert main(["bootstrap", "--analyzed", str(analyzed),
+                     "--out", str(failed)]) == EXIT_DATA
+        assert failed.is_dir() and not (failed / "manifest.json").exists()
+        bad_dates = tmp_path / "bad_dates"
+        assert main(["bootstrap", "--analyzed", str(pipeline_dirs["analyzed"]),
+                     "--dates", "yesterday", "--out", str(bad_dates)]) == EXIT_USAGE
+        assert not (bad_dates / "manifest.json").exists()
+        short = tmp_path / "short"
+        assert main(["bootstrap", "--analyzed", str(pipeline_dirs["analyzed"]),
+                     "--blocks", "1000", "--replicates", "20",
+                     "--out", str(short)]) == EXIT_INSUFFICIENT
+        manifest = json.loads((short / "manifest.json").read_text())
+        assert manifest["subcommand"] == "bootstrap"
+        assert set(manifest) == {"tool_version", "subcommand", "args", "stats",
+                                 "wall_clock_s"}
+
     def test_sparse_cohort_is_insufficient(self, tmp_path):
         synth = tmp_path / "synth"
         ingested = tmp_path / "ingested"

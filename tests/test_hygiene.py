@@ -1,7 +1,9 @@
-"""Source hygiene: every module-level import in the package is used, and
-every module-level private name is read somewhere in the package."""
+"""Source hygiene: every module-level import in the package is used,
+every module-level private name is read somewhere in the package, and no
+CLI stage catches the errors that `cli.main` turns into exit codes."""
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -66,3 +68,49 @@ def test_detects_an_unread_private_name():
 def test_private_names_are_used():
     sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
     assert unread_private_names(sources) == []
+
+
+# What only `cli.main` may catch: it turns each into exit code 2.
+BOUNDARY_ERRORS = {name for name, obj in vars(builtins).items()
+                   if isinstance(obj, type) and issubclass(obj, OSError)} | {
+    "SchemaError", "DATA_ERRORS", "DECODE_ERRORS", "EOFError", "error",
+    "UnicodeError", "UnicodeDecodeError", "JSONDecodeError", "BadGzipFile",
+    "BadZipFile"}
+
+
+def stage_boundary_handlers(source: str) -> list[str]:
+    """`function: exception` for each except clause in a top-level
+    `cmd_*` function that names a boundary error (`zlib.error` by its
+    last part)."""
+    found = []
+    for node in ast.parse(source).body:
+        if not (isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")):
+            continue
+        for handler in ast.walk(node):
+            if not (isinstance(handler, ast.ExceptHandler) and handler.type):
+                continue
+            for n in ast.walk(handler.type):
+                name = n.id if isinstance(n, ast.Name) else getattr(n, "attr", None)
+                if name in BOUNDARY_ERRORS:
+                    found.append(f"{node.name}: {name}")
+    return found
+
+
+def test_detects_a_boundary_handler_in_a_stage():
+    source = ("def cmd_a():\n"
+              "    try: f()\n"
+              "    except ValueError: pass\n"
+              "    except (FileNotFoundError, m.DECODE_ERRORS): pass\n"
+              "def cmd_b():\n"
+              "    try: f()\n"
+              "    except zlib.error: pass\n"
+              "def main():\n"
+              "    try: f()\n"
+              "    except OSError: pass\n")
+    assert stage_boundary_handlers(source) == [
+        "cmd_a: FileNotFoundError", "cmd_a: DECODE_ERRORS", "cmd_b: error"]
+
+
+def test_main_is_the_only_error_boundary():
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    assert stage_boundary_handlers(source) == []

@@ -654,9 +654,9 @@ class TestLoadTestingSeries:
 
     @pytest.mark.parametrize("cumulative, want_pos, want_tests, clamped", [
         (False, [4, 0, 7], [40, 0, 70], 0),
-        # in date order, rows of one date in file order: the last row
-        # falls below its predecessor and both counts clamp to 0
-        (True, [3, 0, 2], [30, 0, 20], 2),
+        # a date's last row is its total: 04-03's (2, 20) falls below
+        # 04-01's (3, 30), and both counts clamp to 0
+        (True, [3, 0, 0], [30, 0, 0], 2),
     ], ids=["daily", "cumulative"])
     def test_rows_of_one_date_are_summed(self, tmp_path, cumulative, want_pos,
                                          want_tests, clamped):
@@ -673,6 +673,20 @@ class TestLoadTestingSeries:
         assert positives.tolist() == want_pos
         assert tests.tolist() == want_tests
         assert report.clamped_values == clamped
+
+    def test_cumulative_same_day_correction_keeps_the_last_total(self, tmp_path):
+        # 04-01 is corrected from 10 down to 8; 04-02 is differenced from 8
+        path = tmp_path / "tests.csv"
+        path.write_text("date,positive,totalTestResults\n"
+                        "2020-04-01,10,100\n"
+                        "2020-04-01,8,80\n"
+                        "2020-04-02,12,120\n")
+        report = IngestReport()
+        start, positives, tests = load_testing_series(path, report=report)
+        assert start == dt.date(2020, 4, 1)
+        assert positives.tolist() == [8, 4]
+        assert tests.tolist() == [80, 40]
+        assert report.clamped_values == 0
 
     def test_short_row_is_malformed(self, tmp_path):
         path = tmp_path / "tests.csv"
