@@ -6,7 +6,8 @@ step scenario, each stage as `python -m hfrtrend.cli` in its own child
 process, one child at a time. The two sizes are set through
 ``--daily-cases`` over the scenario's 215-day window: 930 and 9,300 cases
 a day. Per stage it records the wall time and the child's peak RSS (from
-``os.wait4``), and writes them as JSON with nproc and the numpy version.
+``os.wait4``), and for ingest the bytes of the store it wrote, and writes
+them as JSON with nproc and the numpy version.
 Each size also has a ``startup`` row: one ``--help`` child, the fixed
 cost every stage pays before it reads a byte.
 
@@ -62,6 +63,7 @@ def run_size(work: Path, daily_cases: int, seed: int) -> dict:
     startup = run_stage(["--help"], work / "startup.log")
     timed = {name: run_stage(argv, work / f"{name}.log")
              for name, argv in stages.items()}
+    timed["ingest"]["store_bytes"] = (ingested / "store.npz").stat().st_size
     manifest = json.loads((synth / "manifest.json").read_text(encoding="utf-8"))
     return {"daily_cases": daily_cases, "rows": manifest["stats"]["records"],
             "startup": startup, "stages": timed,

@@ -151,7 +151,9 @@ def cmd_ingest(args: argparse.Namespace) -> tuple[int, dict]:
 
 
 def _save_cohort_npz(path, table) -> None:
-    np.savez_compressed(
+    from .store import write_npz
+
+    write_npz(
         path,
         start=np.str_(table.start.isoformat()),
         end=np.str_(table.end.isoformat()),

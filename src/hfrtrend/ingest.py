@@ -2,17 +2,21 @@
 
 Two layouts are supported (Florida FDOH line list and the national CDC
 case-surveillance file) via declarative schemas, plus daily testing
-aggregates. `parse_columns` reads `csv.reader` rows CHUNK_ROWS at a
-time and decodes them column by column: each column's coder maps cell
-text to an int code (negative for a reject reason), so each distinct
-date, age or label is decoded once (a study window has a few hundred
-distinct dates and ages) and the per-row work is dict lookups driven
-from C. Category columns code into fixed code spaces laid out for the
-store (AGE_VALUES, BAND_VALUES, GENDERS, OUTCOME_CATEGORIES), so each
-chunk turns into store columns by array arithmetic; only dates and
-states grow a vocabulary. No Python object is built per row and the
-file is never held in memory. `parse_florida_lines` builds
-RawLineRecords from the same decoded chunks, for either layout.
+aggregates. `parse_columns` reads the file in text blocks of about
+BLOCK_CHARS characters, each cut at a newline, and decodes them column
+by column. A plain block (no quote, no carriage return, no blank line,
+every row exactly as wide as the header) is cut into cells by one
+`str.split`, and a column is a slice of that cell list; any other block
+goes through `csv.reader`. Each column's coder maps cell text to an int
+code (negative for a reject reason), so each distinct date, age or label
+is decoded once (a study window has a few hundred distinct dates and
+ages) and the per-row work is dict lookups driven from C. Category
+columns code into fixed code spaces laid out for the store (AGE_VALUES,
+BAND_VALUES, GENDERS, OUTCOME_CATEGORIES), so each block turns into
+store columns by array arithmetic; only dates and states grow a
+vocabulary. No Python object is built per row and the file is never
+held in memory. `parse_florida_lines` builds RawLineRecords from the
+same decoded blocks, for either layout.
 `load_testing_series` reads the few hundred rows of a testing file one
 by one into a dense daily grid of new positives and new tests.
 Cohort selection and artifact detection on store columns live in `cohort`.
@@ -26,7 +30,7 @@ import datetime as dt
 import gzip
 import io
 import logging
-from itertools import compress, islice
+from itertools import chain, compress, islice
 from operator import itemgetter
 from typing import IO, Iterator
 
@@ -46,17 +50,17 @@ from .store import BAND_INDEX, COLUMN_DTYPES, NO_STATE, CaseColumns, day_index
 
 log = logging.getLogger(__name__)
 
-# Rows decoded per step. Each chunk is turned into store dtypes before
-# the next is read, so a small chunk keeps peak memory near the final
-# columns' size; past a few hundred rows the per-chunk numpy overhead
-# is already negligible.
-CHUNK_ROWS = 512
+# Characters read per block, before the cut at the next newline. Each
+# block is turned into store dtypes before the next is read, so a small
+# block keeps peak memory near the final columns' size; at a few
+# thousand rows the per-block numpy overhead is already negligible.
+BLOCK_CHARS = 1 << 16
 
 
 @contextlib.contextmanager
 def _open_text(file) -> Iterator[IO[str]]:
     """Open a path or stream as text, gunzipping when it starts with the
-    gzip magic bytes.
+    gzip magic bytes and dropping a leading UTF-8 byte-order mark.
 
     The start is peeked, never re-read, so pipes and stdin work. A file
     opened here is closed on exit; a caller's stream is left open.
@@ -72,7 +76,7 @@ def _open_text(file) -> Iterator[IO[str]]:
             stack.callback(raw.detach)
         if raw.peek(2)[:2] == b"\x1f\x8b":
             raw = stack.enter_context(gzip.GzipFile(fileobj=raw))
-        text = io.TextIOWrapper(raw, encoding="utf-8")
+        text = io.TextIOWrapper(raw, encoding="utf-8-sig")
         stack.callback(text.detach)
         yield text
 
@@ -154,17 +158,58 @@ def _label(spellings: dict[str, str], reject: int, unknown: str | None = None):
     return decode
 
 
-def _decode_chunks(
+def _blocks(text: IO[str], delimiter: str, width: int):
+    """Yield the rows left in `text` a block at a time, as (lengths,
+    column, row): each row's field count (0 for a blank line), a function
+    of cell index i giving cell i of each row with at least `width`
+    fields, and a function of row index j giving row j's fields.
+
+    A block is BLOCK_CHARS characters cut at the next newline. It is
+    plain when csv.reader would cut each of its lines at every delimiter
+    into exactly `width` fields: no quote, no carriage return, no blank
+    line, (width - 1) delimiters a line, and every line's first cell at a
+    multiple of `width` in the split (a short and a long row can cancel
+    out in the delimiter count). A plain block is split once into a flat
+    cell list and a column is a slice of it; the newline that ends each
+    row stays at the start of the next row's first cell, which every
+    decoder strips. Any other block goes through csv.reader, which takes
+    as many rows as the block has lines and reads on into the stream
+    where a quoted field spans lines, so no row is cut in two.
+    """
+    while block := text.read(BLOCK_CHARS):
+        if block[-1] != "\n":
+            block += text.readline()
+        lines = block.count("\n") + (block[-1] != "\n")
+        if not ('"' in block or "\r" in block or "\n\n" in block
+                or block[0] == "\n") \
+                and block.count(delimiter) == (width - 1) * lines:
+            cells = block.rstrip("\n").replace(
+                "\n", delimiter + "\n").split(delimiter)
+            if "".join(cells[width::width]).count("\n") == lines - 1:
+                yield (np.full(lines, width), lambda i: cells[i::width],
+                       lambda j: [cells[j * width].lstrip("\n"),
+                                  *cells[j * width + 1:(j + 1) * width]])
+                continue
+        rows = list(islice(csv.reader(chain(io.StringIO(block),
+                                            iter(text.readline, "")),
+                                      delimiter=delimiter), lines))
+        lengths = np.fromiter(map(len, rows), np.intp, len(rows))
+        whole = lengths >= width
+        kept = rows if whole.all() else list(compress(rows, whole))
+        yield lengths, lambda i: map(itemgetter(i), kept), rows.__getitem__
+
+
+def _decode_blocks(
     file,
     schema: ParseSchema,
     report: IngestReport,
     use_alt_event_date: bool = False,
     quarantine: IO[str] | None = None,
 ) -> Iterator[tuple[list[list], np.ndarray]]:
-    """Decode a delimited file CHUNK_ROWS rows at a time under the rules
-    of `parse_columns`, filling `report`.
+    """Decode a delimited file a block at a time (see `_blocks`) under the
+    rules of `parse_columns`, filling `report`.
 
-    Yields per chunk the code spaces of the RawLineRecord fields and of
+    Yields per block the code spaces of the RawLineRecord fields and of
     the confirmation column (the date and state lists grow as the file
     is read) and an int array whose row k holds the kept rows' indices
     into code space k. Each cell goes through its column's `_Coder`, so
@@ -176,8 +221,8 @@ def _decode_chunks(
             raise SchemaError(f"schema {schema.name} has no alternate date column")
         date_col = schema.alt_event_date_column
     with _open_text(file) as text:
-        reader = csv.reader(text, delimiter=schema.delimiter)
-        header = next(reader, None)
+        header = next(csv.reader(iter(text.readline, ""),
+                                 delimiter=schema.delimiter), None)
         if header is None:
             raise SchemaError("input file has no header row")
         index = {name: i for i, name in enumerate(header)}
@@ -221,31 +266,28 @@ def _decode_chunks(
         read = [(k, i, codes.__getitem__)
                 for k, (i, codes) in enumerate(columns) if i is not None]
 
-        while chunk := list(islice(reader, CHUNK_ROWS)):
-            lengths = np.fromiter(map(len, chunk), np.intp, len(chunk))
+        for lengths, column, row in _blocks(text, schema.delimiter, width):
             whole = lengths >= width
-            rows = chunk if whole.all() else list(compress(chunk, whole))
-            codes = np.zeros((len(columns), len(rows)), np.int32)
+            n = int(np.count_nonzero(whole))
+            codes = np.zeros((len(columns), n), np.int32)
             for k, i, code in read:
-                codes[k] = np.fromiter(
-                    map(code, map(itemgetter(i), rows)), np.int32, len(rows))
+                codes[k] = np.fromiter(map(code, column(i)), np.int32, n)
             first_bad = np.argmax(codes < 0, axis=0)
-            row_reason = np.minimum(codes[first_bad, np.arange(len(rows))], 0)
+            row_reason = np.minimum(codes[first_bad, np.arange(n)], 0)
             # short rows are malformed; blank ones (length 0) are skipped
             reason = np.where(lengths > 0, _MALFORMED, 0)
             reason[whole] = row_reason
             rejected = np.flatnonzero(reason).tolist()
             if rejected:
                 counts = np.bincount(-reason[rejected], minlength=len(_REASONS))
-                for name, n in zip(_REASONS[1:], counts[1:].tolist()):
-                    if n:
-                        report.reject(name, n)
+                for name, n_rows in zip(_REASONS[1:], counts[1:].tolist()):
+                    if n_rows:
+                        report.reject(name, n_rows)
                 if writer is not None:
-                    writer.writerows(
-                        chunk[j][:width] + [""] * (width - len(chunk[j]))
-                        + [_REASONS[-reason[j]]]
-                        for j in rejected
-                    )
+                    for j in rejected:
+                        fields = row(j)
+                        writer.writerow(fields[:width] + [""] * (width - len(fields))
+                                        + [_REASONS[-reason[j]]])
             kept = codes[:, row_reason == 0]
             # fields 4 and 5: hospitalized and died
             report.tally_kept(kept[4], kept[5])
@@ -270,14 +312,14 @@ def parse_columns(
     reason column. As with csv.DictReader, blank lines are skipped
     uncounted and fields past the header's are ignored.
 
-    Each chunk is turned into store columns before the next is decoded,
-    so memory holds the final columns plus one chunk.
+    Each block is turned into store columns before the next is decoded,
+    so memory holds the final columns plus one block.
     """
     days = np.empty(0, np.int32)  # store day by date code
     states: list = []
     seen: dict[int, None] = {}  # state codes in the order kept rows meet them
     parts = [[np.empty(0, t) for t in COLUMN_DTYPES]]
-    for values, codes in _decode_chunks(
+    for values, codes in _decode_blocks(
             file, schema, report, use_alt_event_date, quarantine):
         dates, states = values[0], values[6]
         if len(days) < len(dates):
@@ -286,7 +328,7 @@ def parse_columns(
         day, age, band, gender, hosp, died, state, _ = codes
         found, first = np.unique(state, return_index=True)
         seen.update(dict.fromkeys(found[np.argsort(first)].tolist()))
-        # a copy: a row view of `codes` would keep the whole chunk alive
+        # a copy: a row view of `codes` would keep the whole block alive
         parts.append([days[day], _BAND_TABLE[band, age], gender.astype(np.uint8),
                       hosp == _YES, died == _YES, state.copy()])
     *columns, state = (np.concatenate(c) for c in zip(*parts))
@@ -305,7 +347,7 @@ def parse_florida_lines(
     those of `parse_columns`."""
     report = IngestReport()
     records: list[RawLineRecord] = []
-    for values, codes in _decode_chunks(file, schema, report, **kwargs):
+    for values, codes in _decode_blocks(file, schema, report, **kwargs):
         # every field but the confirmation column's, which only rejects
         records += map(RawLineRecord, *(
             map(v.__getitem__, c.tolist()) for v, c in zip(values, codes[:-1])

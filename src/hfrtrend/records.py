@@ -6,7 +6,7 @@ age bands) flavors. The normalization rules live here, and ingest
 applies them to whole code spaces, never per row (its band table comes
 from `resolve_age_band`); the store keeps the normalized form as
 columns, and LineRecord is its per-record view. Ingest counts kept
-rows per chunk from their outcome codes (`IngestReport.tally_kept`).
+rows per block from their outcome codes (`IngestReport.tally_kept`).
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Source hygiene: every module-level import in the package is used,
-every module-level private name is read somewhere in the package, and no
-CLI stage catches the errors that `cli.main` turns into exit codes."""
+every module-level private name is read somewhere in the package, no
+CLI stage catches the errors that `cli.main` turns into exit codes, and
+every .npz goes through `store.write_npz`."""
 
 import ast
 import builtins
@@ -114,3 +115,14 @@ def test_detects_a_boundary_handler_in_a_stage():
 def test_main_is_the_only_error_boundary():
     source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
     assert stage_boundary_handlers(source) == []
+
+
+def test_store_writes_every_npz():
+    """`store.write_npz` is the one .npz writer: no module calls numpy's
+    savez functions, whose level-6 deflate costs ingest and analyze time."""
+    calls = [f"{path.name}: {node.func.attr}"
+             for path in MODULES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("savez", "savez_compressed")]
+    assert calls == []

@@ -194,6 +194,17 @@ class TestInputStreams:
         assert len(records) == 6
 
     @pytest.mark.parametrize("name", ["fl.csv", "fl.csv.gz"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, name):
+        """Excel writes UTF-8 CSV with a leading BOM; it is not part of
+        the first column's name."""
+        path = tmp_path / name
+        data = b"\xef\xbb\xbf" + FLORIDA_FIXTURE.encode()
+        path.write_bytes(gzip.compress(data) if name.endswith(".gz") else data)
+        records, report = parse_florida_lines(path)
+        assert report.kept_rows == 6
+        assert records[0].event_date == dt.date(2020, 4, 1)
+
+    @pytest.mark.parametrize("name", ["fl.csv", "fl.csv.gz"])
     def test_input_file_closed_after_parse(self, tmp_path, name):
         path = tmp_path / name
         data = FLORIDA_FIXTURE.encode()
@@ -357,9 +368,10 @@ MESSY_FLORIDA = (
 )
 
 
-def _random_line_list(rng, schema, n_rows):
+def _random_line_list(rng, schema, n_rows, plain=False):
     """Rows drawn cell by cell from good and bad spellings, plus short,
-    blank and long rows, as delimited text."""
+    blank and long rows, as delimited text. With `plain`, no cell holds
+    the delimiter, so no cell is quoted."""
     pools = {
         "date": ["2020-04-01", "2020-04-02", "2020/04/03", "04/05/2020",
                  " 2020-04-06", "not-a-date", "", "2020-13-01"],
@@ -377,6 +389,8 @@ def _random_line_list(rng, schema, n_rows):
              schema.gender_column: "gender", schema.hospitalized_column: "outcome",
              schema.died_column: "outcome", schema.state_column: "state",
              schema.confirmation_column: "status"}
+    if plain:
+        pools = {k: [v for v in pool if "," not in v] for k, pool in pools.items()}
     header = [c for c in kinds if c is not None]
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -390,7 +404,7 @@ def _random_line_list(rng, schema, n_rows):
         if shape < 0.08:
             row = row[:int(rng.integers(1, len(header)))]
         elif shape < 0.12:
-            row += ["extra", "x,y"]
+            row += ["extra", "x" if plain else "x,y"]
         writer.writerow(row)
     return out.getvalue()
 
@@ -440,8 +454,8 @@ class TestColumnParser:
         assert report.rejected_rows_by_reason["bad_date"] == 1  # and 3 more
 
     def test_parts_own_their_memory(self, monkeypatch):
-        """Every per-chunk part joined into a column owns its memory: a
-        row view of a chunk's (8, n) code matrix would keep the whole
+        """Every per-block part joined into a column owns its memory: a
+        row view of a block's (8, n) code matrix would keep the whole
         matrix alive until the join."""
         joined = []
 
@@ -454,7 +468,7 @@ class TestColumnParser:
                 return np.concatenate(arrays)
 
         monkeypatch.setattr(ingest, "np", Spy())
-        monkeypatch.setattr(ingest, "CHUNK_ROWS", 2)
+        monkeypatch.setattr(ingest, "BLOCK_CHARS", 2)
         parse_columns(io.StringIO(MESSY_CDC), CDC_SCHEMA, IngestReport())
         assert len(joined) > 6
         assert all(part.flags.owndata for part in joined)
@@ -472,9 +486,9 @@ class TestColumnParser:
         with os.fdopen(read_fd, "rb") as fh:
             self.check(text, CDC_SCHEMA, stream=fh)
 
-    @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 7, 64])
-    def test_rows_spanning_chunks(self, monkeypatch, rng, chunk_rows):
-        monkeypatch.setattr(ingest, "CHUNK_ROWS", chunk_rows)
+    @pytest.mark.parametrize("block_chars", [1, 2, 3, 7, 64])
+    def test_rows_spanning_chunks(self, monkeypatch, rng, block_chars):
+        monkeypatch.setattr(ingest, "BLOCK_CHARS", block_chars)
         # the last schema has both age columns: an explicit band wins
         for schema in (CDC_SCHEMA, FLORIDA_SCHEMA,
                        replace(CDC_SCHEMA, age_column="age")):
@@ -485,6 +499,76 @@ class TestColumnParser:
         for text, schema in ((MESSY_CDC, CDC_SCHEMA),
                              (MESSY_FLORIDA, FLORIDA_SCHEMA)):
             self.check(text, schema)
+
+    # Each case is parsed at every block size up to its length, so each
+    # row boundary (and each point inside a row) is a block boundary once.
+    BLOCK_CASES = {
+        # a short and a long row: their delimiter counts cancel out
+        "short_long_cancel": "2020-04-02,54,Male\n2020-04-03,61,Male,YES,NO,x,y\n",
+        "quoted_newline": '2020-04-02,"4\n5",Male,NO,NO\n'
+                          '2020-04-02,44,"Fe\nmale",NO,NO\n'
+                          '2020-04-02,44,"Fe\n\nmale",NO,NO\n',
+        "blank_lines": "\n\n2020-04-02,44,Male,NO,NO\n\n",
+        "malformed_row": "2020-04-04\n",
+        "no_final_newline": "2020-04-02,44,Male,NO,NO\n2020-04-03,45,Male,NO,NO",
+        # the test turns every LF of the file into CRLF
+        "crlf": "2020-04-02,44,Male,NO,NO\n2020-04-02,x,Male,NO,NO\n"
+                "2020-04-02,54\n\n",
+    }
+    PLAIN_ROWS = "".join(f"2020-04-{d:02d},{a},Female,NO,NO\n"
+                         for d, a in ((1, 30), (2, 40), (3, 50)))
+
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    def test_block_boundaries(self, monkeypatch, case):
+        """The case's rows between plain rows, at every block size: a
+        malformed row lands first, last and alone in a block, and a
+        quoted newline falls on a block's cut."""
+        header = "ChartDate,Age,Gender,Hospitalized,Died\n"
+        text = header + self.PLAIN_ROWS + self.BLOCK_CASES[case] + (
+            "" if case == "no_final_newline" else self.PLAIN_ROWS)
+        if case == "crlf":
+            text = text.replace("\n", "\r\n")
+        for block_chars in range(1, len(text) + 2):
+            monkeypatch.setattr(ingest, "BLOCK_CHARS", block_chars)
+            self.check(text, FLORIDA_SCHEMA)
+            # a file read through TextIOWrapper, which turns CRLF into LF
+            self.check(text, FLORIDA_SCHEMA,
+                       stream=io.BytesIO(text.encode()))
+
+    @pytest.mark.parametrize("block_chars", [1, 40, 200])
+    def test_plain_and_csv_blocks_interleave(self, monkeypatch, rng,
+                                             block_chars):
+        """A line list with no quote, where some blocks hold a blank,
+        short or long row and others are plain, matches the oracle, and
+        both kinds of block occur."""
+        monkeypatch.setattr(ingest, "BLOCK_CHARS", block_chars)
+        blocks = csv_blocks = 0
+        blocks_of = ingest._blocks
+
+        def counted_blocks(*args):
+            nonlocal blocks
+            for block in blocks_of(*args):
+                blocks += 1
+                yield block
+
+        class CsvSpy:
+            def __getattr__(self, name):
+                return getattr(csv, name)
+
+            def reader(self, *args, **kwargs):
+                nonlocal csv_blocks
+                csv_blocks += 1
+                return csv.reader(*args, **kwargs)
+
+        monkeypatch.setattr(ingest, "_blocks", counted_blocks)
+        monkeypatch.setattr(ingest, "csv", CsvSpy())
+        for schema in (CDC_SCHEMA, FLORIDA_SCHEMA):
+            text = _random_line_list(rng, schema, 300, plain=True)
+            assert '"' not in text
+            blocks = csv_blocks = 0
+            self.check(text, schema, stream=io.StringIO(text))
+            csv_blocks -= 1  # the header's reader
+            assert 0 < csv_blocks < blocks
 
 
 def _rec(day, state=None):
@@ -643,6 +727,13 @@ class TestLoadTestingSeries:
         # then positives 20 > tests 0 clamped to 0
         assert tests.tolist() == [500, 200, 200, 200, 0]
         assert report.clamped_values == 3
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "tests.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + TESTING_FIXTURE.encode())
+        start, positives, _ = load_testing_series(path)
+        assert start == dt.date(2020, 4, 1)
+        assert positives.tolist() == [100, 30, 20, 0, 0]
 
     def test_daily_mode_passthrough(self, tmp_path):
         path = tmp_path / "tests.csv"

@@ -1,5 +1,7 @@
 """Columnar store round trips."""
 
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,9 @@ from hfrtrend.store import (
     as_columns,
     day_date,
     load_store,
+    open_npz,
     save_store,
+    write_npz,
 )
 from tests.conftest import make_records
 
@@ -70,3 +74,30 @@ class TestStore:
         np.savez_compressed(path, **payload)
         with pytest.raises(ValueError, match=f"store version {version}"):
             load_store(path)
+
+
+class TestWriteNpz:
+    ARRAYS = {"version": np.int64(2), "meta_json": np.str_('{"a": 1}'),
+              "day": np.arange(1000, dtype=np.int32) // 7,
+              "flag": np.arange(1000) % 3 == 0}
+
+    def test_two_writes_are_byte_identical(self, tmp_path):
+        write_npz(tmp_path / "a.npz", **self.ARRAYS)
+        write_npz(tmp_path / "b.npz", **self.ARRAYS)
+        assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+
+    def test_numpy_layout_at_level_one(self, tmp_path):
+        """The members, their stamps and their payloads are those of
+        `np.savez_compressed`; only the deflate level differs."""
+        ours, numpys = tmp_path / "ours.npz", tmp_path / "numpy.npz"
+        write_npz(ours, **self.ARRAYS)
+        np.savez_compressed(numpys, **self.ARRAYS)
+        with zipfile.ZipFile(ours) as a, zipfile.ZipFile(numpys) as b:
+            assert [(i.filename, i.date_time, i.CRC, i.file_size, i.compress_type)
+                    for i in a.infolist()] == [
+                (i.filename, i.date_time, i.CRC, i.file_size, i.compress_type)
+                for i in b.infolist()]
+        with open_npz(ours, "test") as npz, np.load(numpys) as want:
+            for name in self.ARRAYS:
+                assert npz[name].dtype == want[name].dtype
+                np.testing.assert_array_equal(npz[name], want[name])
