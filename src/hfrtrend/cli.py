@@ -37,6 +37,9 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INSUFFICIENT = 3
 
+# numpy.random's largest Poisson mean, int64 max less ten of its square roots,
+# as a literal: np.sqrt at import adds about 0.13 MB to every stage's peak RSS.
+_POISSON_LAM_MAX = 9.223372006484771e18
 TABLE_BANDS = ("aggregate", "30-39", "40-49", "50-59", "60-69", "70-79", "80+")
 DEFAULT_DATE_PAIRS = (
     (dt.date(2020, 4, 15), dt.date(2020, 7, 15)),
@@ -61,13 +64,14 @@ def _parse_window(text: str) -> tuple[dt.date, dt.date]:
     return start, end
 
 
-def _at_least(minimum, kind=int):
-    """argparse type: a `kind` number no smaller than `minimum`."""
+def _at_least(minimum, kind=int, maximum=np.inf):
+    """argparse type: a `kind` number from `minimum` to `maximum`."""
 
     def parse(text: str):
         value = kind(text)
-        if not value >= minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}: {text}")
+        if not minimum <= value <= maximum:
+            raise argparse.ArgumentTypeError(
+                f"must be from {minimum} to {maximum:.17g}: {text}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
@@ -221,10 +225,10 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[int, dict]:
         )
 
     for signal in ("cases", "hosp", "deaths"):
-        shares = signals_mod.age_distribution_shares(table, signal)
-        _write_band_series_csv(out_dir / f"age_shares_{signal}.csv", shares)
-        fractions = signals_mod.gender_fraction_series(table, signal)
-        _write_band_series_csv(out_dir / f"gender_fraction_{signal}.csv", fractions)
+        signals_mod.write_band_csv(out_dir / f"age_shares_{signal}.csv",
+                                   signals_mod.age_distribution_shares(table, signal))
+        signals_mod.write_band_csv(out_dir / f"gender_fraction_{signal}.csv",
+                                   signals_mod.gender_fraction_series(table, signal))
 
     if testing is not None:
         signals_mod.positive_test_rate(*testing).write_long_csv(
@@ -236,20 +240,6 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[int, dict]:
     print(f"analyzed {demo.total_cases} cohort records -> {out_dir}")
     return EXIT_OK, {"cohort_records": demo.total_cases,
                      "excluded_states": excluded_states}
-
-
-def _write_band_series_csv(path, band_series: dict) -> None:
-    bands = list(band_series)
-    first = band_series[bands[0]]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", *bands])
-        for i, date in enumerate(first.dates):
-            row = [date.isoformat()]
-            for band in bands:
-                ts = band_series[band]
-                row.append("" if ts.gaps[i] else f"{ts.values[i]:.10g}")
-            writer.writerow(row)
 
 
 # -------------------------------------------------------------- bootstrap
@@ -445,10 +435,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--maturity-days", type=_at_least(0), default=30)
     p_analyze.add_argument("--vintage", type=_parse_date,
                            default=DATA_VINTAGE)
-    p_analyze.add_argument("--exclude-states", default=None,
-                           help="comma-separated state codes to drop")
-    p_analyze.add_argument("--auto-exclude", action="store_true",
-                           help="drop states flagged by the dump detector")
+    exclude = p_analyze.add_mutually_exclusive_group()
+    exclude.add_argument("--exclude-states", default=None,
+                         help="comma-separated state codes to drop")
+    exclude.add_argument("--auto-exclude", action="store_true",
+                         help="drop states flagged by the dump detector")
     p_analyze.add_argument("--min-deaths", type=_at_least(0), default=2)
     p_analyze.add_argument("--testing-file", default=None)
     p_analyze.add_argument("--daily-testing", action="store_true",
@@ -474,7 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--scenario", choices=("step", "simpson"),
                          default="step")
     p_synth.add_argument("--seed", type=_at_least(0), default=0)
-    p_synth.add_argument("--daily-cases", type=_at_least(0.0, float),
+    p_synth.add_argument("--daily-cases",
+                         type=_at_least(0.0, float, _POISSON_LAM_MAX),
                          default=1000.0)
     p_synth.add_argument("--out", required=True)
     p_synth.set_defaults(func=cmd_synth)

@@ -167,21 +167,23 @@ def _blocks(text: IO[str], delimiter: str, width: int):
     A block is BLOCK_CHARS characters cut at the next newline. It is
     plain when csv.reader would cut each of its lines at every delimiter
     into exactly `width` fields: no quote, no carriage return, no blank
-    line, (width - 1) delimiters a line, and every line's first cell at a
-    multiple of `width` in the split (a short and a long row can cancel
-    out in the delimiter count). A plain block is split once into a flat
-    cell list and a column is a slice of it; the newline that ends each
-    row stays at the start of the next row's first cell, which every
-    decoder strips. Any other block goes through csv.reader, which takes
-    as many rows as the block has lines and reads on into the stream
-    where a quoted field spans lines, so no row is cut in two.
+    line, no more characters than csv.field_size_limit() (so a field over
+    it meets csv.reader's error), (width - 1) delimiters a line, and every
+    line's first cell at a multiple of `width` in the split (a short and
+    a long row can cancel out in the delimiter count). A plain block is
+    split once into a flat cell list and a column is a slice of it; the
+    newline that ends each row stays at the start of the next row's first
+    cell, which every decoder strips. Any other block goes through
+    csv.reader, which takes as many rows as the block has lines and reads
+    on into the stream where a quoted field spans lines, so no row is cut
+    in two.
     """
     while block := text.read(BLOCK_CHARS):
         if block[-1] != "\n":
             block += text.readline()
         lines = block.count("\n") + (block[-1] != "\n")
         if not ('"' in block or "\r" in block or "\n\n" in block
-                or block[0] == "\n") \
+                or block[0] == "\n" or len(block) > csv.field_size_limit()) \
                 and block.count(delimiter) == (width - 1) * lines:
             cells = block.rstrip("\n").replace(
                 "\n", delimiter + "\n").split(delimiter)
@@ -312,12 +314,13 @@ def parse_columns(
     reason column. As with csv.DictReader, blank lines are skipped
     uncounted and fields past the header's are ignored.
 
-    Each block is turned into store columns before the next is decoded,
-    so memory holds the final columns plus one block.
+    Each block becomes store columns (states in store codes) before the
+    next is decoded, so memory holds the final columns plus one block.
     """
     days = np.empty(0, np.int32)  # store day by date code
     states: list = []
-    seen: dict[int, None] = {}  # state codes in the order kept rows meet them
+    # store code by named state code, in the order kept rows meet them
+    store_code: dict[int, int] = {}
     parts = [[np.empty(0, t) for t in COLUMN_DTYPES]]
     for values, codes in _decode_blocks(
             file, schema, report, use_alt_event_date, quarantine):
@@ -327,16 +330,16 @@ def parse_columns(
                 map(day_index, dates[len(days):]), np.int32)])
         day, age, band, gender, hosp, died, state, _ = codes
         found, first = np.unique(state, return_index=True)
-        seen.update(dict.fromkeys(found[np.argsort(first)].tolist()))
-        # a copy: a row view of `codes` would keep the whole block alive
+        for code in found[np.argsort(first)].tolist():
+            if states[code]:
+                store_code.setdefault(code, len(store_code))
+        vocab_code = np.array([store_code.get(c, NO_STATE) for c in range(len(states))],
+                              np.int32)
+        # fresh arrays: a row view of `codes` would keep the whole block alive
         parts.append([days[day], _BAND_TABLE[band, age], gender.astype(np.uint8),
-                      hosp == _YES, died == _YES, state.copy()])
-    *columns, state = (np.concatenate(c) for c in zip(*parts))
-    named = [code for code in seen if states[code]]
-    vocab_code = np.full(len(states), NO_STATE, np.int32)
-    vocab_code[named] = np.arange(len(named))
-    return CaseColumns(*columns, vocab_code[state],
-                       state_vocab=np.array([states[c] for c in named], dtype=str))
+                      hosp == _YES, died == _YES, vocab_code[state]])
+    return CaseColumns(*(np.concatenate(c) for c in zip(*parts)),
+                       state_vocab=np.array([states[c] for c in store_code], dtype=str))
 
 
 def parse_florida_lines(

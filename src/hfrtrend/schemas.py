@@ -7,6 +7,7 @@ below) rather than in parser code.
 
 from __future__ import annotations
 
+import csv
 import json
 import zlib
 from dataclasses import dataclass, field, fields, replace
@@ -20,9 +21,10 @@ class SchemaError(ValueError):
 
 
 # Bad input, not a bad program: each exits 2 from the CLI. OSError covers
-# an unreadable or unwritable path and a corrupt gzip header.
+# an unreadable or unwritable path and a corrupt gzip header; csv.Error a
+# field over csv.field_size_limit().
 DATA_ERRORS = (SchemaError, OSError, EOFError, zlib.error, UnicodeDecodeError,
-               json.JSONDecodeError)
+               json.JSONDecodeError, csv.Error)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """Smoothing and rate computation.
 
-All rates are ratios of 7-day trailing-averaged counts: numerator and
-denominator are smoothed separately, then divided. Undefined dates carry
-a gap mark, never a zero, so exports and spline fits can skip them. The
-rates are read off a cohort table (CFR, HFR, age-band shares, female
-fractions) or off a dense daily testing grid (positive-test rate).
+Every rate, share and fraction is one rule: the 7-day trailing mean of
+one count over that of another, gap-marked (and 0) where a window is
+incomplete or the denominator is not positive. `_window_sums` smooths an
+array of any rank along its last axis, so all age bands, or all (female,
+male) pairs, are smoothed in one call. A gap day's CSV cell is empty.
 """
 
 from __future__ import annotations
@@ -29,10 +29,8 @@ class TimeSeries:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.gaps is None:
-            self.gaps = np.zeros(len(self.values), dtype=bool)
-        else:
-            self.gaps = np.asarray(self.gaps, dtype=bool)
+        self.gaps = np.asarray(
+            np.zeros(len(self.values)) if self.gaps is None else self.gaps, dtype=bool)
         if len(self.gaps) != len(self.values):
             raise ValueError("values and gap mask lengths differ")
         if not np.all(np.isfinite(self.values[~self.gaps])):
@@ -49,6 +47,19 @@ class TimeSeries:
         return (date - self.start).days
 
 
+def _cells(series: TimeSeries):
+    """Each day's CSV cell, lazily: empty at a gap, else the value to 10 digits."""
+    return ("" if gap else f"{value:.10g}"
+            for value, gap in zip(series.values, series.gaps))
+
+
+def _write_csv(path, header: list[str], rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 @dataclass
 class RateSeries:
     """A smoothed ratio with its smoothed support counts."""
@@ -59,26 +70,43 @@ class RateSeries:
     kind: str  # {cfr, hfr, pos_test_rate, share}
 
     def write_long_csv(self, path, stratum: str = "aggregate") -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["date", "stratum", "value", "num_support", "den_support", "gap"]
-            )
-            for i, date in enumerate(self.series.dates):
-                gap = bool(self.series.gaps[i])
-                writer.writerow(
-                    [
-                        date.isoformat(),
-                        stratum,
-                        "" if gap else f"{self.series.values[i]:.10g}",
-                        f"{self.numerator_support[i]:.10g}",
-                        f"{self.denominator_support[i]:.10g}",
-                        int(gap),
-                    ]
-                )
+        ts = self.series
+        _write_csv(
+            path, ["date", "stratum", "value", "num_support", "den_support", "gap"],
+            ([date.isoformat(), stratum, value, f"{num:.10g}", f"{den:.10g}", int(gap)]
+             for date, value, num, den, gap in zip(
+                 ts.dates, _cells(ts), self.numerator_support,
+                 self.denominator_support, ts.gaps)),
+        )
+
+
+def write_band_csv(path, band_series: dict[str, TimeSeries]) -> None:
+    """A date column, then one column of cells per band."""
+    dates = next(iter(band_series.values())).dates
+    columns = [_cells(ts) for ts in band_series.values()]
+    _write_csv(path, ["date", *band_series],
+               ([date.isoformat(), *cells] for date, *cells in zip(dates, *columns)))
 
 
 WINDOW = 7
+
+
+def _window_sums(values) -> tuple[np.ndarray, np.ndarray]:
+    """Sums over [t-6, t] along the last axis, and each day's gap mark:
+    the first 6 days have no complete window (their sums are 0)."""
+    values = np.asarray(values, dtype=float)
+    n = values.shape[-1]
+    sums = np.zeros(values.shape)
+    if n >= WINDOW:
+        windows = np.lib.stride_tricks.sliding_window_view(values, WINDOW, axis=-1)
+        sums[..., WINDOW - 1:] = windows.sum(axis=-1)
+    return sums, np.arange(n) < WINDOW - 1
+
+
+def _ratio(start: dt.date, num, den, gaps) -> TimeSeries:
+    """num / den, gap-marked (and 0) where `gaps` marks a day or den <= 0."""
+    gaps = gaps | (den <= 0)
+    return TimeSeries(start, np.where(gaps, 0.0, num / np.where(gaps, 1.0, den)), gaps)
 
 
 def trailing_average_7d(raw: TimeSeries) -> TimeSeries:
@@ -88,44 +116,25 @@ def trailing_average_7d(raw: TimeSeries) -> TimeSeries:
     and are gap-marked, as is any day whose window touches a gap.
     Callers wanting defined values early must supply pre-window data.
     """
-    n = len(raw)
-    values = np.zeros(n)
-    gaps = np.ones(n, dtype=bool)
-    if n >= WINDOW:
-        windows = np.lib.stride_tricks.sliding_window_view(raw.values, WINDOW)
-        values[WINDOW - 1 :] = windows.sum(axis=1) / WINDOW
-        gap_windows = np.lib.stride_tricks.sliding_window_view(raw.gaps, WINDOW)
-        gaps[WINDOW - 1 :] = gap_windows.any(axis=1)
-    values[gaps] = 0.0
-    return TimeSeries(raw.start, values, gaps)
+    sums, gaps = _window_sums(raw.values)
+    gaps = gaps | (_window_sums(raw.gaps)[0] > 0)
+    return TimeSeries(raw.start, np.where(gaps, 0.0, sums / WINDOW), gaps)
 
 
-def _ratio_of_smoothed(
-    start: dt.date,
-    numerator: np.ndarray,
-    denominator: np.ndarray,
-    kind: str,
-    extra_gaps: np.ndarray | None = None,
-) -> RateSeries:
-    num = trailing_average_7d(TimeSeries(start, np.asarray(numerator, dtype=float)))
-    den = trailing_average_7d(TimeSeries(start, np.asarray(denominator, dtype=float)))
-    gaps = num.gaps | den.gaps | (den.values <= 0)
-    if extra_gaps is not None:
-        gaps = gaps | extra_gaps
-    safe = np.where(den.values > 0, den.values, 1.0)
-    values = np.where(gaps, 0.0, num.values / safe)
-    return RateSeries(
-        series=TimeSeries(start, values, gaps),
-        numerator_support=num.values,
-        denominator_support=den.values,
-        kind=kind,
-    )
+def _rate(start: dt.date, numerator, denominator, kind: str,
+          min_window_numerator: int = 0) -> RateSeries:
+    """Smoothed numerator over smoothed denominator, also gap-marked
+    where the numerator's 7-day total is below `min_window_numerator`."""
+    sums, gaps = _window_sums(np.stack([numerator, denominator]))
+    num, den = sums / WINDOW
+    gaps = gaps | (sums[0] < min_window_numerator)
+    return RateSeries(_ratio(start, num, den, gaps), num, den, kind)
 
 
 def cfr_series(table: CohortTable, stratum: StratumKey = StratumKey()) -> RateSeries:
     """Cohort CFR: smoothed eventual deaths over smoothed cases."""
     counts = table.counts(stratum)
-    return _ratio_of_smoothed(table.start, counts[:, 2], counts[:, 0], "cfr")
+    return _rate(table.start, counts[:, 2], counts[:, 0], "cfr")
 
 
 def hfr_series(
@@ -138,17 +147,7 @@ def hfr_series(
     `min_deaths` are gap-marked (inadequate support).
     """
     counts = table.counts(stratum)
-    hosp_and_died = counts[:, 3].astype(float)
-    n = len(hosp_and_died)
-    window_deaths = np.zeros(n)
-    if n >= WINDOW:
-        window_deaths[WINDOW - 1 :] = np.lib.stride_tricks.sliding_window_view(
-            hosp_and_died, WINDOW
-        ).sum(axis=1)
-    low_support = window_deaths < min_deaths
-    return _ratio_of_smoothed(
-        table.start, counts[:, 3], counts[:, 1], "hfr", extra_gaps=low_support
-    )
+    return _rate(table.start, counts[:, 3], counts[:, 1], "hfr", min_deaths)
 
 
 def positive_test_rate(start: dt.date, positives, tests) -> RateSeries:
@@ -156,7 +155,7 @@ def positive_test_rate(start: dt.date, positives, tests) -> RateSeries:
     grid from `start`."""
     if len(tests) == 0:
         raise ValueError("no testing days")
-    return _ratio_of_smoothed(start, positives, tests, "pos_test_rate")
+    return _rate(start, positives, tests, "pos_test_rate")
 
 
 def age_distribution_shares(table: CohortTable, signal: str) -> dict[str, TimeSeries]:
@@ -165,17 +164,13 @@ def age_distribution_shares(table: CohortTable, signal: str) -> dict[str, TimeSe
     Shares over the named bands sum to 1 wherever the smoothed known-age
     denominator is positive; dates with zero denominator are gap-marked.
     """
-    smoothed = {}
-    for band in AGE_BANDS:
-        raw = table.signal(StratumKey(band, ALL_GENDERS), signal).astype(float)
-        smoothed[band] = trailing_average_7d(TimeSeries(table.start, raw))
-    denom = np.sum([smoothed[b].values for b in AGE_BANDS], axis=0)
-    gaps = next(iter(smoothed.values())).gaps | (denom <= 0)
-    out = {}
-    safe = np.where(denom > 0, denom, 1.0)
-    for band in AGE_BANDS:
-        out[band] = TimeSeries(table.start, smoothed[band].values / safe, gaps.copy())
-    return out
+    sums, gaps = _window_sums(
+        [table.signal(StratumKey(band, ALL_GENDERS), signal) for band in AGE_BANDS]
+    )
+    means = sums / WINDOW
+    total = means.sum(axis=0)
+    return {band: _ratio(table.start, mean, total, gaps)
+            for band, mean in zip(AGE_BANDS, means)}
 
 
 def gender_fraction_series(table: CohortTable, signal: str) -> dict[str, TimeSeries]:
@@ -184,22 +179,11 @@ def gender_fraction_series(table: CohortTable, signal: str) -> dict[str, TimeSer
     fraction = female / (female + male); dates where the smoothed
     female+male denominator is below 5 are gap-marked.
     """
-    out = {}
-    for band in AGE_BANDS:
-        female = trailing_average_7d(
-            TimeSeries(
-                table.start,
-                table.signal(StratumKey(band, "female"), signal).astype(float),
-            )
-        )
-        male = trailing_average_7d(
-            TimeSeries(
-                table.start,
-                table.signal(StratumKey(band, "male"), signal).astype(float),
-            )
-        )
-        denom = female.values + male.values
-        gaps = female.gaps | male.gaps | (denom < 5.0)
-        safe = np.where(denom > 0, denom, 1.0)
-        out[band] = TimeSeries(table.start, female.values / safe, gaps)
-    return out
+    sums, gaps = _window_sums(
+        [[table.signal(StratumKey(band, gender), signal)
+          for gender in ("female", "male")] for band in AGE_BANDS]
+    )
+    female, male = np.moveaxis(sums / WINDOW, 1, 0)  # each (band, day)
+    total = female + male
+    return {band: _ratio(table.start, num, den, gaps | (den < 5.0))
+            for band, num, den in zip(AGE_BANDS, female, total)}

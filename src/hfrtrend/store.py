@@ -93,10 +93,12 @@ def write_npz(path, **arrays) -> None:
     equal arrays give equal bytes."""
     with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED, compresslevel=1) as zf:
         for name, value in arrays.items():
+            value = np.asarray(value, order="C")
             # zip64 as numpy forces it: a member's size is not known ahead
             with zf.open(name + ".npy", "w", force_zip64=True) as fh:
-                np.lib.format.write_array(fh, np.asanyarray(value),
-                                          allow_pickle=False)
+                np.lib.format.write_array_header_1_0(
+                    fh, np.lib.format.header_data_from_array_1_0(value))
+                fh.write(value.data)  # the array's own buffer, not a copy
 
 
 def save_store(path, cases: CaseColumns, meta: dict | None = None) -> int:

@@ -191,23 +191,21 @@ def _sigmoid_step(n_days: int, old: float, new: float) -> np.ndarray:
     return old + (new - old) / (1.0 + np.exp(-(t - 0.5 * (n_days - 1)) / 8.0))
 
 
-def step_down_scenario(
-    start: dt.date = dt.date(2020, 4, 1),
-    end: dt.date = dt.date(2020, 11, 1),
-    hfr_old: float = 0.30,
-    hfr_new: float = 0.18,
-    daily_cases: float = 1000.0,
-    p_hosp: float = 0.25,
-    seed: int = 0,
-) -> SynthConfig:
+# The scenarios' days, and the step scenario's true HFR before and after
+# its step and its hospitalization probability.
+_SCENARIO_START, _SCENARIO_END = dt.date(2020, 4, 1), dt.date(2020, 11, 1)
+_SCENARIO_DAYS = (_SCENARIO_END - _SCENARIO_START).days + 1
+_STEP_HFR_OLD, _STEP_HFR_NEW, _STEP_P_HOSP = 0.30, 0.18, 0.25
+
+
+def step_down_scenario(daily_cases: float = 1000.0, seed: int = 0) -> SynthConfig:
     """Single-band config whose true HFR steps smoothly old -> new."""
-    n = (end - start).days + 1
     return SynthConfig(
-        start=start,
-        end=end,
-        case_intensity={"50-59": np.full(n, daily_cases)},
-        p_hosp={"50-59": np.full(n, p_hosp)},
-        hfr={"50-59": _sigmoid_step(n, hfr_old, hfr_new)},
+        start=_SCENARIO_START,
+        end=_SCENARIO_END,
+        case_intensity={"50-59": np.full(_SCENARIO_DAYS, daily_cases)},
+        p_hosp={"50-59": np.full(_SCENARIO_DAYS, _STEP_P_HOSP)},
+        hfr={"50-59": _sigmoid_step(_SCENARIO_DAYS, _STEP_HFR_OLD, _STEP_HFR_NEW)},
         seed=seed,
     )
 
@@ -222,24 +220,20 @@ _SIMPSON_WEIGHT_NEW = {"50-59": 0.303, "60-69": 0.262, "70-79": 0.232, "80+": 0.
 
 
 def simpson_scenario(
-    start: dt.date = dt.date(2020, 4, 1),
-    end: dt.date = dt.date(2020, 11, 1),
-    daily_hospitalizations: float = 1600.0,
-    seed: int = 0,
+    daily_hospitalizations: float = 1600.0, seed: int = 0
 ) -> SynthConfig:
     """Config exhibiting Simpson's paradox: every age band's HFR rises
     between the endpoints while the case mix shifts young enough that the
     aggregate HFR falls."""
-    n = (end - start).days + 1
     lo, hi = _SIMPSON_WEIGHT_OLD, _SIMPSON_WEIGHT_NEW
     return SynthConfig(
-        start=start,
-        end=end,
-        case_intensity={b: _sigmoid_step(n, lo[b] * daily_hospitalizations,
+        start=_SCENARIO_START,
+        end=_SCENARIO_END,
+        case_intensity={b: _sigmoid_step(_SCENARIO_DAYS, lo[b] * daily_hospitalizations,
                                          hi[b] * daily_hospitalizations)
                         for b in _SIMPSON_BANDS},
-        p_hosp={b: np.ones(n) for b in _SIMPSON_BANDS},
-        hfr={b: _sigmoid_step(n, _SIMPSON_HFR_OLD[b],
+        p_hosp={b: np.ones(_SCENARIO_DAYS) for b in _SIMPSON_BANDS},
+        hfr={b: _sigmoid_step(_SCENARIO_DAYS, _SIMPSON_HFR_OLD[b],
                               _SIMPSON_HFR_OLD[b] * _SIMPSON_HFR_RISE[b])
              for b in _SIMPSON_BANDS},
         seed=seed,

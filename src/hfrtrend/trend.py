@@ -38,6 +38,8 @@ import numpy as np
 
 from .signals import RateSeries
 
+LAMBDA_GRID_SIZE = 61  # points in default_lambda_grid
+
 
 class InsufficientDataError(ValueError):
     """Too few defined points to fit or resample."""
@@ -212,11 +214,11 @@ def fit_points(x, y, lam: float) -> SplineFit:
     return SplineFit(x=x, y=y, lam=float(lam), fitted=fitted, gamma=gamma)
 
 
-def default_lambda_grid(x, n_grid: int = 61) -> np.ndarray:
+def default_lambda_grid(x) -> np.ndarray:
     """Logarithmic lam grid spanning 1e-6*s to 1e6*s, s set by spacing."""
     h = _spacings(np.asarray(x, dtype=float))
     scale = len(x) * float(np.mean(h)) ** 3
-    return np.geomspace(1e-6 * scale, 1e6 * scale, n_grid)
+    return np.geomspace(1e-6 * scale, 1e6 * scale, LAMBDA_GRID_SIZE)
 
 
 def select_lambda_block_cv(

@@ -23,6 +23,7 @@ from hfrtrend.cli import (
     EXIT_OK,
     EXIT_USAGE,
     TABLE_BANDS,
+    _POISSON_LAM_MAX,
     _interval_text,
     _load_cohort_npz,
     main,
@@ -343,14 +344,24 @@ class TestExitCodes:
         ["synth", "--seed", "-1"],
         ["analyze", "--store", "s.npz", "--min-deaths", "-1"],
         ["bootstrap", "--analyzed", "a", "--min-deaths", "-1"],
+        ["synth", "--daily-cases", "inf"],
+        ["synth", "--daily-cases", "1e30"],
+        ["analyze", "--store", "s.npz", "--auto-exclude", "--exclude-states", "FL"],
     ], ids=["replicates", "blocks", "maturity_days", "reversed_window",
             "daily_cases", "bootstrap_seed", "synth_seed", "analyze_min_deaths",
-            "bootstrap_min_deaths"])
+            "bootstrap_min_deaths", "daily_cases_inf", "daily_cases_over_poisson",
+            "both_exclusions"])
     def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, argv):
         assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.splitlines()[-1].startswith(f"hfrtrend {argv[0]}: error: ")
+
+    def test_daily_cases_bound_is_numpy_poisson_limit(self):
+        top = np.iinfo(np.int64).max
+        assert _POISSON_LAM_MAX == top - np.sqrt(top) * 10
+        with pytest.raises(ValueError, match="lam value too large"):
+            np.random.default_rng(0).poisson(np.nextafter(_POISSON_LAM_MAX, np.inf))
 
     @pytest.mark.parametrize("spellings", [
         "outcome_spellings: {maybe: perhaps}",
@@ -545,6 +556,19 @@ class TestIngestRows:
     def test_undecodable_input_is_data_error(self, tmp_path, capsys, payload):
         src = tmp_path / "cases.csv"
         src.write_bytes(payload)
+        code = main(["ingest", "--input", str(src), "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize("gender", ['"' + "F" * 140_000 + '"', "F" * 140_000],
+                             ids=["quoted", "plain"])
+    def test_field_over_csv_limit_is_data_error(self, tmp_path, capsys, gender):
+        # csv.field_size_limit() is 131,072 characters; a plain cell this
+        # long must not slip through the str.split path
+        src = tmp_path / "fl.csv"
+        src.write_text("ChartDate,Age,Gender,Hospitalized,Died\n"
+                       f"2020-04-01,34,{gender},NO,NO\n")
         code = main(["ingest", "--input", str(src), "--out", str(tmp_path / "o")])
         assert code == EXIT_DATA
         err = capsys.readouterr().err.strip().splitlines()

@@ -1,7 +1,8 @@
 """Source hygiene: every module-level import in the package is used,
 every module-level private name is read somewhere in the package, no
-CLI stage catches the errors that `cli.main` turns into exit codes, and
-every .npz goes through `store.write_npz`."""
+CLI stage catches the errors that `cli.main` turns into exit codes,
+every .npz goes through `store.write_npz`, and every rolling window is
+summed in `signals._window_sums`."""
 
 import ast
 import builtins
@@ -76,13 +77,13 @@ BOUNDARY_ERRORS = {name for name, obj in vars(builtins).items()
                    if isinstance(obj, type) and issubclass(obj, OSError)} | {
     "SchemaError", "DATA_ERRORS", "DECODE_ERRORS", "EOFError", "error",
     "UnicodeError", "UnicodeDecodeError", "JSONDecodeError", "BadGzipFile",
-    "BadZipFile"}
+    "BadZipFile", "Error"}
 
 
 def stage_boundary_handlers(source: str) -> list[str]:
     """`function: exception` for each except clause in a top-level
-    `cmd_*` function that names a boundary error (`zlib.error` by its
-    last part)."""
+    `cmd_*` function that names a boundary error (`zlib.error` and
+    `csv.Error` by their last part)."""
     found = []
     for node in ast.parse(source).body:
         if not (isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")):
@@ -126,3 +127,24 @@ def test_store_writes_every_npz():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr in ("savez", "savez_compressed")]
     assert calls == []
+
+
+def sliding_window_users(path: Path) -> list[str]:
+    """`module.name` of each top-level statement in `path` that names
+    `sliding_window_view`."""
+    found = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        names = {getattr(n, "attr", None) or getattr(n, "id", None)
+                 for n in ast.walk(node)}
+        names |= {a.name for n in ast.walk(node) if isinstance(n, ast.ImportFrom)
+                  for a in n.names}
+        if "sliding_window_view" in names:
+            found.append(f"{path.stem}.{getattr(node, 'name', '<module>')}")
+    return found
+
+
+def test_one_rolling_window():
+    """Every 7-day rate, share and fraction is smoothed through
+    `signals._window_sums`; no module slides a second window."""
+    assert [user for path in MODULES for user in sliding_window_users(path)] == [
+        "signals._window_sums"]

@@ -8,13 +8,18 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as npst
 
 from hfrtrend import LineRecord, StratumKey, build_cohort_table
+from hfrtrend.cohort import ALL_GENDERS, SIGNALS, CohortTable
+from hfrtrend.records import AGE_BANDS, ALL_AGE_BANDS, GENDERS
 from hfrtrend.signals import (
     RateSeries,
     TimeSeries,
+    age_distribution_shares,
     cfr_series,
+    gender_fraction_series,
     hfr_series,
     positive_test_rate,
     trailing_average_7d,
+    write_band_csv,
 )
 
 START = dt.date(2020, 4, 1)
@@ -218,3 +223,151 @@ class TestTimeSeries:
     def test_day_index(self):
         ts = TimeSeries(START, np.zeros(3))
         assert ts.day_index(START + dt.timedelta(days=2)) == 2
+
+
+# The per-series implementations the vectorized signals replaced: each
+# count is smoothed alone by the loop oracle, then divided.
+
+
+def smoothed(counts):
+    values, gaps = oracle_trailing_average(
+        np.asarray(counts, dtype=float), np.zeros(len(counts), dtype=bool)
+    )
+    return TimeSeries(START, values, gaps)
+
+
+def oracle_rate(numerator, denominator, extra_gaps=None):
+    """(values, gaps, numerator support, denominator support)."""
+    num, den = smoothed(numerator), smoothed(denominator)
+    gaps = num.gaps | den.gaps | (den.values <= 0)
+    if extra_gaps is not None:
+        gaps = gaps | extra_gaps
+    safe = np.where(den.values > 0, den.values, 1.0)
+    return np.where(gaps, 0.0, num.values / safe), gaps, num.values, den.values
+
+
+def oracle_cfr(table, stratum):
+    counts = table.counts(stratum)
+    return oracle_rate(counts[:, 2], counts[:, 0])
+
+
+def oracle_hfr(table, stratum, min_deaths):
+    counts = table.counts(stratum)
+    n = len(counts)
+    window_deaths = np.array(
+        [counts[t - 6 : t + 1, 3].sum() if t >= 6 else 0 for t in range(n)]
+    )
+    return oracle_rate(counts[:, 3], counts[:, 1], window_deaths < min_deaths)
+
+
+def oracle_shares(table, signal):
+    smooth = {b: smoothed(table.signal(StratumKey(b, ALL_GENDERS), signal))
+              for b in AGE_BANDS}
+    denom = np.sum([smooth[b].values for b in AGE_BANDS], axis=0)
+    gaps = smooth[AGE_BANDS[0]].gaps | (denom <= 0)
+    safe = np.where(denom > 0, denom, 1.0)
+    return {b: (smooth[b].values / safe, gaps) for b in AGE_BANDS}
+
+
+def oracle_fractions(table, signal):
+    out = {}
+    for band in AGE_BANDS:
+        female = smoothed(table.signal(StratumKey(band, "female"), signal))
+        male = smoothed(table.signal(StratumKey(band, "male"), signal))
+        denom = female.values + male.values
+        gaps = female.gaps | male.gaps | (denom < 5.0)
+        safe = np.where(denom > 0, denom, 1.0)
+        out[band] = (female.values / safe, gaps)
+    return out
+
+
+def random_table(seed):
+    """Sparse random counts: cells with no cases, cells whose smoothed
+    support is below 5, and a run of at least 7 days with no cases, so
+    some denominators are zero. Some tables are shorter than a window."""
+    rng = np.random.default_rng(seed)
+    n_days = int(rng.integers(1, 60))
+    shape = (len(ALL_AGE_BANDS), len(GENDERS), n_days, len(SIGNALS))
+    lam = rng.choice([0.0, 0.2, 1.0, 6.0], size=shape[:2] + (1, 1))
+    array = rng.poisson(lam, size=shape)
+    quiet = int(rng.integers(0, n_days))
+    array[:, :, quiet : quiet + 8] = 0
+    end = START + dt.timedelta(days=n_days - 1)
+    return CohortTable(START, end, array.astype(np.int64))
+
+
+def assert_same_on_defined_days(series, values, gaps):
+    assert series.gaps.tobytes() == gaps.tobytes()
+    assert series.values[~gaps].tobytes() == values[~gaps].tobytes()
+    assert not series.values[gaps].any()  # every gap day holds 0
+
+
+SEEDS = range(25)
+STRATA = [StratumKey()] + [StratumKey(b, g) for b in AGE_BANDS
+                           for g in (ALL_GENDERS, "female")]
+
+
+class TestAgainstPerSeriesOracles:
+    def test_random_tables_have_zero_and_low_support_days(self):
+        """Some share has a zero denominator after the first window, and
+        some female fraction is gap-marked for support below 5 while its
+        denominator is positive."""
+        zero_den = low_support = 0
+        for seed in SEEDS:
+            table = random_table(seed)
+            _, gaps = oracle_shares(table, "cases")[AGE_BANDS[0]]
+            zero_den += bool(gaps[6:].any())
+            low_support += any((values[gaps] > 0).any() for values, gaps
+                               in oracle_fractions(table, "cases").values())
+        assert zero_den and low_support
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_cfr_and_hfr(self, seed):
+        table = random_table(seed)
+        for stratum in STRATA:
+            cases = [(cfr_series(table, stratum), oracle_cfr(table, stratum))]
+            cases += [(hfr_series(table, stratum, k), oracle_hfr(table, stratum, k))
+                      for k in (0, 2, 5)]
+            for series, (values, gaps, num, den) in cases:
+                assert_same_on_defined_days(series.series, values, gaps)
+                assert series.numerator_support.tobytes() == num.tobytes()
+                assert series.denominator_support.tobytes() == den.tobytes()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_shares_and_fractions(self, seed):
+        table = random_table(seed)
+        for signal in ("cases", "hosp", "deaths"):
+            for compute, oracle in ((age_distribution_shares, oracle_shares),
+                                    (gender_fraction_series, oracle_fractions)):
+                got, expected = compute(table, signal), oracle(table, signal)
+                assert list(got) == list(AGE_BANDS)
+                for band, (values, gaps) in expected.items():
+                    assert_same_on_defined_days(got[band], values, gaps)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_positive_test_rate(self, seed):
+        rng = np.random.default_rng(seed)
+        n_days = int(rng.integers(1, 60))
+        tests = rng.poisson(rng.choice([0.5, 50.0]), n_days)
+        tests[int(rng.integers(0, n_days)):][:8] = 0
+        positives = rng.binomial(tests, 0.2)
+        series = positive_test_rate(START, positives, tests)
+        values, gaps, num, den = oracle_rate(positives, tests)
+        assert_same_on_defined_days(series.series, values, gaps)
+        assert series.numerator_support.tobytes() == num.tobytes()
+        assert series.denominator_support.tobytes() == den.tobytes()
+
+
+class TestWriteBandCsv:
+    def test_gap_cells_are_empty(self, tmp_path):
+        series = {
+            "a": TimeSeries(START, [0.25, 0.0], [False, True]),
+            "b": TimeSeries(START, [1 / 3, 0.5], [False, False]),
+        }
+        path = tmp_path / "bands.csv"
+        write_band_csv(path, series)
+        assert path.read_text().splitlines() == [
+            "date,a,b",
+            "2020-04-01,0.25,0.3333333333",
+            "2020-04-02,,0.5",
+        ]

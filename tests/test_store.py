@@ -79,7 +79,9 @@ class TestStore:
 class TestWriteNpz:
     ARRAYS = {"version": np.int64(2), "meta_json": np.str_('{"a": 1}'),
               "day": np.arange(1000, dtype=np.int32) // 7,
-              "flag": np.arange(1000) % 3 == 0}
+              "flag": np.arange(1000) % 3 == 0,
+              "vocab": np.array(["NYC", "NY", "TX"]),
+              "strided": np.arange(20, dtype=np.int32)[::3]}
 
     def test_two_writes_are_byte_identical(self, tmp_path):
         write_npz(tmp_path / "a.npz", **self.ARRAYS)
