@@ -183,12 +183,19 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[int, dict]:
     out_dir = Path(args.out)
     cases, _meta = store_mod.load_store(args.store)
 
+    stats: dict = {}
     testing = None
     if args.testing_file:
         from . import ingest as ingest_mod
+        report = IngestReport()
         testing = ingest_mod.load_testing_series(
-            args.testing_file, cumulative=not args.daily_testing
+            args.testing_file, cumulative=not args.daily_testing, report=report
         )
+        stats["testing_rows"] = report.as_dict()
+        if rejected := sum(report.rejected_rows_by_reason.values()):
+            log.warning("%d of %d rows of %s rejected: %s", rejected,
+                        report.total_rows, args.testing_file,
+                        dict(report.rejected_rows_by_reason))
 
     excluded_states: list[str] = []
     if args.auto_exclude:
@@ -198,11 +205,11 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[int, dict]:
     elif args.exclude_states:
         excluded_states = [s.strip().upper() for s in args.exclude_states.split(",")]
 
-    mask = cohort_mod.cohort_mask(
-        cases, window=args.window, maturity_days=args.maturity_days,
-        data_vintage=args.vintage, excluded_states=excluded_states,
+    table = cohort_mod.build_cohort_table(
+        cases, *args.window,
+        last=args.vintage - dt.timedelta(days=args.maturity_days),
+        excluded_states=excluded_states,
     )
-    table = cohort_mod.build_cohort_table(cases, *args.window, mask=mask)
     _save_cohort_npz(out_dir / "cohort_table.npz", table)
     table.write_long_csv(out_dir / "cohort_long.csv")
 
@@ -238,7 +245,7 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[int, dict]:
         log.info("no testing file supplied; skipping positive test rate")
 
     print(f"analyzed {demo.total_cases} cohort records -> {out_dir}")
-    return EXIT_OK, {"cohort_records": demo.total_cases,
+    return EXIT_OK, {**stats, "cohort_records": demo.total_cases,
                      "excluded_states": excluded_states}
 
 
@@ -249,9 +256,6 @@ def cmd_bootstrap(args: argparse.Namespace) -> tuple[int, dict | None]:
     from . import signals as signals_mod, trend as trend_mod
     from .cohort import StratumKey
 
-    out_dir = Path(args.out)
-    table = _load_cohort_npz(Path(args.analyzed) / "cohort_table.npz")
-
     if args.dates:
         try:
             d1, d2 = (_parse_date(d) for d in args.dates.split(","))
@@ -261,6 +265,9 @@ def cmd_bootstrap(args: argparse.Namespace) -> tuple[int, dict | None]:
         date_pairs = [(d1, d2)]
     else:
         date_pairs = list(DEFAULT_DATE_PAIRS)
+
+    out_dir = Path(args.out)
+    table = _load_cohort_npz(Path(args.analyzed) / "cohort_table.npz")
 
     config = trend_mod.BootstrapConfig(
         replicates=args.replicates, block_length=args.blocks, seed=args.seed

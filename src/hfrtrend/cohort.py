@@ -3,9 +3,9 @@
 A CohortTable holds, for every (age band, gender) cell and every date in
 a contiguous range, the number of cases confirmed that day together with
 how many of them were eventually hospitalized, eventually died, and were
-hospitalized AND died (the HFR numerator). `build_cohort_table` counts
-the store columns under `cohort_mask` with np.bincount, copying no
-column; the demographics summary is read off the table.
+hospitalized AND died (the HFR numerator). `build_cohort_table` selects
+and counts in one pass over the store columns, a slice of rows at a time,
+so it copies no column; the demographics summary is read off the table.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .records import (ALL_AGE_BANDS, DATA_VINTAGE, GENDERS, STUDY_WINDOW,
-                      LineRecord)
+from .records import ALL_AGE_BANDS, GENDERS, LineRecord
 from .store import (BAND_INDEX, GENDER_INDEX, CaseColumns, as_columns,
                     day_date, day_index)
 
@@ -30,6 +29,11 @@ ALL_GENDERS = "all"
 
 SIGNALS = ("cases", "hosp", "deaths", "hosp_and_died")
 _SIG_INDEX = {name: i for i, name in enumerate(SIGNALS)}
+# SIGNALS of each joint outcome code, hospitalized + 2 * died
+_SIGNALS_OF_JOINT = np.array(
+    [[1, 0, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0], [1, 1, 1, 1]], np.int64)
+# rows counted at a time: a slice's temporaries stay under 1 MB
+COUNT_SLICE = 1 << 14
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,32 +102,6 @@ class CohortTable:
                     writer.writerow([date, band, gender, *row])
 
 
-def cohort_mask(
-    cases: CaseColumns,
-    window: tuple[dt.date, dt.date] = STUDY_WINDOW,
-    maturity_days: int = 30,
-    data_vintage: dt.date = DATA_VINTAGE,
-    excluded_states: Iterable[str] = (),
-) -> np.ndarray:
-    """Cases inside the study window whose outcomes had time to be
-    recorded (event date at least `maturity_days` before the vintage),
-    outside the excluded states."""
-    start, end = window
-    if start > end:
-        raise ValueError("window start after end")
-    if maturity_days < 0:
-        raise ValueError("maturity_days must be nonnegative")
-    last = min(end, data_vintage - dt.timedelta(days=maturity_days))
-    day = cases.event_day
-    mask = (day >= day_index(start)) & (day <= day_index(last))
-    # a state is looked up only when named: np.isin on strings imports numpy.ma
-    if excluded_states := list(excluded_states):
-        mask &= ~np.isin(cases.state, cases.state_codes(excluded_states))
-    if not mask.any():
-        log.warning("cohort filter produced an empty result")
-    return mask
-
-
 def detect_reporting_artifacts(
     cases: CaseColumns, dump_fraction: float = 0.5
 ) -> list[tuple[str, dict]]:
@@ -157,30 +135,41 @@ def detect_reporting_artifacts(
 
 def build_cohort_table(
     records: Iterable[LineRecord] | CaseColumns, start: dt.date, end: dt.date,
-    mask: np.ndarray | None = None,
+    last: dt.date | None = None, excluded_states: Iterable[str] = (),
 ) -> CohortTable:
-    """Aggregate cases into a dense daily table.
+    """Count the cohort into a dense daily table.
 
     Every base cell covers exactly [start, end] with zero-filled gaps so
-    downstream rolling windows stay well-defined; cases outside the range,
-    or outside `mask` when one is given, are dropped.
+    downstream rolling windows stay well-defined. A case is counted when
+    its event date falls in [start, min(last, end)] and its state is not
+    excluded; analyze sets `last` to the vintage less the maturity days,
+    so every counted outcome had time to be recorded.
     """
     if start > end:
         raise ValueError("start after end")
     cases = as_columns(records)
     n_days = (end - start).days + 1
-    day = cases.event_day - np.int32(day_index(start))
-    keep = (day >= 0) & (day < n_days)
-    if mask is not None:
-        keep &= mask
+    n_kept = n_days if last is None else min(n_days, (last - start).days + 1)
+    # per state code, NO_STATE last; a state is looked up only when named,
+    # as np.isin on strings imports numpy.ma
+    in_cohort = np.ones(len(cases.state_vocab) + 1, bool)
+    if excluded_states := list(excluded_states):
+        in_cohort[cases.state_codes(excluded_states)] = False
     shape = (len(ALL_AGE_BANDS), len(GENDERS), n_days)
-    cell = np.ravel_multi_index(
-        (cases.age_band[keep], cases.gender[keep], day[keep]), shape
-    )
-    hosp, died = cases.hospitalized[keep], cases.died[keep]
-    counts = [np.bincount(cell, weights, np.prod(shape))
-              for weights in (None, hosp, died, hosp & died)]
-    array = np.stack(counts, axis=-1).astype(np.int64).reshape(*shape, len(SIGNALS))
+    joint = np.zeros(np.prod(shape) * 4, np.int64)  # by cell, day and outcome
+    first = np.int32(day_index(start))
+    for lo in range(0, len(cases), COUNT_SLICE):
+        rows = slice(lo, lo + COUNT_SLICE)
+        day = cases.event_day[rows] - first
+        keep = (day >= 0) & (day < n_kept)
+        if excluded_states:
+            keep &= in_cohort.take(cases.state[rows])
+        cell = cases.age_band[rows].astype(np.intp) * len(GENDERS) + cases.gender[rows]
+        code = (cell * n_days + day) * 4 + cases.hospitalized[rows] + 2 * cases.died[rows]
+        joint += np.bincount(code[keep], minlength=joint.size)
+    if not joint.any():
+        log.warning("cohort filter produced an empty result")
+    array = (joint.reshape(-1, 4) @ _SIGNALS_OF_JOINT).reshape(*shape, len(SIGNALS))
     return CohortTable(start=start, end=end, array=array)
 
 

@@ -321,7 +321,8 @@ def parse_columns(
     states: list = []
     # store code by named state code, in the order kept rows meet them
     store_code: dict[int, int] = {}
-    parts = [[np.empty(0, t) for t in COLUMN_DTYPES]]
+    # grown in place by realloc: a join of per-block parts holds each column twice
+    columns = [bytearray() for _ in COLUMN_DTYPES]
     for values, codes in _decode_blocks(
             file, schema, report, use_alt_event_date, quarantine):
         dates, states = values[0], values[6]
@@ -335,10 +336,11 @@ def parse_columns(
                 store_code.setdefault(code, len(store_code))
         vocab_code = np.array([store_code.get(c, NO_STATE) for c in range(len(states))],
                               np.int32)
-        # fresh arrays: a row view of `codes` would keep the whole block alive
-        parts.append([days[day], _BAND_TABLE[band, age], gender.astype(np.uint8),
-                      hosp == _YES, died == _YES, vocab_code[state]])
-    return CaseColumns(*(np.concatenate(c) for c in zip(*parts)),
+        for column, part in zip(columns, (
+                days[day], _BAND_TABLE[band, age], gender.astype(np.uint8),
+                hosp == _YES, died == _YES, vocab_code[state])):
+            column.extend(part)  # raw bytes: each part must have its COLUMN_DTYPES dtype
+    return CaseColumns(*map(np.frombuffer, columns, COLUMN_DTYPES),
                        state_vocab=np.array([states[c] for c in store_code], dtype=str))
 
 

@@ -3,8 +3,9 @@
 Parsing the multi-gigabyte national file is slow; analysis is iterated
 many times with different strata and dates. The store decouples the two:
 ingest turns a file into parallel numpy columns (`CaseColumns`),
-`save_store` writes them as a versioned .npz, and `cohort` masks and
-counts the loaded columns in place, with no copy and no per-case object.
+`save_store` writes them as a versioned .npz, and `cohort` selects and
+counts the loaded columns a slice at a time, with no copy and no
+per-case object.
 `write_npz` and `open_npz` are the tool's one .npz writer and reader:
 the archive is what `np.savez_compressed` writes, at zlib level 1.
 """

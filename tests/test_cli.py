@@ -322,9 +322,11 @@ class TestExitCodes:
         assert code == EXIT_DATA
 
     def test_bad_dates_is_usage_error(self, pipeline_dirs, tmp_path):
-        code = main(["bootstrap", "--analyzed", str(pipeline_dirs["analyzed"]),
-                     "--dates", "yesterday", "--out", str(tmp_path / "out")])
-        assert code == EXIT_USAGE
+        # checked before the table is read, so a missing one cannot shadow it
+        for analyzed in (pipeline_dirs["analyzed"], tmp_path / "nonexistent"):
+            code = main(["bootstrap", "--analyzed", str(analyzed),
+                         "--dates", "yesterday", "--out", str(tmp_path / "out")])
+            assert code == EXIT_USAGE, analyzed
 
     def test_unknown_flag_is_usage_error(self, tmp_path):
         assert main(["synth", "--frobnicate", "--out", str(tmp_path)]) == EXIT_USAGE
@@ -633,6 +635,27 @@ class TestTestingFile:
         assert [r["date"] for r in got] == [d.isoformat() for d in days]
         assert {r["stratum"] for r in got} == {"fl"}
         assert [r["value"] for r in got] == [""] * 6 + ["0.1"] * 8
+
+
+    def test_rejected_testing_rows_are_reported(self, pipeline_dirs, tmp_path,
+                                                caplog):
+        testing = tmp_path / "testing.csv"
+        testing.write_text("date,positive,totalTestResults\n"
+                           "2020-04-01,1,10\n2020-04-02,2,20\n"
+                           "2020-04-31,3,30\n2020-04-03,x,40\n"
+                           "2020-04-04,4\n2020-04-05,5,50\n")
+        out = tmp_path / "out"
+        assert main(["analyze", "--store",
+                     str(pipeline_dirs["ingested"] / "store.npz"),
+                     "--testing-file", str(testing), "--out", str(out)]) == EXIT_OK
+        stats = json.loads((out / "manifest.json").read_text())["stats"]
+        rows = stats["testing_rows"]
+        assert (rows["total_rows"], rows["kept_rows"]) == (6, 3)
+        assert rows["rejected_rows_by_reason"] == {
+            "bad_date": 1, "bad_count": 1, "malformed_row": 1}
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.levelname == "WARNING"]
+        assert any("3 of 6 rows" in w for w in warnings), warnings
 
 
 class TestStateExclusion:

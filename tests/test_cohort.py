@@ -10,8 +10,9 @@ from hfrtrend import LineRecord, StratumKey, build_cohort_table
 from hfrtrend.cohort import (
     AGGREGATE,
     ALL_GENDERS,
+    COUNT_SLICE,
     SIGNALS,
-    cohort_mask,
+    CohortTable,
     summarize_demographics,
 )
 from hfrtrend.records import AGE_BANDS, AGE_UNKNOWN, ALL_AGE_BANDS, GENDERS
@@ -21,7 +22,7 @@ from hfrtrend.signals import (
     gender_fraction_series,
     trailing_average_7d,
 )
-from hfrtrend.store import as_columns
+from hfrtrend.store import CaseColumns, NO_STATE, as_columns, day_index
 from tests.conftest import make_records
 
 START = dt.date(2020, 4, 1)
@@ -43,6 +44,51 @@ def oracle_counts(records, start, end, bands, genders):
             out[day, 2] += int(r.died)
             out[day, 3] += int(r.hospitalized and r.died)
     return out
+
+
+def oracle_mask(cases, window, maturity_days, data_vintage, excluded_states):
+    """The whole-array cohort mask: in the window, at least `maturity_days`
+    before the vintage, outside the excluded states."""
+    start, end = window
+    last = min(end, data_vintage - dt.timedelta(days=maturity_days))
+    day = cases.event_day
+    mask = (day >= day_index(start)) & (day <= day_index(last))
+    if excluded_states:
+        mask &= ~np.isin(cases.state, cases.state_codes(excluded_states))
+    return mask
+
+
+def oracle_table(cases, start, end, mask=None):
+    """The whole-array count: masked column copies, one bincount per signal."""
+    n_days = (end - start).days + 1
+    day = cases.event_day - np.int32(day_index(start))
+    keep = (day >= 0) & (day < n_days)
+    if mask is not None:
+        keep &= mask
+    shape = (len(ALL_AGE_BANDS), len(GENDERS), n_days)
+    cell = np.ravel_multi_index(
+        (cases.age_band[keep], cases.gender[keep], day[keep]), shape
+    )
+    hosp, died = cases.hospitalized[keep], cases.died[keep]
+    counts = [np.bincount(cell, weights, np.prod(shape))
+              for weights in (None, hosp, died, hosp & died)]
+    array = np.stack(counts, axis=-1).astype(np.int64).reshape(*shape, len(SIGNALS))
+    return CohortTable(start=start, end=end, array=array)
+
+
+def random_columns(rng, n, vocab=("FL", "NJ", "NY")):
+    """n random cases dated from 10 days before START to 70 after it,
+    hospitalized and died drawn independently."""
+    first = day_index(START)
+    return CaseColumns(
+        event_day=rng.integers(first - 10, first + 70, n).astype(np.int32),
+        age_band=rng.integers(0, len(ALL_AGE_BANDS), n).astype(np.uint8),
+        gender=rng.integers(0, len(GENDERS), n).astype(np.uint8),
+        hospitalized=rng.random(n) < 0.3,
+        died=rng.random(n) < 0.2,
+        state=rng.integers(NO_STATE, len(vocab), n).astype(np.int32),
+        state_vocab=np.array(vocab),
+    )
 
 
 record_strategy = st.builds(
@@ -126,8 +172,8 @@ class TestBuildCohortTable:
 
 
 class TestColumnarPath:
-    """The analyze path (store columns and one mask -> bincount table ->
-    summary) against plain loops over the same LineRecords."""
+    """The analyze path (store columns -> sliced count -> summary) against
+    plain loops over the same LineRecords."""
 
     def _cases(self, rng, states=("FL", "NJ", "NYC", "NY", None)):
         records = make_records(rng, 2000, start=START, span_days=50, states=states)
@@ -138,8 +184,10 @@ class TestColumnarPath:
         vintage = START + dt.timedelta(days=60)  # maturity cutoff at day 40
         for excluded in ([], ["NYC"], ["FL", "NJ"]):
             records, cases = self._cases(rng)
-            mask = cohort_mask(cases, window, 20, vintage, excluded)
-            table = build_cohort_table(cases, *window, mask=mask)
+            table = build_cohort_table(
+                cases, *window, last=vintage - dt.timedelta(days=20),
+                excluded_states=excluded,
+            )
             kept = [
                 r for r in records
                 if window[0] <= r.event_date <= vintage - dt.timedelta(days=20)
@@ -176,6 +224,62 @@ class TestColumnarPath:
                 records, table.start, table.end, (band,), (gender,)
             )
             assert np.array_equal(arr, expected)
+
+
+class TestSlicedCount:
+    """The sliced one-pass count against the whole-array mask and count it
+    replaced, bitwise, around the slice edges."""
+
+    LENGTHS = (0, 1, COUNT_SLICE - 1, COUNT_SLICE, COUNT_SLICE + 1)
+    END = START + dt.timedelta(days=49)  # events run 10 days past it
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    @pytest.mark.parametrize("last_day, excluded", [
+        (None, []),  # the gate's three-argument call
+        (30, []),  # maturity cut inside the window
+        (-3, []),  # last before start: nothing kept
+        (80, ["NJ"]),  # last after end
+        (40, ["FL", "NY"]),
+        (40, ["TX", "ZZ"]),  # states absent from the vocabulary
+        (49, ["FL", "NJ", "NY"]),  # only stateless cases left
+    ])
+    def test_matches_whole_array_oracle(self, n, last_day, excluded):
+        rng = np.random.default_rng(n)
+        cases = random_columns(rng, n)
+        if last_day is None:
+            got = build_cohort_table(cases, START, self.END)
+            expected = oracle_table(cases, START, self.END)
+        else:
+            # the oracle's maturity cut: vintage less 30 days is `last`
+            last = START + dt.timedelta(days=last_day)
+            got = build_cohort_table(cases, START, self.END, last=last,
+                                     excluded_states=excluded)
+            mask = oracle_mask(cases, (START, self.END), 30,
+                               last + dt.timedelta(days=30), excluded)
+            expected = oracle_table(cases, START, self.END, mask)
+        assert got.array.dtype == np.int64
+        assert got.array.tobytes() == expected.array.tobytes()
+
+    def test_random_columns_reach_every_case(self):
+        cases = random_columns(np.random.default_rng(1), COUNT_SLICE + 1)
+        day = cases.event_day - day_index(START)
+        assert (day < 0).any() and (day > 49).any()  # outside on both sides
+        assert (cases.died & ~cases.hospitalized).any()
+        assert set(np.unique(cases.state)) == {NO_STATE, 0, 1, 2}
+
+    def test_peak_memory_is_bounded_by_the_slice(self):
+        import tracemalloc
+
+        cases = random_columns(np.random.default_rng(2), 1_000_000)
+        last = START + dt.timedelta(days=40)
+        tracemalloc.start()
+        try:
+            build_cohort_table(cases, START, self.END, last=last,
+                               excluded_states=["NJ"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, peak
 
 
 class TestDemographics:

@@ -7,6 +7,7 @@ import gzip
 import io
 import os
 import warnings
+import weakref
 from collections import Counter, defaultdict
 from dataclasses import fields, replace
 
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hfrtrend import LineRecord, ingest
-from hfrtrend.cohort import cohort_mask, detect_reporting_artifacts
+from hfrtrend.cohort import build_cohort_table, detect_reporting_artifacts
 from hfrtrend.ingest import (
     load_testing_series,
     parse_columns,
@@ -23,13 +24,16 @@ from hfrtrend.ingest import (
 )
 from hfrtrend.records import (
     AGE_UNKNOWN,
+    ALL_AGE_BANDS,
+    GENDERS,
     IngestReport,
     RawLineRecord,
     normalize_record,
 )
 from hfrtrend.schemas import CDC_SCHEMA, FLORIDA_SCHEMA, SchemaError
-from hfrtrend.store import NO_STATE, CaseColumns, as_columns
+from hfrtrend.store import COLUMN_DTYPES, NO_STATE, CaseColumns, as_columns
 from tests.conftest import make_records
+from tests.test_cohort import oracle_counts
 
 FLORIDA_FIXTURE = """\
 ChartDate,Age,Gender,Hospitalized,Died
@@ -454,24 +458,24 @@ class TestColumnParser:
         assert report.rejected_rows_by_reason["bad_date"] == 1  # and 3 more
 
     def test_parts_own_their_memory(self, monkeypatch):
-        """Every per-block part joined into a column owns its memory: a
-        row view of a block's (8, n) code matrix would keep the whole
-        matrix alive until the join."""
-        joined = []
+        """Each block's kept codes are copied into the columns, in the
+        store dtypes: no block's (8, n) code matrix outlives its block."""
+        blocks = []
+        decode_blocks = ingest._decode_blocks
 
-        class Spy:
-            def __getattr__(self, name):
-                return getattr(np, name)
+        def spy(*args, **kwargs):
+            for values, codes in decode_blocks(*args, **kwargs):
+                blocks.append(weakref.ref(codes))
+                yield values, codes
 
-            def concatenate(self, arrays):
-                joined.extend(arrays)
-                return np.concatenate(arrays)
-
-        monkeypatch.setattr(ingest, "np", Spy())
+        monkeypatch.setattr(ingest, "_decode_blocks", spy)
         monkeypatch.setattr(ingest, "BLOCK_CHARS", 2)
-        parse_columns(io.StringIO(MESSY_CDC), CDC_SCHEMA, IngestReport())
-        assert len(joined) > 6
-        assert all(part.flags.owndata for part in joined)
+        got = parse_columns(io.StringIO(MESSY_CDC), CDC_SCHEMA, IngestReport())
+        gc.collect()
+        assert len(blocks) > 1
+        assert all(ref() is None for ref in blocks)
+        for f, dtype in zip(fields(CaseColumns), COLUMN_DTYPES):
+            assert getattr(got, f.name).dtype == dtype
 
     def test_states_keep_their_full_codes(self):
         got = parse_columns(io.StringIO(MESSY_CDC), CDC_SCHEMA, IngestReport())
@@ -583,6 +587,8 @@ def _rec(day, state=None):
 
 
 class TestFilterCohort:
+    """The cohort rules, read off the counts of `build_cohort_table`."""
+
     @given(
         days=st.lists(st.integers(min_value=0, max_value=400), max_size=60),
         start_off=st.integers(min_value=0, max_value=200),
@@ -601,16 +607,16 @@ class TestFilterCohort:
             base + dt.timedelta(days=start_off + span),
         )
         vintage = base + dt.timedelta(days=vintage_off)
-        mask = cohort_mask(
-            as_columns(records), window=window, maturity_days=maturity,
-            data_vintage=vintage,
+        table = build_cohort_table(
+            as_columns(records), *window,
+            last=vintage - dt.timedelta(days=maturity),
         )
-        expected = [
-            window[0] <= r.event_date <= window[1]
+        kept = Counter(
+            r.event_date for r in records
+            if window[0] <= r.event_date <= window[1]
             and (vintage - r.event_date).days >= maturity
-            for r in records
-        ]
-        assert mask.tolist() == expected
+        )
+        assert table.counts()[:, 0].tolist() == [kept[d] for d in table.dates]
 
     def test_columnar_mask_matches_loop_oracle(self, rng):
         """Random records with states; the window edges and the maturity
@@ -624,21 +630,24 @@ class TestFilterCohort:
             maturity = int(rng.integers(0, 20))
             vintage = start + dt.timedelta(days=int(rng.integers(10, 60)))
             excluded = [s for s in ("NYC", "FL", "TX") if rng.random() < 0.5]
-            mask = cohort_mask(
-                as_columns(records), window, maturity, vintage, excluded
+            table = build_cohort_table(
+                as_columns(records), *window,
+                last=vintage - dt.timedelta(days=maturity),
+                excluded_states=excluded,
             )
-            expected = [
-                window[0] <= r.event_date <= window[1]
+            kept = [
+                r for r in records
+                if window[0] <= r.event_date <= window[1]
                 and (vintage - r.event_date).days >= maturity
                 and r.state not in excluded
-                for r in records
             ]
-            assert mask.tolist() == expected
+            expected = oracle_counts(kept, *window, ALL_AGE_BANDS, GENDERS)
+            assert np.array_equal(table.counts(), expected)
 
     def test_rejects_inverted_window(self):
         with pytest.raises(ValueError):
-            cohort_mask(as_columns([]),
-                        window=(dt.date(2020, 2, 1), dt.date(2020, 1, 1)))
+            build_cohort_table(as_columns([]), dt.date(2020, 2, 1),
+                               dt.date(2020, 1, 1))
 
 
 def _artifacts(records, *args):
