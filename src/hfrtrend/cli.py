@@ -180,6 +180,10 @@ def _load_cohort_npz(path):
 def cmd_analyze(args: argparse.Namespace) -> tuple[int, dict]:
     from . import cohort as cohort_mod, signals as signals_mod, store as store_mod
 
+    if (args.vintage - dt.date.min).days < args.maturity_days:  # before the store is read
+        print("hfrtrend analyze: error: --vintage less --maturity-days is "
+              "before 0001-01-01", file=sys.stderr)
+        return EXIT_USAGE, None
     out_dir = Path(args.out)
     cases, _meta = store_mod.load_store(args.store)
 
@@ -289,8 +293,8 @@ def cmd_bootstrap(args: argparse.Namespace) -> tuple[int, dict | None]:
         )
         try:
             reps = trend_mod.build_replicates(
-                trend_mod.fit_smoothing_spline(series), config
-            )
+                trend_mod.fit_smoothing_spline(series), config,
+                trend_mod.day_points(series, (), date_pairs))
         except trend_mod.InsufficientDataError as exc:
             log.info("band %s: %s", name, exc)
             for (d_old, d_new), rows in tables.items():

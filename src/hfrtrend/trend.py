@@ -15,10 +15,12 @@ so importing the package does not load it.
 
 Uncertainty: resample residual blocks with replacement, add them back
 onto the base trend (post-blackening), refit with the base smoothing
-parameter, and read 95% percentile intervals off the replicate
-trends, with levels clipped to [0, 1]. A stratum is fitted and
-bootstrapped once, and every requested date and drop is read off that
-one replicate set (`read_estimates`).
+parameter, and read 95% percentile intervals off the replicate trends,
+with levels clipped to [0, 1]. A stratum is bootstrapped once, and its
+replicate values exist only at the points requested from
+`build_replicates`, which solves REPLICATE_SLICE replicates at a time so
+that no (n, B) array outlives its slice; every requested date and drop
+is read off that one replicate set (`read_estimates`).
 
 Replicate stream contract: replicate j of a series of n residuals takes
 ceil(n/L) block starts, uniform on [0, n-L], from
@@ -39,6 +41,7 @@ import numpy as np
 from .signals import RateSeries
 
 LAMBDA_GRID_SIZE = 61  # points in default_lambda_grid
+REPLICATE_SLICE = 64  # replicates solved at once: bounds their (n, slice) arrays
 
 
 class InsufficientDataError(ValueError):
@@ -111,44 +114,29 @@ class SplineFit:
 
     def evaluate(self, xq, extrapolate: bool = False) -> np.ndarray:
         return _eval_natural_cubic(
-            self.x, self.fitted, self.gamma, np.asarray(xq, dtype=float),
-            extrapolate=extrapolate,
-        )
-
-
-def _eval_natural_cubic(
-    x: np.ndarray,
-    f: np.ndarray,
-    gamma: np.ndarray,
-    xq: np.ndarray,
-    extrapolate: bool = False,
-) -> np.ndarray:
-    """Evaluate a natural cubic spline given knot values and interior
-    second derivatives. f/gamma may be (n,)/(n-2,) or (n, B)/(n-2, B);
-    the result is (m,) or (m, B), a 1-D fit being evaluated as one column.
-    Outside the knot range the natural spline continues linearly; that is
-    an OutOfRangeError unless `extrapolate`."""
-    if f.ndim == 1:
-        return _eval_natural_cubic(
-            x, f[:, None], gamma[:, None], xq, extrapolate
+            self.x, self.fitted[:, None], self.gamma[:, None],
+            np.asarray(xq, dtype=float), extrapolate=extrapolate,
         )[:, 0]
+
+
+def _eval_natural_cubic(x, f, gamma, xq, extrapolate: bool = False) -> np.ndarray:
+    """Evaluate natural cubic splines given (n, B) knot values and (n-2, B)
+    interior second derivatives at m points: an (m, B) result. Outside
+    the knot range the natural spline continues linearly; that is an
+    OutOfRangeError unless `extrapolate`."""
+    g = np.zeros((len(x), f.shape[1]))  # second derivatives, 0 at the ends
+    g[1:-1] = gamma
     outside_lo = xq < x[0]
     outside_hi = xq > x[-1]
     if np.any(outside_lo) or np.any(outside_hi):
         if not extrapolate:
             raise OutOfRangeError("evaluation point outside fitted range")
-        inner = _eval_natural_cubic(
-            x, f, gamma, np.clip(xq, x[0], x[-1]), extrapolate=False
-        )
-        g1 = gamma[0] if len(gamma) else 0.0
-        g2 = gamma[-1] if len(gamma) else 0.0
-        slope_lo = (f[1] - f[0]) / (x[1] - x[0]) - (x[1] - x[0]) * g1 / 6.0
-        slope_hi = (f[-1] - f[-2]) / (x[-1] - x[-2]) + (x[-1] - x[-2]) * g2 / 6.0
+        inner = _eval_natural_cubic(x, f, gamma, np.clip(xq, x[0], x[-1]))
+        slope_lo = (f[1] - f[0]) / (x[1] - x[0]) - (x[1] - x[0]) * g[1] / 6.0
+        slope_hi = (f[-1] - f[-2]) / (x[-1] - x[-2]) + (x[-1] - x[-2]) * g[-2] / 6.0
         d_lo = np.where(outside_lo, xq - x[0], 0.0)
         d_hi = np.where(outside_hi, xq - x[-1], 0.0)
         return inner + d_lo[:, None] * slope_lo + d_hi[:, None] * slope_hi
-    g = np.zeros((len(x), f.shape[1]))
-    g[1:-1] = gamma
     idx = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, len(x) - 2)
     h = x[idx + 1] - x[idx]
     a = ((x[idx + 1] - xq) / h)[:, None]
@@ -328,45 +316,48 @@ def _block_starts(seed: int, replicates: int, n: int, block_length: int):
 
 @dataclass
 class ReplicateSet:
-    """B refitted trends from one resampling pass over the base fit."""
+    """B refitted trends, kept only at the points they were built for."""
 
     base: SplineFit
-    fitted: np.ndarray  # (n, B)
-    gammas: np.ndarray  # (n-2, B)
-
-    @property
-    def n_replicates(self) -> int:
-        return self.fitted.shape[1]
+    points: np.ndarray  # (m,) requested points in the fitted range, sorted
+    values: np.ndarray  # (m, B) replicate trend values at `points`
 
     def evaluate(self, xq) -> np.ndarray:
-        """Replicate trend values at query points, shape (m, B)."""
-        return _eval_natural_cubic(
-            self.base.x, self.fitted, self.gammas, np.asarray(xq, dtype=float)
-        )
+        """Values at query points, shape (len(xq), B). A point outside the
+        fitted range raises OutOfRangeError, one not requested ValueError."""
+        xq = np.asarray(xq, dtype=float)
+        if np.any(xq < self.base.x[0]) or np.any(xq > self.base.x[-1]):
+            raise OutOfRangeError("evaluation point outside fitted range")
+        if not np.all(np.isin(xq, self.points)):
+            raise ValueError("point not requested from build_replicates")
+        return self.values[np.searchsorted(self.points, xq)]
 
 
-def build_replicates(base: SplineFit, config: BootstrapConfig) -> ReplicateSet:
+def build_replicates(base: SplineFit, config: BootstrapConfig, points) -> ReplicateSet:
     """Resample residual blocks, post-blacken, refit each replicate.
 
     Each replicate concatenates ceil(n/L) of the n-L+1 overlapping
     length-L residual windows, drawn uniformly with replacement from its
-    own stream (module docstring), truncated to n. All replicates share
-    one banded factorization (same lam, same knots) and are solved as a
-    single multi-RHS system.
+    own stream (module docstring), truncated to n. The replicates are
+    solved REPLICATE_SLICE columns at a time against one band (same lam,
+    same knots), and each slice is kept only at the `points` in range.
     """
-    n, length = len(base.x), config.block_length
+    x, n, length = base.x, len(base.x), config.block_length
     if n < length:
         raise InsufficientDataError(
-            f"series length {n} shorter than block length {length}"
-        )
+            f"series length {n} shorter than block length {length}")
+    points = np.unique(np.asarray(points, dtype=float))
+    points = points[(points >= x[0]) & (points <= x[-1])]
     starts = _block_starts(config.seed, config.replicates, n, length)
-    index = (starts[:, :, None] + np.arange(length)).reshape(len(starts), -1)
-    synthetic = base.residuals[index[:, :n].T]  # (n, B)
-    del index  # before the solve, so it does not add to the peak
-    synthetic += base.fitted[:, None]
-
-    gammas, fitted = _smooth(_spacings(base.x), synthetic, base.lam)
-    return ReplicateSet(base=base, fitted=fitted, gammas=gammas)
+    residuals, h = base.residuals, _spacings(x)
+    values = np.empty((len(points), config.replicates))
+    for lo in range(0, config.replicates, REPLICATE_SLICE):
+        block = starts[lo:lo + REPLICATE_SLICE]
+        index = (block[:, :, None] + np.arange(length)).reshape(len(block), -1)
+        synthetic = residuals[index[:, :n].T] + base.fitted[:, None]
+        gammas, fitted = _smooth(h, synthetic, base.lam)
+        values[:, lo:lo + len(block)] = _eval_natural_cubic(x, fitted, gammas, points)
+    return ReplicateSet(base=base, points=points, values=values)
 
 
 @dataclass(frozen=True)
@@ -435,8 +426,15 @@ def analyze_trend(
     lam="block-cv",
 ) -> TrendResult:
     """Fit, bootstrap once, and extract levels and relative drops."""
-    reps = build_replicates(fit_smoothing_spline(series, lam=lam), config)
+    base = fit_smoothing_spline(series, lam=lam)
+    reps = build_replicates(base, config, day_points(series, dates, date_pairs))
     return read_estimates(reps, series, dates, date_pairs)
+
+
+def day_points(series: RateSeries, dates, date_pairs) -> np.ndarray:
+    """Day indices of `dates`, then of each pair's old and new date."""
+    all_dates = [*dates, *(d for pair in date_pairs for d in pair)]
+    return np.array([series.series.day_index(d) for d in all_dates], dtype=float)
 
 
 def read_estimates(
@@ -450,12 +448,11 @@ def read_estimates(
     Levels and drops come from the same replicate trends, so drop
     intervals reflect within-replicate dependence between the two dates.
     Rates live on [0, 1]; reported values are clipped there with a count.
-    A date outside the fitted range raises OutOfRangeError.
+    A date outside the fitted range raises OutOfRangeError; `reps` must
+    have been built with the day of every date in range.
     """
     result = TrendResult(replicates=reps)
-    all_dates = list(dates) + [d for pair in date_pairs for d in pair]
-    xq = np.array([series.series.day_index(d) for d in all_dates], dtype=float)
-    values = reps.evaluate(xq) if len(xq) else np.empty((0, reps.n_replicates))
+    values = reps.evaluate(day_points(series, dates, date_pairs))
 
     for i, date in enumerate(dates):
         triplet = _percentile_triplet(values[i])
@@ -475,7 +472,7 @@ def read_estimates(
         result.drops.append(DropEstimate(
             d_old, d_new, *_percentile_triplet(rel),
             excluded_replicates=excluded,
-            flagged=excluded > 0.01 * reps.n_replicates,
+            flagged=excluded > 0.01 * len(old),
         ))
     return result
 
@@ -489,6 +486,4 @@ def estimate_drop(
 ) -> DropEstimate:
     """Relative change (new - old)/old with percentile bounds, computed
     per replicate."""
-    return analyze_trend(
-        series, config, [], [(date_old, date_new)], lam=lam
-    ).drops[0]
+    return analyze_trend(series, config, [], [(date_old, date_new)], lam=lam).drops[0]

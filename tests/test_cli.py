@@ -349,10 +349,12 @@ class TestExitCodes:
         ["synth", "--daily-cases", "inf"],
         ["synth", "--daily-cases", "1e30"],
         ["analyze", "--store", "s.npz", "--auto-exclude", "--exclude-states", "FL"],
+        ["analyze", "--store", "s.npz", "--maturity-days", "1000000"],
+        ["analyze", "--store", "s.npz", "--vintage", "0001-01-05"],
     ], ids=["replicates", "blocks", "maturity_days", "reversed_window",
             "daily_cases", "bootstrap_seed", "synth_seed", "analyze_min_deaths",
             "bootstrap_min_deaths", "daily_cases_inf", "daily_cases_over_poisson",
-            "both_exclusions"])
+            "both_exclusions", "maturity_before_year_one", "vintage_before_maturity"])
     def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, argv):
         assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_USAGE
         err = capsys.readouterr().err

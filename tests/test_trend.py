@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from hfrtrend.signals import RateSeries, TimeSeries
 from hfrtrend.trend import (
+    REPLICATE_SLICE,
     BootstrapConfig,
     InsufficientDataError,
     OutOfRangeError,
@@ -21,6 +22,8 @@ from hfrtrend.trend import (
     read_estimates,
     select_lambda_block_cv,
     _block_cv_scores,
+    _block_starts,
+    _eval_natural_cubic,
     _nearest_rank,
     _percentile_triplet,
     _penalty_matrices,
@@ -211,9 +214,22 @@ class TestEvaluate:
         fit = fit_points(x, rng.normal(size=10), 1.0)
         with pytest.raises(OutOfRangeError):
             fit.evaluate([9.5])
-        reps = build_replicates(fit, BootstrapConfig(replicates=4, block_length=3))
+        reps = build_replicates(fit, BootstrapConfig(replicates=4, block_length=3),
+                                [2.0, -1.0])
         with pytest.raises(OutOfRangeError):
             reps.evaluate([2.0, -1.0])
+
+    def test_unrequested_point_in_range_raises(self, rng):
+        x = np.arange(10, dtype=float)
+        fit = fit_points(x, rng.normal(size=10), 1.0)
+        config = BootstrapConfig(replicates=4, block_length=3)
+        for points in ([2.0, 5.5], []):
+            reps = build_replicates(fit, config, points)
+            for xq in ([3.0], [2.0, 5.0], [5.49]):
+                with pytest.raises(ValueError, match="not requested") as info:
+                    reps.evaluate(xq)
+                assert not isinstance(info.value, OutOfRangeError)
+        assert reps.evaluate([]).shape == (0, 4)
 
     def test_extrapolation_is_linear_with_boundary_slope(self, rng):
         x = np.arange(15, dtype=float)
@@ -332,8 +348,9 @@ def moving_block_resample(residuals, block_length, rng):
 
 def per_replicate_build(base, config):
     """Oracle for build_replicates: one spawned stream and one resample
-    per replicate column, then the same multi-RHS solve. Returns the
-    synthetic series and their fitted values and second derivatives."""
+    per replicate column, then one multi-RHS solve of the whole (n, B)
+    array. Returns the synthetic series and their fitted values and
+    second derivatives."""
     children = np.random.SeedSequence(config.seed).spawn(config.replicates)
     synthetic = np.empty((len(base.x), config.replicates))
     for j, child in enumerate(children):
@@ -374,6 +391,24 @@ class TestMovingBlockResample:
         assert np.array_equal(a, b)
 
 
+def knots_and_midpoints(x):
+    """Every knot and every midpoint between two knots, sorted."""
+    return np.sort(np.concatenate([x, (x[:-1] + x[1:]) / 2]))
+
+
+def assert_matches_whole_array_build(base, config, points):
+    """build_replicates at `points` is bitwise the oracle's whole-array
+    build evaluated there; it keeps no other point."""
+    reps = build_replicates(base, config, points)
+    synthetic, fitted, gammas = per_replicate_build(base, config)
+    assert np.array_equal(reps.points, points)
+    expected = _eval_natural_cubic(base.x, fitted, gammas, points)
+    assert reps.values.shape == (len(points), config.replicates)
+    assert reps.values.tobytes() == expected.tobytes()
+    assert reps.evaluate(points).tobytes() == expected.tobytes()
+    return reps, synthetic
+
+
 class TestBuildReplicates:
     # (n, L, B): n % L != 0 truncates the last block, L = 1 resamples
     # i.i.d., L = n leaves a single window; B = 1 is one column
@@ -382,42 +417,83 @@ class TestBuildReplicates:
     def test_batched_solve_equals_per_replicate_fits(self, rng):
         for n, block_length, replicates in self.SHAPES:
             x = np.arange(n, dtype=float)
+            points = knots_and_midpoints(x)
             config = BootstrapConfig(replicates=replicates,
                                      block_length=block_length, seed=4)
             # two series of one length share the cached block starts
             for _ in range(2):
                 y = np.sin(x / 8) + rng.normal(0, 0.1, size=n)
                 base = fit_points(x, y, 100.0)
-                reps = build_replicates(base, config)
                 # the per-replicate resampling loop, bit for bit
-                synthetic, fitted, gammas = per_replicate_build(base, config)
-                assert reps.fitted.tobytes() == fitted.tobytes()
-                assert reps.gammas.tobytes() == gammas.tobytes()
+                reps, synthetic = assert_matches_whole_array_build(
+                    base, config, points)
                 # and each column agrees with its own fit
                 for j in range(replicates):
                     single = fit_points(x, synthetic[:, j], base.lam)
-                    assert np.allclose(reps.fitted[:, j], single.fitted,
+                    assert np.allclose(reps.values[:, j], single.evaluate(points),
                                        atol=1e-10)
-                    assert np.allclose(reps.gammas[:, j], single.gamma,
-                                       atol=1e-10)
+
+    @pytest.mark.parametrize("replicates", [
+        1, REPLICATE_SLICE - 1, REPLICATE_SLICE, REPLICATE_SLICE + 1,
+        2 * REPLICATE_SLICE + 3])
+    @pytest.mark.parametrize("n, block_length", [(47, 7), (20, 20)],
+                             ids=["n_mod_L_nonzero", "L_equals_n"])
+    def test_slices_match_whole_array_build(self, rng, n, block_length,
+                                            replicates):
+        x = np.cumsum(rng.uniform(0.5, 1.5, size=n))  # uneven knots
+        y = np.sin(x / 6) + rng.normal(0, 0.1, size=n)
+        base = fit_points(x, y, 20.0)
+        config = BootstrapConfig(replicates=replicates,
+                                 block_length=block_length, seed=11)
+        points = knots_and_midpoints(x)
+        assert_matches_whole_array_build(base, config, points)
+        # requested points are deduplicated and sorted, and the ones
+        # outside the fitted range are dropped
+        outside = [x[0] - 1.0, x[-1] + 0.5]
+        shuffled = np.concatenate([outside, points[::-1], points[:5]])
+        reps = build_replicates(base, config, shuffled)
+        assert np.array_equal(reps.points, points)
+        assert reps.values.tobytes() == build_replicates(
+            base, config, points).values.tobytes()
+
+    def test_peak_memory_is_bounded_by_the_slice(self):
+        import tracemalloc
+
+        n, replicates = 215, 4000
+        x = np.arange(n, dtype=float)
+        base = fit_points(x, np.sin(x / 20), 50.0)
+        config = BootstrapConfig(replicates=replicates, seed=5)
+        points = [3.0, 90.0, 105.0, 198.0]
+        _block_starts(config.seed, replicates, n, config.block_length)  # warm
+        tracemalloc.start()
+        try:
+            reps = build_replicates(base, config, points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert reps.values.shape == (len(points), replicates)
+        # a dozen (n, slice) float64 arrays at most, plus the result; the
+        # whole-array build peaks at about 26 MB here
+        slice_array = 8 * n * REPLICATE_SLICE
+        assert peak < 12 * slice_array + reps.values.nbytes, peak
 
     def test_deterministic_across_runs(self, rng):
         x = np.arange(40, dtype=float)
         y = rng.normal(size=40)
         base = fit_points(x, y, 50.0)
-        a = build_replicates(base, BootstrapConfig(replicates=8, seed=1))
-        b = build_replicates(base, BootstrapConfig(replicates=8, seed=1))
-        assert np.array_equal(a.fitted, b.fitted)
-        c = build_replicates(base, BootstrapConfig(replicates=8, seed=2))
-        assert not np.array_equal(a.fitted, c.fitted)
+        a = build_replicates(base, BootstrapConfig(replicates=8, seed=1), x)
+        b = build_replicates(base, BootstrapConfig(replicates=8, seed=1), x)
+        assert np.array_equal(a.values, b.values)
+        c = build_replicates(base, BootstrapConfig(replicates=8, seed=2), x)
+        assert not np.array_equal(a.values, c.values)
 
     def test_zero_residuals_give_identical_replicates(self):
         x = np.arange(30, dtype=float)
         y = 0.5 * x + 1.0  # spline reproduces a line exactly: residuals 0
         base = fit_points(x, y, 10.0)
         assert np.allclose(base.residuals, 0.0, atol=1e-9)
-        reps = build_replicates(base, BootstrapConfig(replicates=12, seed=0))
-        spread = reps.fitted.max(axis=1) - reps.fitted.min(axis=1)
+        reps = build_replicates(base, BootstrapConfig(replicates=12, seed=0), x)
+        spread = reps.values.max(axis=1) - reps.values.min(axis=1)
         assert np.allclose(spread, 0.0, atol=1e-9)
 
 
@@ -469,7 +545,8 @@ class TestAnalyzeTrend:
         config = BootstrapConfig(replicates=100, seed=6)
         days = (10, 40, 70, 110)
         d1, d2, d3, d4 = (START + dt.timedelta(days=d) for d in days)
-        reps = build_replicates(fit_smoothing_spline(series, lam=500.0), config)
+        reps = build_replicates(fit_smoothing_spline(series, lam=500.0), config,
+                                days)
         for pair in ((d1, d4), (d2, d3)):
             read = read_estimates(reps, series, list(pair), [pair])
             direct = analyze_trend(series, config, list(pair), [pair], lam=500.0)
