@@ -10,8 +10,9 @@ so the solve is banded and O(n). The smoothing parameter is a given
 number or is chosen by block cross-validation, which solves the whole
 lam grid against each block's bands, about 1.8k small solves per
 selection, so LAPACK pbsv is called directly rather than through
-scipy's solveh_banded wrapper. scipy is imported on the first solve,
-so importing the package does not load it.
+scipy's solveh_banded wrapper. The routine comes from scipy's own LAPACK
+extension, loaded on the first solve without importing scipy.linalg, so
+no stage imports scipy.
 
 Uncertainty: resample residual blocks with replacement, add them back
 onto the base trend (post-blackening), refit with the base smoothing
@@ -33,7 +34,11 @@ from __future__ import annotations
 
 import datetime as dt
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,9 +172,25 @@ def _as_points(x, y, min_points: int, purpose: str = ""):
 
 @functools.cache
 def _pbsv():
-    from scipy.linalg import get_lapack_funcs
-
-    return get_lapack_funcs("pbsv", (np.empty(0),))  # the float64 routine
+    """LAPACK dpbsv from scipy's f2py extension scipy/linalg/_flapack, the
+    routine `scipy.linalg.lapack` re-exports, loaded without scipy.linalg's
+    package import (about 0.3 s and 25 MB, mostly numpy submodules that
+    scipy's array-API layer pulls in)."""
+    scipy = importlib.util.find_spec("scipy")  # finds the package, no import
+    roots = scipy.submodule_search_locations if scipy else None
+    dirs = [os.path.join(root, "linalg") for root in roots or ()]
+    spec = importlib.machinery.PathFinder.find_spec("_flapack", dirs)
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK extension _flapack not found in {dirs}")
+    # scipy's own name selects PyInit__flapack and is CPython's cache key for
+    # the extension, so scipy.linalg, imported before or after, shares it
+    spec.name = "scipy.linalg._flapack"
+    registered = spec.name in sys.modules
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if not registered:  # loading registers the name without its parent packages
+        sys.modules.pop(spec.name, None)
+    return module.dpbsv
 
 
 def _solve_band(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -346,7 +367,8 @@ def build_replicates(base: SplineFit, config: BootstrapConfig, points) -> Replic
     if n < length:
         raise InsufficientDataError(
             f"series length {n} shorter than block length {length}")
-    points = np.unique(np.asarray(points, dtype=float))
+    # not np.unique: in numpy 2.4 it imports numpy.ma
+    points = np.array(sorted(set(np.asarray(points, dtype=float).tolist())))
     points = points[(points >= x[0]) & (points <= x[-1])]
     starts = _block_starts(config.seed, config.replicates, n, length)
     residuals, h = base.residuals, _spacings(x)

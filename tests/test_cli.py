@@ -205,6 +205,17 @@ class TestImports:
                                                 "hfrtrend.signals",
                                                 "hfrtrend.store"]
 
+    def test_bootstrap_loads_only_what_it_runs(self, pipeline_dirs, tmp_path):
+        argv = ["bootstrap", "--analyzed", str(pipeline_dirs["analyzed"]),
+                "--dates", "2020-05-01,2020-09-15", "--replicates", "10",
+                "--out", str(tmp_path / "boot")]
+        # the stage must reach LAPACK, so scipy's extension is loaded
+        code = (f"import hfrtrend.cli\nassert hfrtrend.cli.main({argv!r}) == 0\n"
+                "import hfrtrend.trend\n"
+                "assert hfrtrend.trend._pbsv.cache_info().currsize == 1")
+        watched = ("hfrtrend.ingest", "hfrtrend.synth", "scipy", "numpy.ma")
+        assert _loaded_after(code, watched) == []
+
     def test_manifest_tool_version_is_the_package_version(self, pipeline_dirs):
         tomllib = pytest.importorskip("tomllib")  # Python 3.11+
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -1,12 +1,21 @@
 """Spline fitting and bootstrap machinery against dense-matrix oracles."""
 
 import datetime as dt
+import importlib.machinery
+import importlib.util
 import math
+import os
+import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hfrtrend import trend
 from hfrtrend.signals import RateSeries, TimeSeries
 from hfrtrend.trend import (
     REPLICATE_SLICE,
@@ -182,6 +191,57 @@ class TestBandedSolve:
         band = np.array([[0.0, 0.0, 0.1], [0.0, 0.2, 0.2], [1.0, -1.0, 1.0]])
         with pytest.raises(np.linalg.LinAlgError):
             _solve_band(band, np.ones(3))
+
+    @pytest.mark.parametrize("first", ["_solve_band", "solveh_banded"])
+    def test_bitwise_equal_whichever_loads_lapack_first(self, first):
+        # in a fresh interpreter, so the first call is the one that loads
+        # scipy's LAPACK extension
+        probe = textwrap.dedent(f"""
+            import numpy as np
+            from hfrtrend.trend import _penalty_matrices, _solve_band
+
+            rng = np.random.default_rng(3)
+            x = np.cumsum(rng.uniform(0.2, 3.0, size=60))
+            r_band, qtq_band = _penalty_matrices(np.diff(x))
+            band = r_band + 0.37 * qtq_band
+            rhs = [rng.normal(size=58), rng.normal(size=(58, 9))]
+
+            def ours():
+                return [_solve_band(band, b) for b in rhs]
+
+            def scipys():
+                from scipy.linalg import solveh_banded
+                return [solveh_banded(band, b) for b in rhs]
+
+            if {first!r} == "_solve_band":
+                got = ours()
+                want = scipys()
+            else:
+                want = scipys()
+                got = ours()
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+            import sys, scipy.linalg  # scipy's own registration is kept
+            assert sys.modules["scipy.linalg._flapack"] is scipy.linalg._flapack
+        """)
+        src = str(Path(trend.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-c", probe], env=env, check=True)
+
+    def test_missing_scipy_raises_import_error(self, monkeypatch):
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name, package=None: None)
+        trend._pbsv.cache_clear()
+        with pytest.raises(ImportError, match=r"not found in \[\]"):
+            trend._pbsv()
+
+    def test_missing_extension_names_where_it_looked(self, monkeypatch, tmp_path):
+        fake = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        fake.submodule_search_locations = [str(tmp_path)]
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name, package=None: fake)
+        trend._pbsv.cache_clear()
+        with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+            trend._pbsv()
 
 
 class TestEvaluate:
