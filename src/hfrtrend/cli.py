@@ -15,6 +15,7 @@ imports the modules it runs, so no stage pays for another's imports.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import datetime as dt
@@ -123,11 +124,8 @@ def cmd_ingest(args: argparse.Namespace) -> tuple[int, dict]:
         schema = BUILTIN_SCHEMAS[args.schema]
 
     report = IngestReport()
-    quarantine_fh = None
-    if args.quarantine:
-        quarantine_fh = open(out_dir / "quarantine.csv", "w", newline="",
-                             encoding="utf-8")
-    try:
+    with (open(out_dir / "quarantine.csv", "w", newline="", encoding="utf-8")
+          if args.quarantine else contextlib.nullcontext()) as quarantine_fh:
         cases = ingest_mod.parse_columns(
             args.input,
             schema,
@@ -140,9 +138,6 @@ def cmd_ingest(args: argparse.Namespace) -> tuple[int, dict]:
             cases,
             meta={"schema": schema.name, "source": str(args.input)},
         )
-    finally:
-        if quarantine_fh is not None:
-            quarantine_fh.close()
 
     _write_json(out_dir / "ingest_report.json", report.as_dict())
     if report.kept_rows == 0:
@@ -154,7 +149,9 @@ def cmd_ingest(args: argparse.Namespace) -> tuple[int, dict]:
 # --------------------------------------------------------------- analyze
 
 
-def _save_cohort_npz(path, table) -> None:
+def _save_cohort_npz(path, table, min_deaths: int) -> None:
+    """The cohort table, with the HFR support floor that analyze applied,
+    so bootstrap fits the series that the hfr_*.csv files hold."""
     from .store import write_npz
 
     write_npz(
@@ -162,6 +159,7 @@ def _save_cohort_npz(path, table) -> None:
         start=np.str_(table.start.isoformat()),
         end=np.str_(table.end.isoformat()),
         array=table.array,
+        min_deaths=np.int64(min_deaths),
     )
 
 
@@ -214,7 +212,7 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[int, dict]:
         last=args.vintage - dt.timedelta(days=args.maturity_days),
         excluded_states=excluded_states,
     )
-    _save_cohort_npz(out_dir / "cohort_table.npz", table)
+    _save_cohort_npz(out_dir / "cohort_table.npz", table, args.min_deaths)
     table.write_long_csv(out_dir / "cohort_long.csv")
 
     demo = cohort_mod.summarize_demographics(table)
@@ -259,6 +257,7 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[int, dict]:
 def cmd_bootstrap(args: argparse.Namespace) -> tuple[int, dict | None]:
     from . import signals as signals_mod, trend as trend_mod
     from .cohort import StratumKey
+    from .store import open_npz
 
     if args.dates:
         try:
@@ -271,7 +270,10 @@ def cmd_bootstrap(args: argparse.Namespace) -> tuple[int, dict | None]:
         date_pairs = list(DEFAULT_DATE_PAIRS)
 
     out_dir = Path(args.out)
-    table = _load_cohort_npz(Path(args.analyzed) / "cohort_table.npz")
+    path = Path(args.analyzed) / "cohort_table.npz"
+    with open_npz(path, "analyze") as npz:
+        min_deaths = int(npz["min_deaths"])
+    table = _load_cohort_npz(path)
 
     config = trend_mod.BootstrapConfig(
         replicates=args.replicates, block_length=args.blocks, seed=args.seed
@@ -287,10 +289,8 @@ def cmd_bootstrap(args: argparse.Namespace) -> tuple[int, dict | None]:
 
     any_rows = False
     for name in TABLE_BANDS:
-        series = signals_mod.hfr_series(
-            table, StratumKey(name, args.gender),
-            min_deaths=args.min_deaths,
-        )
+        series = signals_mod.hfr_series(table, StratumKey(name, args.gender),
+                                        min_deaths=min_deaths)
         try:
             reps = trend_mod.build_replicates(
                 trend_mod.fit_smoothing_spline(series), config,
@@ -466,7 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_boot.add_argument("--seed", type=_at_least(0), default=0)
     p_boot.add_argument("--replicates", type=_at_least(1), default=1000)
     p_boot.add_argument("--blocks", type=_at_least(1), default=7)
-    p_boot.add_argument("--min-deaths", type=_at_least(0), default=2)
     p_boot.add_argument("--gender", choices=("all", "female", "male"),
                         default="all")
     p_boot.add_argument("--out", required=True)

@@ -175,7 +175,11 @@ def load_schema(path: str, base: str | None = None) -> ParseSchema:
     if not isinstance(raw, dict):
         raise SchemaError(f"schema file {path} must contain a mapping")
     base_name = raw.pop("base", base)
-    schema = BUILTIN_SCHEMAS.get(base_name) if base_name else None
+    # a tuple, not the dict: a YAML list or mapping is not hashable
+    if base_name is not None and base_name not in tuple(BUILTIN_SCHEMAS):
+        raise SchemaError(f"schema file {path}: base must be one of "
+                          f"{', '.join(BUILTIN_SCHEMAS)}, not {base_name!r}")
+    schema = BUILTIN_SCHEMAS.get(base_name)
 
     merged_maps = {}
     for key in ("outcome_spellings", "gender_spellings", "age_band_spellings"):

@@ -20,6 +20,8 @@ import numpy as np
 
 from .records import RawLineRecord
 
+FEMALE_FRACTION = 0.5  # chance that a synthetic case is female
+
 
 @dataclass
 class SynthConfig:
@@ -29,7 +31,6 @@ class SynthConfig:
     case_intensity: dict[str, np.ndarray]
     p_hosp: dict[str, np.ndarray]
     hfr: dict[str, np.ndarray]
-    female_fraction: float = 0.5
     seed: int = 0
     # fraction of boolean-"no" outcome fields relabeled unknown/missing,
     # which the recode-to-no rule maps back losslessly
@@ -50,8 +51,6 @@ class SynthConfig:
                         raise ValueError(f"{name}[{band}] has negative intensity")
                 elif np.any((curve < 0) | (curve > 1)):
                     raise ValueError(f"{name}[{band}] not a probability curve")
-        if not (0 <= self.female_fraction <= 1):
-            raise ValueError("female_fraction not in [0,1]")
         if not (0 <= self.missingness_rate <= 1):
             raise ValueError("missingness_rate not in [0,1]")
 
@@ -97,7 +96,7 @@ def generate_cases(config: SynthConfig) -> tuple[np.ndarray, TruthTable]:
                 continue
             hosp = rng.random(n_cases) < config.p_hosp[band][day]
             died = hosp & (rng.random(n_cases) < config.hfr[band][day])
-            female = rng.random(n_cases) < config.female_fraction
+            female = rng.random(n_cases) < FEMALE_FRACTION
             outcome = hosp * 4 + died
             if config.missingness_rate > 0:
                 outcome = _relabel_missing(rng, hosp, died, config.missingness_rate)

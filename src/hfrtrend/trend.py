@@ -46,6 +46,8 @@ import numpy as np
 from .signals import RateSeries
 
 LAMBDA_GRID_SIZE = 61  # points in default_lambda_grid
+CV_BLOCK_LENGTH = 7  # days held out per block CV fold: one trailing window
+CV_GAP = 6  # days dropped each side of a fold: a window's overlap with it
 REPLICATE_SLICE = 64  # replicates solved at once: bounds their (n, slice) arrays
 
 
@@ -230,39 +232,31 @@ def default_lambda_grid(x) -> np.ndarray:
     return np.geomspace(1e-6 * scale, 1e6 * scale, LAMBDA_GRID_SIZE)
 
 
-def select_lambda_block_cv(
-    x,
-    y,
-    block_length: int = 7,
-    gap: int = 6,
-    grid=None,
-) -> float:
-    """Pick lam by leave-block-out cross-validation with a buffer gap.
+def select_lambda_block_cv(x, y) -> float:
+    """Pick lam from `default_lambda_grid` by leave-block-out
+    cross-validation with a buffer gap.
 
     Rates built from 7-day trailing averages carry noise correlated over
     the window span, which makes leave-one-out criteria (generalized
     cross-validation included) undersmooth badly: every held-out point has near-duplicates in the
-    training set. Holding out `block_length`-day blocks and additionally
-    dropping a `gap`-day buffer on each side from the training set breaks
+    training set. Holding out CV_BLOCK_LENGTH-day blocks and additionally
+    dropping a CV_GAP-day buffer on each side from the training set breaks
     that leakage. Deterministic; first minimizer wins on ties.
     """
-    x, y = _as_points(x, y, 4 + block_length + 2 * gap, " for block CV")
-    if grid is None:
-        grid = default_lambda_grid(x)
-    scores = _block_cv_scores(x, y, block_length, gap, grid)
+    x, y = _as_points(x, y, 4 + CV_BLOCK_LENGTH + 2 * CV_GAP, " for block CV")
+    grid = default_lambda_grid(x)
+    scores = _block_cv_scores(x, y, CV_BLOCK_LENGTH, CV_GAP, grid)
     return float(grid[int(np.argmin(scores))])
 
 
 def _block_cv_scores(x, y, block_length: int, gap: int, grid) -> np.ndarray:
-    """Mean squared held-out error of each grid lam (validated x, y).
+    """Mean squared held-out error of each lam of a nonnegative grid, for
+    validated, strictly increasing x.
 
     Each block builds its bands and Q'y once and solves every lam against
     them; the arithmetic is that of one `fit_points` per (block, lam).
     """
     lams = np.asarray(grid, dtype=float)
-    if np.any(lams < 0):
-        raise ValueError("lam must be nonnegative")
-    _spacings(x)
     n = len(x)
     err = np.zeros(len(lams))
     count = 0

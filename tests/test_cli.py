@@ -29,6 +29,7 @@ from hfrtrend.cli import (
     main,
 )
 from hfrtrend.cohort import StratumKey
+from hfrtrend.store import write_npz
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +100,35 @@ class TestPipelineOutputs:
         assert drop_text.strip().startswith("-0.")
 
 
+def _drop_rows(boot: Path, d_old: dt.date, d_new: dt.date) -> list[list[str]]:
+    with open(boot / f"hfr_drop_{d_old:%m-%d}_to_{d_new:%m-%d}.csv",
+              newline="") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+def _expected_rows(table, config, d_old, d_new, min_deaths=2):
+    """The drop-table rows of one pair, and the reason for each "-" row,
+    from one `analyze_trend` per stratum."""
+    rows, dash_cells = [], []
+    for name in TABLE_BANDS:
+        series = signals.hfr_series(table, StratumKey(name, "all"),
+                                    min_deaths=min_deaths)
+        try:
+            result = trend.analyze_trend(
+                series, config, [d_old, d_new], [(d_old, d_new)]
+            )
+        except (trend.InsufficientDataError, trend.OutOfRangeError) as exc:
+            rows.append([name, "-", "-", "-"])
+            dash_cells.append({"stratum": name, "d_old": d_old.isoformat(),
+                               "d_new": d_new.isoformat(), "reason": str(exc)})
+            continue
+        cells = [*result.levels, result.drops[0]]
+        rows.append([name] + [
+            _interval_text(c.median, c.lower, c.upper) for c in cells
+        ])
+    return rows, dash_cells
+
+
 class TestBootstrapTables:
     def test_drop_tables_equal_per_pair_analyze_trend(self, pipeline_dirs,
                                                       tmp_path):
@@ -119,29 +149,10 @@ class TestBootstrapTables:
         tables = {}
         dash_cells = []
         for d_old, d_new in DEFAULT_DATE_PAIRS:
-            expected = []
-            for name in TABLE_BANDS:
-                series = signals.hfr_series(table, StratumKey(name, "all"))
-                try:
-                    result = trend.analyze_trend(
-                        series, config, [d_old, d_new], [(d_old, d_new)]
-                    )
-                except (trend.InsufficientDataError,
-                        trend.OutOfRangeError) as exc:
-                    expected.append([name, "-", "-", "-"])
-                    dash_cells.append({"stratum": name,
-                                       "d_old": d_old.isoformat(),
-                                       "d_new": d_new.isoformat(),
-                                       "reason": str(exc)})
-                    continue
-                cells = [*result.levels, result.drops[0]]
-                expected.append([name] + [
-                    _interval_text(c.median, c.lower, c.upper) for c in cells
-                ])
-            tag = f"{d_old:%m-%d}_to_{d_new:%m-%d}"
-            with open(boot / f"hfr_drop_{tag}.csv", newline="") as fh:
-                tables[d_old] = list(csv.reader(fh))[1:]
+            expected, dashes = _expected_rows(table, config, d_old, d_new)
+            tables[d_old] = _drop_rows(boot, d_old, d_new)
             assert tables[d_old] == expected
+            dash_cells += dashes
         filled = {row[0]: row[1] != "-" for row in tables[dt.date(2020, 4, 15)]}
         assert filled["aggregate"] and filled["50-59"]
         assert all(row[1] == "-" for row in tables[dt.date(2020, 4, 1)])
@@ -149,6 +160,27 @@ class TestBootstrapTables:
         manifest = json.loads((boot / "manifest.json").read_text())
         assert manifest["stats"]["dash_cells"] == sorted(
             dash_cells, key=lambda c: TABLE_BANDS.index(c["stratum"]))
+
+    def test_bootstrap_fits_the_floor_analyze_applied(self, pipeline_dirs,
+                                                      tmp_path):
+        config = trend.BootstrapConfig(replicates=60, seed=3)
+        written = {}
+        for floor in (2, 8):
+            analyzed = tmp_path / f"analyzed_{floor}"
+            boot = tmp_path / f"boot_{floor}"
+            assert main(["analyze", "--store",
+                         str(pipeline_dirs["ingested"] / "store.npz"),
+                         "--min-deaths", str(floor),
+                         "--out", str(analyzed)]) == EXIT_OK
+            assert main(["bootstrap", "--analyzed", str(analyzed),
+                         "--replicates", "60", "--seed", "3",
+                         "--out", str(boot)]) == EXIT_OK
+            table = _load_cohort_npz(analyzed / "cohort_table.npz")
+            written[floor] = [_drop_rows(boot, *pair) for pair in DEFAULT_DATE_PAIRS]
+            assert written[floor] == [
+                _expected_rows(table, config, *pair, min_deaths=floor)[0]
+                for pair in DEFAULT_DATE_PAIRS]
+        assert written[2] != written[8]
 
 
 def _loaded_after(code: str, watched: tuple[str, ...]) -> list[str]:
@@ -288,7 +320,7 @@ def replay_runs(tmp_path_factory):
                        "--dates", "2020-05-01,2020-09-15",
                        "--replicates", "40", "--seed", "2", "--out", str(boot)],
                       {"analyzed": str(analyzed), "dates": "2020-05-01,2020-09-15",
-                       "seed": 2, "replicates": 40, "blocks": 7, "min_deaths": 2,
+                       "seed": 2, "replicates": 40, "blocks": 7,
                        "gender": "all", "out": str(boot)}),
     }
     for stage, (argv, _) in runs.items():
@@ -356,7 +388,6 @@ class TestExitCodes:
         ["bootstrap", "--analyzed", "a", "--seed", "-1"],
         ["synth", "--seed", "-1"],
         ["analyze", "--store", "s.npz", "--min-deaths", "-1"],
-        ["bootstrap", "--analyzed", "a", "--min-deaths", "-1"],
         ["synth", "--daily-cases", "inf"],
         ["synth", "--daily-cases", "1e30"],
         ["analyze", "--store", "s.npz", "--auto-exclude", "--exclude-states", "FL"],
@@ -364,7 +395,7 @@ class TestExitCodes:
         ["analyze", "--store", "s.npz", "--vintage", "0001-01-05"],
     ], ids=["replicates", "blocks", "maturity_days", "reversed_window",
             "daily_cases", "bootstrap_seed", "synth_seed", "analyze_min_deaths",
-            "bootstrap_min_deaths", "daily_cases_inf", "daily_cases_over_poisson",
+            "daily_cases_inf", "daily_cases_over_poisson",
             "both_exclusions", "maturity_before_year_one", "vintage_before_maturity"])
     def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, argv):
         assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_USAGE
@@ -432,6 +463,22 @@ class TestExitCodes:
         # the bad key, or the file for an unreadable one
         assert (entry or "schema.yaml").split(":")[0] in err[0]
 
+    @pytest.mark.parametrize("base", ["[florida]", "floridaa"],
+                             ids=["list", "unknown_name"])
+    def test_bad_schema_base_names_the_builtin_schemas(self, tmp_path, capsys,
+                                                       base):
+        src = tmp_path / "fl.csv"
+        src.write_text("ChartDate,Age,Gender,Hospitalized,Died\n"
+                       "2020-04-02,54,Male,NO,NO\n")
+        schema = tmp_path / "schema.yaml"
+        schema.write_text(f"base: {base}\ngender_column: Gender\n")
+        code = main(["ingest", "--input", str(src), "--schema-config",
+                     str(schema), "--out", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "base must be one of florida, cdc" in err[0]
+
     def test_old_store_version_is_data_error(self, tmp_path, capsys):
         store = tmp_path / "store.npz"
         np.savez_compressed(store, version=np.int64(1), meta_json=np.str_("{}"))
@@ -445,7 +492,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("case", [
         "ingest_input_dir", "testing_file_dir", "store_dir", "store_bad_zip",
         "out_below_file", "analyze_out_is_file", "cohort_table_not_zip",
-        "report_list", "report_replays_itself",
+        "cohort_table_without_floor", "report_list", "report_replays_itself",
     ])
     def test_unreadable_path_or_foreign_file_is_data_error(
             self, pipeline_dirs, tmp_path, capsys, case):
@@ -457,6 +504,12 @@ class TestExitCodes:
         analyzed = tmp_path / "analyzed"
         analyzed.mkdir()
         (analyzed / "cohort_table.npz").write_text("date,cases\n")
+        # a table written before the HFR support floor was stored with it
+        floorless = tmp_path / "floorless"
+        floorless.mkdir()
+        with np.load(pipeline_dirs["analyzed"] / "cohort_table.npz") as npz:
+            write_npz(floorless / "cohort_table.npz",
+                      **{k: npz[k] for k in ("start", "end", "array")})
         manifest = tmp_path / "manifest.json"
         if case == "report_list":
             manifest.write_text("[]\n")
@@ -476,6 +529,8 @@ class TestExitCodes:
                                     "--out", str(a_file)],
             "cohort_table_not_zip": ["bootstrap", "--analyzed", str(analyzed),
                                      "--out", out],
+            "cohort_table_without_floor": ["bootstrap", "--analyzed",
+                                           str(floorless), "--out", out],
             "report_list": ["report", "--manifest", str(manifest)],
             "report_replays_itself": ["report", "--manifest", str(manifest)],
         }[case]
@@ -484,6 +539,8 @@ class TestExitCodes:
         assert "Traceback" not in err
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+        if case.startswith("cohort_table"):
+            assert lines[0].endswith("re-run analyze")
 
     def test_manifest_only_from_a_stage_that_finished(self, pipeline_dirs,
                                                       tmp_path):

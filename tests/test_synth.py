@@ -10,6 +10,7 @@ import pytest
 from hfrtrend import normalize_record
 from hfrtrend.records import RawLineRecord
 from hfrtrend.synth import (
+    FEMALE_FRACTION,
     SynthConfig,
     TruthTable,
     generate_cases,
@@ -166,7 +167,7 @@ def oracle_generate_line_records(config: SynthConfig):
                 continue
             hosp = rng.random(n_cases) < config.p_hosp[band][day_idx]
             died = hosp & (rng.random(n_cases) < config.hfr[band][day_idx])
-            female = rng.random(n_cases) < config.female_fraction
+            female = rng.random(n_cases) < FEMALE_FRACTION
             for i in range(n_cases):
                 hosp_label = "yes" if hosp[i] else "no"
                 died_label = "yes" if died[i] else "no"

@@ -313,8 +313,7 @@ class TestLambdaSelection:
     def test_block_cv_returns_grid_element(self, rng):
         x = np.arange(60, dtype=float)
         y = np.sin(x / 10) + rng.normal(0, 0.1, size=60)
-        grid = default_lambda_grid(x)
-        assert select_lambda_block_cv(x, y, grid=grid) in grid
+        assert select_lambda_block_cv(x, y) in default_lambda_grid(x)
 
     def test_block_cv_smooths_more_under_correlated_noise(self, rng):
         # 7-day trailing averaging induces MA(7) noise; leave-one-out
@@ -354,8 +353,6 @@ class TestLambdaSelection:
             select_lambda_block_cv(x, np.where(x == 17, np.nan, y))
         with pytest.raises(ValueError):
             select_lambda_block_cv(np.where(x == 17, 16.0, x), y)
-        with pytest.raises(ValueError):
-            select_lambda_block_cv(x, y, grid=[1.0, -1.0])
         with pytest.raises(ValueError):
             select_lambda_block_cv(x, y[:-1])
 
