@@ -183,12 +183,14 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[int, dict]:
               "before 0001-01-01", file=sys.stderr)
         return EXIT_USAGE, None
     out_dir = Path(args.out)
-    cases, _meta = store_mod.load_store(args.store)
+    cases, meta = store_mod.load_store(args.store)
 
     stats: dict = {}
     testing = None
     if args.testing_file:
         from . import ingest as ingest_mod
+        if "schema" not in meta:  # the label of the testing rows
+            raise SchemaError(f"{args.store} names no schema; re-run ingest")
         report = IngestReport()
         testing = ingest_mod.load_testing_series(
             args.testing_file, cumulative=not args.daily_testing, report=report
@@ -241,7 +243,7 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[int, dict]:
 
     if testing is not None:
         signals_mod.positive_test_rate(*testing).write_long_csv(
-            out_dir / "pos_test_rate.csv", stratum=args.region
+            out_dir / "pos_test_rate.csv", stratum=meta["schema"]
         )
     else:
         log.info("no testing file supplied; skipping positive test rate")
@@ -362,12 +364,11 @@ def cmd_synth(args: argparse.Namespace) -> tuple[int, dict]:
     from . import synth as synth_mod
 
     out_dir = Path(args.out)
-    if args.scenario == "simpson":
-        config = synth_mod.simpson_scenario(seed=args.seed)
-    else:
-        config = synth_mod.step_down_scenario(
-            seed=args.seed, daily_cases=args.daily_cases
-        )
+    scenario = (synth_mod.simpson_scenario if args.scenario == "simpson"
+                else synth_mod.step_down_scenario)
+    # without --daily-cases, each scenario keeps its own default
+    given = {} if args.daily_cases is None else {"daily_cases": args.daily_cases}
+    config = scenario(seed=args.seed, **given)
     codes, truth = synth_mod.generate_cases(config)
     synth_mod.write_cases_csv(codes, truth, out_dir / "synthetic_florida.csv")
     with open(out_dir / "truth.json", "w", encoding="utf-8") as fh:
@@ -455,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--testing-file", default=None)
     p_analyze.add_argument("--daily-testing", action="store_true",
                            help="testing file has daily, not cumulative, counts")
-    p_analyze.add_argument("--region", default="florida")
     p_analyze.add_argument("--out", required=True)
     p_analyze.set_defaults(func=cmd_analyze)
 
@@ -477,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--seed", type=_at_least(0), default=0)
     p_synth.add_argument("--daily-cases",
                          type=_at_least(0.0, float, _POISSON_LAM_MAX),
-                         default=1000.0)
+                         default=None, help="default: the scenario's own")
     p_synth.add_argument("--out", required=True)
     p_synth.set_defaults(func=cmd_synth)
 

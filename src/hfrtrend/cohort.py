@@ -34,6 +34,7 @@ _SIGNALS_OF_JOINT = np.array(
     [[1, 0, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0], [1, 1, 1, 1]], np.int64)
 # rows counted at a time: a slice's temporaries stay under 1 MB
 COUNT_SLICE = 1 << 14
+DUMP_FRACTION = 0.5
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,17 +103,13 @@ class CohortTable:
                     writer.writerow([date, band, gender, *row])
 
 
-def detect_reporting_artifacts(
-    cases: CaseColumns, dump_fraction: float = 0.5
-) -> list[tuple[str, dict]]:
-    """Flag states whose top two event dates hold >= dump_fraction of
+def detect_reporting_artifacts(cases: CaseColumns) -> list[tuple[str, dict]]:
+    """Flag states whose top two event dates hold >= DUMP_FRACTION of
     their cases (bulk-dump reporting rather than daily reporting).
 
     Returns (state, evidence) pairs sorted by state code; evidence gives
     the offending dates and the joint fraction.
     """
-    if not (0 < dump_fraction <= 1):
-        raise ValueError("dump_fraction must be in (0, 1]")
     by_state = np.argsort(cases.state)
     bounds = np.searchsorted(
         cases.state[by_state], np.arange(len(cases.state_vocab) + 1)
@@ -124,7 +121,7 @@ def detect_reporting_artifacts(
         # ties broken by date so the evidence is input-order invariant
         top = np.lexsort((days, -counts))[:2]
         total, top_total = int(counts.sum()), int(counts[top].sum())
-        if total and top_total / total >= dump_fraction:
+        if total and top_total / total >= DUMP_FRACTION:
             flagged.append((str(cases.state_vocab[code]), {
                 "top_dates": [day_date(d).isoformat() for d in days[top]],
                 "top_fraction": top_total / total,

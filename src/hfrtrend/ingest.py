@@ -228,8 +228,27 @@ def _decode_blocks(
         if header is None:
             raise SchemaError("input file has no header row")
         index = {name: i for i, name in enumerate(header)}
-        required = dict.fromkeys([date_col, *schema.required_columns()])
-        missing = [c for c in required if c not in index]
+        outcome = _label(schema.outcome_spellings, _BAD_OUTCOME)
+        confirmed = schema.confirmed_values
+        # (column name, coder) in RawLineRecord field order, which is also
+        # the reject precedence, then the confirmation column, which only
+        # rejects; a column the schema lacks (None) reads as code 0.
+        columns = [
+            (date_col, _Coder(
+                lambda t: _parse_date(t, schema.date_formats) or _BAD_DATE, ())),
+            (schema.age_column, _Coder(_decode_age, AGE_VALUES)),
+            (schema.age_band_column, _Coder(
+                _label(schema.age_band_spellings, _BAD_AGE, AGE_UNKNOWN), BAND_VALUES)),
+            (schema.gender_column,
+             _Coder(_label(schema.gender_spellings, _BAD_GENDER), GENDERS)),
+            (schema.hospitalized_column, _Coder(outcome, OUTCOME_CATEGORIES)),
+            (schema.died_column, _Coder(outcome, OUTCOME_CATEGORIES)),
+            (schema.state_column, _Coder(lambda t: t.strip().upper() or None, (None,))),
+            (schema.confirmation_column, _Coder(
+                lambda t: None if t.strip().lower() in confirmed else _NOT_CONFIRMED,
+                (None,))),
+        ]
+        missing = dict.fromkeys(c for c, _ in columns if c is not None and c not in index)
         if missing:
             raise SchemaError(f"missing required column(s): {', '.join(missing)}")
         width = len(header)
@@ -237,36 +256,9 @@ def _decode_blocks(
         if quarantine is not None:
             writer = csv.writer(quarantine, delimiter=schema.delimiter)
             writer.writerow(header + ["rejection_reason"])
-
-        def coder(column, decode, values):
-            """(cell index, coder over `values`); a column the schema
-            lacks reads as code 0."""
-            return index.get(column), _Coder(decode, values)
-
-        outcome = _label(schema.outcome_spellings, _BAD_OUTCOME)
-        confirmed = schema.confirmed_values
-        # In RawLineRecord field order, which is also the reject precedence,
-        # then the confirmation column, which only rejects.
-        columns = [
-            coder(date_col,
-                  lambda t: _parse_date(t, schema.date_formats) or _BAD_DATE, ()),
-            coder(schema.age_column, _decode_age, AGE_VALUES),
-            coder(schema.age_band_column,
-                  _label(schema.age_band_spellings, _BAD_AGE, AGE_UNKNOWN),
-                  BAND_VALUES),
-            coder(schema.gender_column,
-                  _label(schema.gender_spellings, _BAD_GENDER), GENDERS),
-            coder(schema.hospitalized_column, outcome, OUTCOME_CATEGORIES),
-            coder(schema.died_column, outcome, OUTCOME_CATEGORIES),
-            coder(schema.state_column, lambda t: t.strip().upper() or None,
-                  (None,)),
-            coder(schema.confirmation_column,
-                  lambda t: None if t.strip().lower() in confirmed
-                  else _NOT_CONFIRMED, (None,)),
-        ]
         values = [codes.values for _, codes in columns]
-        read = [(k, i, codes.__getitem__)
-                for k, (i, codes) in enumerate(columns) if i is not None]
+        read = [(k, index[c], codes.__getitem__)
+                for k, (c, codes) in enumerate(columns) if c is not None]
 
         for lengths, column, row in _blocks(text, schema.delimiter, width):
             whole = lengths >= width
@@ -362,8 +354,8 @@ def parse_florida_lines(
 
 def load_testing_series(
     file,
-    cumulative: bool = True,
-    report: IngestReport | None = None,
+    cumulative: bool,
+    report: IngestReport,
 ) -> tuple[dt.date, np.ndarray, np.ndarray]:
     """Load daily testing aggregates, differencing cumulative inputs.
 
@@ -380,8 +372,6 @@ def load_testing_series(
     lines are skipped; an empty count cell reads as 0. A file with no
     usable row is a SchemaError.
     """
-    if report is None:
-        report = IngestReport()
     rows = []
     with _open_text(file) as text:
         reader = csv.reader(text)

@@ -68,23 +68,6 @@ class ParseSchema:
                     f"{unknown}; expected one of {', '.join(categories)}"
                 )
 
-    def required_columns(self) -> list[str]:
-        cols = [
-            self.event_date_column,
-            self.gender_column,
-            self.hospitalized_column,
-            self.died_column,
-        ]
-        for optional in (
-            self.age_column,
-            self.age_band_column,
-            self.state_column,
-            self.confirmation_column,
-        ):
-            if optional is not None:
-                cols.append(optional)
-        return cols
-
 
 _COMMON_OUTCOME_SPELLINGS = {
     "yes": "yes",

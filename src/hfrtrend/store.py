@@ -102,15 +102,14 @@ def write_npz(path, **arrays) -> None:
                 fh.write(value.data)  # the array's own buffer, not a copy
 
 
-def save_store(path, cases: CaseColumns, meta: dict | None = None) -> int:
-    """Write the columns and metadata; returns the row count."""
+def save_store(path, cases: CaseColumns, meta: dict) -> None:
+    """Write the columns and metadata."""
     write_npz(
         path,
         version=np.int64(STORE_VERSION),
-        meta_json=np.str_(json.dumps(meta or {})),
+        meta_json=np.str_(json.dumps(meta)),
         **{f.name: getattr(cases, f.name) for f in fields(CaseColumns)},
     )
-    return len(cases)
 
 
 @contextlib.contextmanager

@@ -218,18 +218,16 @@ _SIMPSON_WEIGHT_OLD = {"50-59": 0.25, "60-69": 0.25, "70-79": 0.25, "80+": 0.25}
 _SIMPSON_WEIGHT_NEW = {"50-59": 0.303, "60-69": 0.262, "70-79": 0.232, "80+": 0.203}
 
 
-def simpson_scenario(
-    daily_hospitalizations: float = 1600.0, seed: int = 0
-) -> SynthConfig:
+def simpson_scenario(daily_cases: float = 1600.0, seed: int = 0) -> SynthConfig:
     """Config exhibiting Simpson's paradox: every age band's HFR rises
     between the endpoints while the case mix shifts young enough that the
-    aggregate HFR falls."""
+    aggregate HFR falls. Every case is hospitalized."""
     lo, hi = _SIMPSON_WEIGHT_OLD, _SIMPSON_WEIGHT_NEW
     return SynthConfig(
         start=_SCENARIO_START,
         end=_SCENARIO_END,
-        case_intensity={b: _sigmoid_step(_SCENARIO_DAYS, lo[b] * daily_hospitalizations,
-                                         hi[b] * daily_hospitalizations)
+        case_intensity={b: _sigmoid_step(_SCENARIO_DAYS, lo[b] * daily_cases,
+                                         hi[b] * daily_cases)
                         for b in _SIMPSON_BANDS},
         p_hosp={b: np.ones(_SCENARIO_DAYS) for b in _SIMPSON_BANDS},
         hfr={b: _sigmoid_step(_SCENARIO_DAYS, _SIMPSON_HFR_OLD[b],

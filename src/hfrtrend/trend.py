@@ -119,10 +119,10 @@ class SplineFit:
     def residuals(self) -> np.ndarray:
         return self.y - self.fitted
 
-    def evaluate(self, xq, extrapolate: bool = False) -> np.ndarray:
+    def evaluate(self, xq) -> np.ndarray:
         return _eval_natural_cubic(
             self.x, self.fitted[:, None], self.gamma[:, None],
-            np.asarray(xq, dtype=float), extrapolate=extrapolate,
+            np.asarray(xq, dtype=float),
         )[:, 0]
 
 
@@ -245,11 +245,11 @@ def select_lambda_block_cv(x, y) -> float:
     """
     x, y = _as_points(x, y, 4 + CV_BLOCK_LENGTH + 2 * CV_GAP, " for block CV")
     grid = default_lambda_grid(x)
-    scores = _block_cv_scores(x, y, CV_BLOCK_LENGTH, CV_GAP, grid)
+    scores = _block_cv_scores(x, y, grid)
     return float(grid[int(np.argmin(scores))])
 
 
-def _block_cv_scores(x, y, block_length: int, gap: int, grid) -> np.ndarray:
+def _block_cv_scores(x, y, grid) -> np.ndarray:
     """Mean squared held-out error of each lam of a nonnegative grid, for
     validated, strictly increasing x.
 
@@ -260,12 +260,12 @@ def _block_cv_scores(x, y, block_length: int, gap: int, grid) -> np.ndarray:
     n = len(x)
     err = np.zeros(len(lams))
     count = 0
-    for s in range(0, n, block_length):
+    for s in range(0, n, CV_BLOCK_LENGTH):
         train = np.ones(n, dtype=bool)
-        train[max(0, s - gap) : min(n, s + block_length + gap)] = False
+        train[max(0, s - CV_GAP) : min(n, s + CV_BLOCK_LENGTH + CV_GAP)] = False
         if train.sum() < 4:
             continue
-        held = slice(s, min(s + block_length, n))
+        held = slice(s, min(s + CV_BLOCK_LENGTH, n))
         xt, yt = x[train], y[train]
         h = np.diff(xt)
         r_band, qtq_band = _penalty_matrices(h)
@@ -284,20 +284,16 @@ def _block_cv_scores(x, y, block_length: int, gap: int, grid) -> np.ndarray:
     return err / count
 
 
-def fit_smoothing_spline(series: RateSeries, lam="block-cv") -> SplineFit:
+def fit_smoothing_spline(series: RateSeries, lam: float | None = None) -> SplineFit:
     """Fit the trend spline to a rate series on its defined days only.
 
-    `lam` may be a number or "block-cv" (default: block CV, which is
-    robust to the window-induced residual correlation of these series).
+    `lam` is a number, or None for block CV, which is robust to the
+    window-induced residual correlation of these series.
     """
     defined = ~series.series.gaps
     x = np.flatnonzero(defined).astype(float)
     y = series.series.values[defined]
-    if isinstance(lam, str):
-        if lam != "block-cv":
-            raise ValueError(f"unknown lam spec: {lam}")
-        lam = select_lambda_block_cv(x, y)
-    return fit_points(x, y, float(lam))
+    return fit_points(x, y, select_lambda_block_cv(x, y) if lam is None else float(lam))
 
 
 @dataclass(frozen=True)
@@ -428,7 +424,6 @@ def _percentile_triplet(values: np.ndarray) -> tuple[float, float, float]:
 class TrendResult:
     """Levels and drops read off one shared replicate set."""
 
-    replicates: ReplicateSet
     levels: list[IntervalEstimate] = field(default_factory=list)
     drops: list[DropEstimate] = field(default_factory=list)
     clipped_bounds: int = 0
@@ -439,7 +434,7 @@ def analyze_trend(
     config: BootstrapConfig,
     dates: list[dt.date],
     date_pairs: list[tuple[dt.date, dt.date]] = (),
-    lam="block-cv",
+    lam: float | None = None,
 ) -> TrendResult:
     """Fit, bootstrap once, and extract levels and relative drops."""
     base = fit_smoothing_spline(series, lam=lam)
@@ -467,7 +462,7 @@ def read_estimates(
     A date outside the fitted range raises OutOfRangeError; `reps` must
     have been built with the day of every date in range.
     """
-    result = TrendResult(replicates=reps)
+    result = TrendResult()
     values = reps.evaluate(day_points(series, dates, date_pairs))
 
     for i, date in enumerate(dates):
@@ -498,7 +493,7 @@ def estimate_drop(
     config: BootstrapConfig,
     date_old: dt.date,
     date_new: dt.date,
-    lam="block-cv",
+    lam: float | None = None,
 ) -> DropEstimate:
     """Relative change (new - old)/old with percentile bounds, computed
     per replicate."""

@@ -4,6 +4,7 @@ import csv
 import datetime as dt
 import filecmp
 import gzip
+import hashlib
 import json
 import os
 import shutil
@@ -29,7 +30,7 @@ from hfrtrend.cli import (
     main,
 )
 from hfrtrend.cohort import StratumKey
-from hfrtrend.store import write_npz
+from hfrtrend.store import load_store, save_store, write_npz
 
 
 @pytest.fixture(scope="module")
@@ -315,7 +316,7 @@ def replay_runs(tmp_path_factory):
                      "vintage": "2020-12-04", "exclude_states": None,
                      "auto_exclude": True, "min_deaths": 2,
                      "testing_file": None, "daily_testing": False,
-                     "region": "florida", "out": str(analyzed)}),
+                     "out": str(analyzed)}),
         "bootstrap": (["bootstrap", "--analyzed", str(analyzed),
                        "--dates", "2020-05-01,2020-09-15",
                        "--replicates", "40", "--seed", "2", "--out", str(boot)],
@@ -662,6 +663,55 @@ class TestIngestRows:
         report = json.loads((out / "ingest_report.json").read_text())
         assert report["kept_rows"] == 1
 
+    def test_only_the_columns_the_run_reads_are_required(self, tmp_path, capsys):
+        header = "pos_spec_dt,age_group,sex,hosp_yn,death_yn,res_state,current_status"
+        src = tmp_path / "cdc.csv"
+        src.write_text(header + "\n" + "2020-04-01,50 - 59 Years,Female,No,No,FL,"
+                       "Laboratory-confirmed case\n" * 3000)
+        out = tmp_path / "specimen"
+        assert main(["ingest", "--input", str(src), "--schema", "cdc",
+                     "--use-specimen-date", "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "ingest_report.json").read_text())["kept_rows"] == 3000
+        assert main(["ingest", "--input", str(src), "--schema", "cdc",
+                     "--out", str(tmp_path / "report_date")]) == EXIT_DATA
+        # every missing column, in field order
+        src.write_text(header.replace("age_group,sex,", "") + "\n")
+        assert main(["ingest", "--input", str(src), "--schema", "cdc",
+                     "--out", str(tmp_path / "o")]) == EXIT_DATA
+        assert capsys.readouterr().err.strip().splitlines()[-2:] == [
+            "error: missing required column(s): cdc_report_dt",
+            "error: missing required column(s): cdc_report_dt, age_group, sex"]
+
+
+class TestSynth:
+    # sha256 of each scenario's default outputs, seed 0
+    DEFAULT_DIGESTS = {
+        "step": {
+            "synthetic_florida.csv":
+                "c1e79d59edb5c1238d1891517e9842e03fe43b24121989bb4a4131f98a1911b3",
+            "truth.json":
+                "c87a413d0d1c89b20c25d72e316946e1778c4b7ae18daa0551b7c01390d65d61"},
+        "simpson": {
+            "synthetic_florida.csv":
+                "a788b3add4e54a697bd03fa78dd748f80c434c2fd002f3c9b2f00f8e4391c789",
+            "truth.json":
+                "2655b9a4b134ee669f621d65b5235bdc75740fb71d11b04f5afbc36eecfeb155"},
+    }
+
+    @pytest.mark.parametrize("scenario", DEFAULT_DIGESTS)
+    def test_daily_cases_sets_either_scenario(self, tmp_path, scenario):
+        records = {}
+        for daily in (None, "5"):
+            out = tmp_path / str(daily)
+            argv = ["synth", "--scenario", scenario, "--out", str(out)]
+            assert main(argv + (["--daily-cases", daily] if daily else [])) == EXIT_OK
+            manifest = json.loads((out / "manifest.json").read_text())
+            records[daily] = manifest["stats"]["records"]
+        digests = self.DEFAULT_DIGESTS[scenario]
+        assert {name: hashlib.sha256((tmp_path / "None" / name).read_bytes()).hexdigest()
+                for name in digests} == digests
+        assert 0 < records["5"] < records[None] / 100
+
 
 class TestTestingFile:
     @pytest.mark.parametrize("payload", [
@@ -699,11 +749,11 @@ class TestTestingFile:
         assert main(["analyze", "--store",
                      str(pipeline_dirs["ingested"] / "store.npz"),
                      "--testing-file", str(testing), "--daily-testing",
-                     "--region", "fl", "--out", str(out)]) == EXIT_OK
+                     "--out", str(out)]) == EXIT_OK
         with open(out / "pos_test_rate.csv", newline="") as fh:
             got = list(csv.DictReader(fh))
         assert [r["date"] for r in got] == [d.isoformat() for d in days]
-        assert {r["stratum"] for r in got} == {"fl"}
+        assert {r["stratum"] for r in got} == {"florida"}
         assert [r["value"] for r in got] == [""] * 6 + ["0.1"] * 8
 
 
@@ -726,6 +776,31 @@ class TestTestingFile:
         warnings = [r.getMessage() for r in caplog.records
                     if r.levelname == "WARNING"]
         assert any("3 of 6 rows" in w for w in warnings), warnings
+
+    def test_rows_are_labelled_with_the_store_schema(self, tmp_path, capsys):
+        src = tmp_path / "cdc.csv"
+        src.write_text("cdc_report_dt,pos_spec_dt,age_group,sex,hosp_yn,death_yn,"
+                       "res_state,current_status\n"
+                       + "2020-04-01,,50 - 59 Years,Male,No,No,NY,"
+                       "Laboratory-confirmed case\n" * 5)
+        testing = tmp_path / "testing.csv"
+        testing.write_text("date,positive,totalTestResults\n2020-04-01,1,10\n")
+        ingested = tmp_path / "ingested"
+        assert main(["ingest", "--input", str(src), "--schema", "cdc",
+                     "--out", str(ingested)]) == EXIT_OK
+        out = tmp_path / "out"
+        assert main(["analyze", "--store", str(ingested / "store.npz"),
+                     "--testing-file", str(testing), "--out", str(out)]) == EXIT_OK
+        with open(out / "pos_test_rate.csv", newline="") as fh:
+            assert {r["stratum"] for r in csv.DictReader(fh)} == {"cdc"}
+        # a store whose metadata names no schema needs it only for the label
+        nameless = tmp_path / "nameless.npz"
+        save_store(nameless, load_store(ingested / "store.npz")[0], meta={})
+        assert main(["analyze", "--store", str(nameless),
+                     "--out", str(tmp_path / "unlabelled")]) == EXIT_OK
+        assert main(["analyze", "--store", str(nameless), "--testing-file",
+                     str(testing), "--out", str(tmp_path / "o")]) == EXIT_DATA
+        assert capsys.readouterr().err.strip().endswith("re-run ingest")
 
 
 class TestStateExclusion:

@@ -1,8 +1,9 @@
 """Source hygiene: every module-level import in the package is used,
 every module-level private name is read somewhere in the package, no
 CLI stage catches the errors that `cli.main` turns into exit codes,
-every .npz goes through `store.write_npz`, and every rolling window is
-summed in `signals._window_sums`."""
+every .npz goes through `store.write_npz`, every rolling window is
+summed in `signals._window_sums`, and the count of settable values is
+pinned."""
 
 import ast
 import builtins
@@ -148,3 +149,55 @@ def test_one_rolling_window():
     `signals._window_sums`; no module slides a second window."""
     assert [user for path in MODULES for user in sliding_window_users(path)] == [
         "signals._window_sums"]
+
+
+def settable_values(source: str) -> list[str]:
+    """Each value a caller can set: a defaulted parameter of a public
+    function or of a public method of a public class, a field of a public
+    dataclass, and an `add_argument` call (as `add_argument:<line>`)."""
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
+            continue
+        functions = [node] if isinstance(node, ast.FunctionDef) else [
+            m for m in node.body if isinstance(m, ast.FunctionDef) and m.name[0] != "_"]
+        for fn in functions:
+            params = fn.args.posonlyargs + fn.args.args
+            defaulted = params[len(params) - len(fn.args.defaults):] + [
+                p for p, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d]
+            found += [f"{fn.name}({p.arg})" for p in defaulted]
+        decorators = {getattr(d, "id", None) or getattr(d, "attr", None) for d in
+                      (getattr(d, "func", d) for d in node.decorator_list)}
+        if isinstance(node, ast.ClassDef) and "dataclass" in decorators:
+            found += [f"{node.name}.{m.target.id}" for m in node.body
+                      if isinstance(m, ast.AnnAssign)]
+    found += [f"add_argument:{n.lineno}" for n in ast.walk(ast.parse(source))
+              if isinstance(n, ast.Call)
+              and getattr(n.func, "attr", None) == "add_argument"]
+    return found
+
+
+def test_detects_settable_values():
+    source = ("import dataclasses\n"
+              "def f(a, b=1, *, c, d=2): p.add_argument('--x')\n"
+              "def _g(a=1): pass\n"
+              "class C:\n"
+              "    def m(self, a=1): pass\n"
+              "    def _n(self, a=1): pass\n"
+              "@dataclasses.dataclass(frozen=True)\n"
+              "class D:\n"
+              "    x: int\n"
+              "    y: int = 0\n"
+              "@dataclass\n"
+              "class E:\n"
+              "    z: int\n")
+    assert settable_values(source) == ["f(b)", "f(d)", "m(a)", "D.x", "D.y", "E.z",
+                                       "add_argument:2"]
+
+
+def test_settable_values():
+    """Every value in the package that a caller can set. Each one adds
+    configurations that tests must cover, so a change that moves this
+    count says why."""
+    assert sum(len(settable_values(path.read_text(encoding="utf-8")))
+               for path in MODULES) == 146

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hfrtrend import LineRecord, ingest
-from hfrtrend.cohort import build_cohort_table, detect_reporting_artifacts
+from hfrtrend.cohort import DUMP_FRACTION, build_cohort_table, detect_reporting_artifacts
 from hfrtrend.ingest import (
     load_testing_series,
     parse_columns,
@@ -650,8 +650,8 @@ class TestFilterCohort:
                                dt.date(2020, 1, 1))
 
 
-def _artifacts(records, *args):
-    return detect_reporting_artifacts(as_columns(records), *args)
+def _artifacts(records):
+    return detect_reporting_artifacts(as_columns(records))
 
 
 class TestDetectReportingArtifacts:
@@ -684,16 +684,15 @@ class TestDetectReportingArtifacts:
         assert _artifacts([_rec(1), _rec(1)]) == []
 
     def test_columnar_matches_loop_oracle(self, rng):
-        for dump_fraction in (0.1, 0.3, 0.5, 1.0):
+        for _ in range(4):
             records = make_records(
                 rng, 300, span_days=int(rng.integers(1, 30)),
                 states=["FL", "NJ", "NYC", "NY", "CT", None],
             )
-            expected = oracle_artifacts(records, dump_fraction)
-            assert _artifacts(records, dump_fraction) == expected
+            assert _artifacts(records) == oracle_artifacts(records)
 
 
-def oracle_artifacts(records, dump_fraction):
+def oracle_artifacts(records):
     """Per-state date tallies in plain Python loops."""
     by_state = defaultdict(Counter)
     for r in records:
@@ -705,7 +704,7 @@ def oracle_artifacts(records, dump_fraction):
         total = sum(counts.values())
         top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:2]
         top_total = sum(c for _, c in top)
-        if top_total / total >= dump_fraction:
+        if top_total / total >= DUMP_FRACTION:
             flagged.append((state, {
                 "top_dates": [d.isoformat() for d, _ in top],
                 "top_fraction": top_total / total,
@@ -729,7 +728,7 @@ class TestLoadTestingSeries:
         path = tmp_path / "tests.csv"
         path.write_text(TESTING_FIXTURE)
         report = IngestReport()
-        start, positives, tests = load_testing_series(path, report=report)
+        start, positives, tests = load_testing_series(path, True, report)
         assert start == dt.date(2020, 4, 1)
         assert positives.tolist() == [100, 30, 20, 0, 0]
         # day 4: positives drop -10 clamped; day 5: tests drop -50 clamped,
@@ -740,14 +739,14 @@ class TestLoadTestingSeries:
     def test_byte_order_mark_is_dropped(self, tmp_path):
         path = tmp_path / "tests.csv"
         path.write_bytes(b"\xef\xbb\xbf" + TESTING_FIXTURE.encode())
-        start, positives, _ = load_testing_series(path)
+        start, positives, _ = load_testing_series(path, True, IngestReport())
         assert start == dt.date(2020, 4, 1)
         assert positives.tolist() == [100, 30, 20, 0, 0]
 
     def test_daily_mode_passthrough(self, tmp_path):
         path = tmp_path / "tests.csv"
         path.write_text("date,positive,totalTestResults\n2020-04-01,10,50\n")
-        start, positives, tests = load_testing_series(path, cumulative=False)
+        start, positives, tests = load_testing_series(path, False, IngestReport())
         assert start == dt.date(2020, 4, 1)
         assert positives.tolist() == [10]
         assert tests.tolist() == [50]
@@ -782,7 +781,7 @@ class TestLoadTestingSeries:
                         "2020-04-01,8,80\n"
                         "2020-04-02,12,120\n")
         report = IngestReport()
-        start, positives, tests = load_testing_series(path, report=report)
+        start, positives, tests = load_testing_series(path, True, report)
         assert start == dt.date(2020, 4, 1)
         assert positives.tolist() == [8, 4]
         assert tests.tolist() == [80, 40]
@@ -796,7 +795,7 @@ class TestLoadTestingSeries:
                         "\n"
                         "2020-04-03,20,80\n")
         report = IngestReport()
-        start, positives, tests = load_testing_series(path, report=report)
+        start, positives, tests = load_testing_series(path, True, report)
         assert start == dt.date(2020, 4, 1)
         assert positives.tolist() == [10, 0, 10]  # no row for 04-02
         assert tests.tolist() == [50, 0, 30]
@@ -812,7 +811,7 @@ class TestLoadTestingSeries:
                         "2020-04-03,20,inf\n"
                         "2020-04-04,1e400,90\n")
         report = IngestReport()
-        start, positives, tests = load_testing_series(path, report=report)
+        start, positives, tests = load_testing_series(path, True, report)
         assert (start, positives.tolist(), tests.tolist()) == (
             dt.date(2020, 4, 1), [10], [50])
         assert report.rejected_rows_by_reason == {"bad_count": 3}
@@ -822,4 +821,4 @@ class TestLoadTestingSeries:
         path = tmp_path / "tests.csv"
         path.write_text("date,positive\n2020-04-01,10\n")
         with pytest.raises(SchemaError):
-            load_testing_series(path)
+            load_testing_series(path, True, IngestReport())

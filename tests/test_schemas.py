@@ -4,22 +4,12 @@ import pytest
 
 from hfrtrend.schemas import (
     BUILTIN_SCHEMAS,
-    FLORIDA_SCHEMA,
     SchemaError,
     load_schema,
 )
 
 
 class TestBuiltins:
-    def test_florida_required_columns(self):
-        assert FLORIDA_SCHEMA.required_columns() == [
-            "ChartDate",
-            "Gender",
-            "Hospitalized",
-            "Died",
-            "Age",
-        ]
-
     def test_cdc_has_confirmation_filter(self):
         cdc = BUILTIN_SCHEMAS["cdc"]
         assert cdc.confirmation_column == "current_status"

@@ -27,9 +27,9 @@ class TestStore:
     def test_round_trip_preserves_records(self, rng, tmp_path):
         records = make_records(rng, 200, states=["FL", "NJ", "NYC", "NY", None])
         path = tmp_path / "store.npz"
-        n = save_store(path, as_columns(records), meta={"schema": "florida"})
-        assert n == 200
+        save_store(path, as_columns(records), meta={"schema": "florida"})
         cases, meta = load_store(path)
+        assert len(cases) == 200
         assert meta == {"schema": "florida"}
         assert [day_date(d) for d in cases.event_day] == [
             r.event_date for r in records
@@ -52,8 +52,9 @@ class TestStore:
 
     def test_empty_store(self, tmp_path):
         path = tmp_path / "store.npz"
-        assert save_store(path, as_columns([])) == 0
-        cases, _ = load_store(path)
+        save_store(path, as_columns([]), meta={})
+        cases, meta = load_store(path)
+        assert meta == {}
         assert len(cases) == 0
         assert cases.state_vocab.size == 0
 

@@ -253,7 +253,7 @@ def _nine_band_config(seed=11, rows=20_000):
 
 ORACLE_CONFIGS = {
     "step": lambda: step_down_scenario(daily_cases=400.0, seed=7),  # > 1 << 16 rows
-    "simpson": lambda: simpson_scenario(daily_hospitalizations=300.0, seed=7),
+    "simpson": lambda: simpson_scenario(daily_cases=300.0, seed=7),
     "missing_0.3": lambda: _flat_config(seed=4, missingness_rate=0.3),
     "missing_0.5": lambda: _flat_config(seed=5, missingness_rate=0.5),
     "nine_bands": _nine_band_config,
