@@ -19,6 +19,7 @@ import contextlib
 import csv
 import dataclasses
 import datetime as dt
+import inspect
 import json
 import logging
 import sys
@@ -366,9 +367,9 @@ def cmd_synth(args: argparse.Namespace) -> tuple[int, dict]:
     out_dir = Path(args.out)
     scenario = (synth_mod.simpson_scenario if args.scenario == "simpson"
                 else synth_mod.step_down_scenario)
-    # without --daily-cases, each scenario keeps its own default
-    given = {} if args.daily_cases is None else {"daily_cases": args.daily_cases}
-    config = scenario(seed=args.seed, **given)
+    daily_cases = (inspect.signature(scenario).parameters["daily_cases"].default
+                   if args.daily_cases is None else args.daily_cases)
+    config = scenario(daily_cases, seed=args.seed)
     codes, truth = synth_mod.generate_cases(config)
     synth_mod.write_cases_csv(codes, truth, out_dir / "synthetic_florida.csv")
     with open(out_dir / "truth.json", "w", encoding="utf-8") as fh:
@@ -387,7 +388,7 @@ def cmd_synth(args: argparse.Namespace) -> tuple[int, dict]:
         )
         fh.write("\n")
     print(f"generated {len(codes)} synthetic records -> {out_dir}")
-    return EXIT_OK, {"records": len(codes)}
+    return EXIT_OK, {"records": len(codes), "daily_cases": daily_cases}
 
 
 # ----------------------------------------------------------------- report

@@ -3,9 +3,9 @@
 A CohortTable holds, for every (age band, gender) cell and every date in
 a contiguous range, the number of cases confirmed that day together with
 how many of them were eventually hospitalized, eventually died, and were
-hospitalized AND died (the HFR numerator). `build_cohort_table` selects
-and counts in one pass over the store columns, a slice of rows at a time,
-so it copies no column; the demographics summary is read off the table.
+hospitalized AND died (the HFR numerator). `build_cohort_table` counts
+in one pass over the store columns, a slice at a time, so it copies no
+column; the demographics summary is read off the table.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from typing import Iterable
 import numpy as np
 
 from .records import ALL_AGE_BANDS, GENDERS, LineRecord
-from .store import (BAND_INDEX, GENDER_INDEX, CaseColumns, as_columns,
-                    day_date, day_index)
+from .store import (BAND_INDEX, GENDER_INDEX, NO_STATE, PROFILES, CaseColumns,
+                    as_columns, day_date, day_index)
 
 log = logging.getLogger(__name__)
 
@@ -29,7 +29,7 @@ ALL_GENDERS = "all"
 
 SIGNALS = ("cases", "hosp", "deaths", "hosp_and_died")
 _SIG_INDEX = {name: i for i, name in enumerate(SIGNALS)}
-# SIGNALS of each joint outcome code, hospitalized + 2 * died
+# SIGNALS of each joint outcome code, hospitalized + 2 * died (`store.pack`)
 _SIGNALS_OF_JOINT = np.array(
     [[1, 0, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0], [1, 1, 1, 1]], np.int64)
 # rows counted at a time: a slice's temporaries stay under 1 MB
@@ -110,14 +110,10 @@ def detect_reporting_artifacts(cases: CaseColumns) -> list[tuple[str, dict]]:
     Returns (state, evidence) pairs sorted by state code; evidence gives
     the offending dates and the joint fraction.
     """
-    by_state = np.argsort(cases.state)
-    bounds = np.searchsorted(
-        cases.state[by_state], np.arange(len(cases.state_vocab) + 1)
-    )
     flagged = []
     for code in np.argsort(cases.state_vocab):
-        rows = by_state[bounds[code]:bounds[code + 1]]
-        days, counts = np.unique(cases.event_day[rows], return_counts=True)
+        dates, counts = np.unique(cases.date[cases.state == code], return_counts=True)
+        days = cases.date_vocab[dates]
         # ties broken by date so the evidence is input-order invariant
         top = np.lexsort((days, -counts))[:2]
         total, top_total = int(counts.sum()), int(counts[top].sum())
@@ -147,26 +143,30 @@ def build_cohort_table(
     cases = as_columns(records)
     n_days = (end - start).days + 1
     n_kept = n_days if last is None else min(n_days, (last - start).days + 1)
-    # per state code, NO_STATE last; a state is looked up only when named,
-    # as np.isin on strings imports numpy.ma
-    in_cohort = np.ones(len(cases.state_vocab) + 1, bool)
+    # by state code; a state is looked up only when named, as np.isin on
+    # strings imports numpy.ma
+    in_cohort = np.ones(NO_STATE + 1, bool)
     if excluded_states := list(excluded_states):
         in_cohort[cases.state_codes(excluded_states)] = False
-    shape = (len(ALL_AGE_BANDS), len(GENDERS), n_days)
-    joint = np.zeros(np.prod(shape) * 4, np.int64)  # by cell, day and outcome
-    first = np.int32(day_index(start))
+    # counts by date code, then profile: a slice counts into the range of
+    # codes it spans, which is short when the rows come in date order
+    joint = np.zeros(len(cases.date_vocab) * PROFILES, np.int64)
     for lo in range(0, len(cases), COUNT_SLICE):
         rows = slice(lo, lo + COUNT_SLICE)
-        day = cases.event_day[rows] - first
-        keep = (day >= 0) & (day < n_kept)
+        first = int(cases.date[rows].min()) * PROFILES
+        code = cases.date[rows] * np.intp(PROFILES) + cases.profile[rows] - first
         if excluded_states:
-            keep &= in_cohort.take(cases.state[rows])
-        cell = cases.age_band[rows].astype(np.intp) * len(GENDERS) + cases.gender[rows]
-        code = (cell * n_days + day) * 4 + cases.hospitalized[rows] + 2 * cases.died[rows]
-        joint += np.bincount(code[keep], minlength=joint.size)
-    if not joint.any():
+            code = code[in_cohort.take(cases.state[rows])]
+        part = np.bincount(code)
+        joint[first:first + part.size] += part
+    # the window and maturity cut, once per date code
+    day = cases.date_vocab - np.int32(day_index(start))
+    kept = (day >= 0) & (day < n_kept)
+    counts = np.zeros((n_days, len(ALL_AGE_BANDS), len(GENDERS), 4), np.int64)
+    counts[day[kept]] = joint.reshape(-1, *counts.shape[1:])[kept]
+    if not counts.any():
         log.warning("cohort filter produced an empty result")
-    array = (joint.reshape(-1, 4) @ _SIGNALS_OF_JOINT).reshape(*shape, len(SIGNALS))
+    array = np.ascontiguousarray((counts @ _SIGNALS_OF_JOINT).transpose(1, 2, 0, 3))
     return CohortTable(start=start, end=end, array=array)
 
 

@@ -46,7 +46,7 @@ from .records import (
     resolve_age_band,
 )
 from .schemas import FLORIDA_SCHEMA, ParseSchema, SchemaError
-from .store import BAND_INDEX, COLUMN_DTYPES, NO_STATE, CaseColumns, day_index
+from .store import BAND_INDEX, COLUMN_DTYPES, NO_STATE, CaseColumns, day_index, pack
 
 log = logging.getLogger(__name__)
 
@@ -306,11 +306,11 @@ def parse_columns(
     reason column. As with csv.DictReader, blank lines are skipped
     uncounted and fields past the header's are ignored.
 
-    Each block becomes store columns (states in store codes) before the
-    next is decoded, so memory holds the final columns plus one block.
+    Each block becomes store columns (states in store codes, dates in the
+    file's) before the next is decoded, so memory holds the final columns
+    plus one block.
     """
-    days = np.empty(0, np.int32)  # store day by date code
-    states: list = []
+    dates, states = [], []
     # store code by named state code, in the order kept rows meet them
     store_code: dict[int, int] = {}
     # grown in place by realloc: a join of per-block parts holds each column twice
@@ -318,21 +318,19 @@ def parse_columns(
     for values, codes in _decode_blocks(
             file, schema, report, use_alt_event_date, quarantine):
         dates, states = values[0], values[6]
-        if len(days) < len(dates):
-            days = np.concatenate([days, np.fromiter(
-                map(day_index, dates[len(days):]), np.int32)])
         day, age, band, gender, hosp, died, state, _ = codes
         found, first = np.unique(state, return_index=True)
         for code in found[np.argsort(first)].tolist():
             if states[code]:
                 store_code.setdefault(code, len(store_code))
-        vocab_code = np.array([store_code.get(c, NO_STATE) for c in range(len(states))],
-                              np.int32)
-        for column, part in zip(columns, (
-                days[day], _BAND_TABLE[band, age], gender.astype(np.uint8),
-                hosp == _YES, died == _YES, vocab_code[state])):
-            column.extend(part)  # raw bytes: each part must have its COLUMN_DTYPES dtype
+        vocab_code = np.array([store_code.get(c, NO_STATE) for c in range(len(states))])
+        for column, dtype, part in zip(columns, COLUMN_DTYPES, (
+                pack(_BAND_TABLE[band, age], gender, hosp == _YES, died == _YES),
+                day, vocab_code[state])):
+            # raw bytes; a code past the dtype wraps, and CaseColumns refuses it
+            column.extend(part.astype(dtype))
     return CaseColumns(*map(np.frombuffer, columns, COLUMN_DTYPES),
+                       date_vocab=np.fromiter(map(day_index, dates), np.int32),
                        state_vocab=np.array([states[c] for c in store_code], dtype=str))
 
 

@@ -5,7 +5,8 @@ many times with different strata and dates. The store decouples the two:
 ingest turns a file into parallel numpy columns (`CaseColumns`),
 `save_store` writes them as a versioned .npz, and `cohort` selects and
 counts the loaded columns a slice at a time, with no copy and no
-per-case object.
+per-case object. A case takes 4 bytes: age band, gender and outcomes in
+one (`pack`), and a 2-byte date and 1-byte state code into vocabularies.
 `write_npz` and `open_npz` are the tool's one .npz writer and reader:
 the archive is what `np.savez_compressed` writes, at zlib level 1.
 """
@@ -24,8 +25,10 @@ import numpy as np
 from .records import ALL_AGE_BANDS, GENDERS, LineRecord
 from .schemas import SchemaError
 
-STORE_VERSION = 2
-NO_STATE = -1  # state code of a case without a state
+STORE_VERSION = 3
+NO_STATE = 255  # state code of a case without a state
+MAX_DATES, MAX_STATES = 1 << 16, NO_STATE  # distinct values a column codes
+PROFILES = len(ALL_AGE_BANDS) * len(GENDERS) * 4  # `pack` codes
 
 EPOCH = dt.date(1970, 1, 1)
 BAND_INDEX = {b: i for i, b in enumerate(ALL_AGE_BANDS)}
@@ -41,28 +44,38 @@ def day_date(day) -> dt.date:
     return EPOCH + dt.timedelta(days=int(day))
 
 
+def pack(band, gender, hospitalized, died) -> np.ndarray:
+    """uint8 codes (band·3 + gender)·4 + hospitalized + 2·died, below PROFILES."""
+    return ((band * len(GENDERS) + gender) * 4 + hospitalized + 2 * died).astype(np.uint8)
+
+
 @dataclass(frozen=True)
 class CaseColumns:
-    """Normalized cases as parallel arrays, one entry per case."""
+    """Normalized cases as parallel arrays, one entry per case, and the
+    vocabularies the date and state codes index."""
 
-    event_day: np.ndarray  # int32, days since EPOCH
-    age_band: np.ndarray  # uint8 index into ALL_AGE_BANDS
-    gender: np.ndarray  # uint8 index into GENDERS
-    hospitalized: np.ndarray  # bool
-    died: np.ndarray  # bool
-    state: np.ndarray  # int32 index into state_vocab, NO_STATE if none
+    profile: np.ndarray  # uint8 `pack` code of band, gender and outcomes
+    date: np.ndarray  # uint16 index into date_vocab
+    state: np.ndarray  # uint8 index into state_vocab, NO_STATE if none
+    date_vocab: np.ndarray  # int32 days since EPOCH, distinct
     state_vocab: np.ndarray  # state codes (str), in first-seen order
 
+    def __post_init__(self):
+        for what, n, limit in (("event dates", len(self.date_vocab), MAX_DATES),
+                               ("states", len(self.state_vocab), MAX_STATES)):
+            if n > limit:
+                raise SchemaError(f"more than {limit:,} distinct {what}: too many to store")
+
     def __len__(self) -> int:
-        return len(self.event_day)
+        return len(self.profile)
 
     def state_codes(self, names: Iterable[str]) -> np.ndarray:
         """Codes of the named states present in the vocabulary."""
         return np.flatnonzero(np.isin(self.state_vocab, list(names)))
 
 
-# dtypes of the CaseColumns fields before state_vocab, in field order
-COLUMN_DTYPES = (np.int32, np.uint8, np.uint8, bool, bool, np.int32)
+# dtypes of the CaseColumns fields before the vocabularies, in field order
+COLUMN_DTYPES = (np.uint8, np.uint16, np.uint8)
 
 
 def as_columns(records: Iterable[LineRecord] | CaseColumns) -> CaseColumns:
@@ -71,19 +84,19 @@ def as_columns(records: Iterable[LineRecord] | CaseColumns) -> CaseColumns:
     if isinstance(records, CaseColumns):
         return records
     records = list(records)
-    vocab = list(dict.fromkeys(r.state for r in records if r.state))
-    state_code = {name: i for i, name in enumerate(vocab)}
-    columns = (
-        [day_index(r.event_date) for r in records],
-        [BAND_INDEX[r.age_band] for r in records],
-        [GENDER_INDEX[r.gender] for r in records],
-        [r.hospitalized for r in records],
-        [r.died for r in records],
-        [state_code.get(r.state, NO_STATE) for r in records],
-    )
+    date_code = {d: i for i, d in enumerate(dict.fromkeys(r.event_date for r in records))}
+    state_code = {s: i for i, s in enumerate(
+        dict.fromkeys(r.state for r in records if r.state))}
+    # a code past its column's dtype wraps, as in ingest, and CaseColumns refuses it
+    cells = np.array([(BAND_INDEX[r.age_band], GENDER_INDEX[r.gender], r.hospitalized,
+                       r.died, date_code[r.event_date], state_code.get(r.state, NO_STATE))
+                      for r in records], np.intp).reshape(-1, 6)
     return CaseColumns(
-        *(np.array(c, t) for c, t in zip(columns, COLUMN_DTYPES)),
-        state_vocab=np.array(vocab, dtype=str),
+        profile=pack(*cells[:, :4].T),
+        date=cells[:, 4].astype(np.uint16),
+        state=cells[:, 5].astype(np.uint8),
+        date_vocab=np.array([day_index(d) for d in date_code], np.int32),
+        state_vocab=np.array(list(state_code), dtype=str),
     )
 
 

@@ -35,6 +35,16 @@ def make_records(rng, n, start=dt.date(2020, 4, 1), span_days=60, states=None):
     return records
 
 
+def unpack(cases):
+    """Per-case fields of store columns, decoded apart from the store:
+    days since 1970-01-01 (int32), band and gender indices (uint8), and
+    the two outcomes (bool)."""
+    band_gender, outcome = np.divmod(cases.profile, 4)
+    band, gender = np.divmod(band_gender, len(GENDERS))
+    return {"day": cases.date_vocab[cases.date], "band": band, "gender": gender,
+            "hospitalized": outcome % 2 == 1, "died": outcome >= 2}
+
+
 _CRITERION_RE = re.compile(r"test_criterion_(\d+)")
 
 _CRITERION_TITLES = {

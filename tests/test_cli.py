@@ -30,7 +30,8 @@ from hfrtrend.cli import (
     main,
 )
 from hfrtrend.cohort import StratumKey
-from hfrtrend.store import load_store, save_store, write_npz
+from hfrtrend.store import (MAX_DATES, MAX_STATES, NO_STATE, day_date, load_store,
+                            save_store, write_npz)
 
 
 @pytest.fixture(scope="module")
@@ -480,6 +481,22 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "base must be one of florida, cdc" in err[0]
 
+    def test_v2_store_is_data_error(self, tmp_path, capsys):
+        """A store of the six v2 columns says to re-run ingest."""
+        store = tmp_path / "store.npz"
+        write_npz(store, version=np.int64(2), meta_json=np.str_('{"schema": "florida"}'),
+                  event_day=np.full(3, 18353, np.int32), age_band=np.zeros(3, np.uint8),
+                  gender=np.zeros(3, np.uint8), hospitalized=np.zeros(3, bool),
+                  died=np.zeros(3, bool), state=np.full(3, -1, np.int32),
+                  state_vocab=np.array([], str))
+        code = main(["analyze", "--store", str(store),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert "store version 2" in err and err.endswith("re-run ingest")
+        assert not (tmp_path / "out" / "cohort_table.npz").exists()
+
     def test_old_store_version_is_data_error(self, tmp_path, capsys):
         store = tmp_path / "store.npz"
         np.savez_compressed(store, version=np.int64(1), meta_json=np.str_("{}"))
@@ -683,6 +700,51 @@ class TestIngestRows:
             "error: missing required column(s): cdc_report_dt, age_group, sex"]
 
 
+class TestVocabularyLimits:
+    """A store codes at most MAX_DATES distinct event dates and MAX_STATES
+    states; ingest takes a file at either limit and refuses one past it."""
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_dates(self, tmp_path, capsys, extra):
+        first = dt.date(1800, 1, 1)
+        days = [first + dt.timedelta(days=i) for i in range(MAX_DATES + extra)]
+        src = tmp_path / "fl.csv"
+        src.write_text("ChartDate,Age,Gender,Hospitalized,Died\n" + "".join(f"{d.isoformat()},34,Female,NO,NO\n" for d in days))
+        out = tmp_path / "ingested"
+        code = main(["ingest", "--input", str(src), "--out", str(out)])
+        if extra:
+            assert code == EXIT_DATA
+            assert capsys.readouterr().err.strip().endswith(
+                "more than 65,536 distinct event dates: too many to store")
+            return
+        assert code == EXIT_OK
+        cases, _ = load_store(out / "store.npz")
+        assert len(cases) == MAX_DATES == 65_536
+        assert cases.date.tolist() == list(range(MAX_DATES))
+        assert [day_date(d) for d in cases.date_vocab] == days
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_states(self, tmp_path, capsys, extra):
+        states = [f"S{i:03d}" for i in range(MAX_STATES + extra)]
+        src = tmp_path / "cdc.csv"
+        src.write_text("cdc_report_dt,pos_spec_dt,age_group,sex,hosp_yn,death_yn,"
+                       "res_state,current_status\n" + "".join(
+                           f"2020-04-01,,50 - 59 Years,Male,No,No,{s},"
+                           "Laboratory-confirmed case\n" for s in [*states, ""]))
+        out = tmp_path / "ingested"
+        code = main(["ingest", "--input", str(src), "--schema", "cdc", "--out", str(out)])
+        if extra:
+            assert code == EXIT_DATA
+            assert capsys.readouterr().err.strip().endswith(
+                "more than 255 distinct states: too many to store")
+            return
+        assert code == EXIT_OK
+        cases, _ = load_store(out / "store.npz")
+        assert MAX_STATES == NO_STATE == 255
+        assert cases.state.tolist() == [*range(MAX_STATES), NO_STATE]
+        assert cases.state_vocab.tolist() == states
+
+
 class TestSynth:
     # sha256 of each scenario's default outputs, seed 0
     DEFAULT_DIGESTS = {
@@ -698,6 +760,8 @@ class TestSynth:
                 "2655b9a4b134ee669f621d65b5235bdc75740fb71d11b04f5afbc36eecfeb155"},
     }
 
+    DEFAULT_RATES = {"step": 1000.0, "simpson": 1600.0}
+
     @pytest.mark.parametrize("scenario", DEFAULT_DIGESTS)
     def test_daily_cases_sets_either_scenario(self, tmp_path, scenario):
         records = {}
@@ -707,6 +771,9 @@ class TestSynth:
             assert main(argv + (["--daily-cases", daily] if daily else [])) == EXIT_OK
             manifest = json.loads((out / "manifest.json").read_text())
             records[daily] = manifest["stats"]["records"]
+            # the manifest names the rate the run drew, given or the default
+            assert manifest["stats"]["daily_cases"] == (
+                float(daily) if daily else self.DEFAULT_RATES[scenario])
         digests = self.DEFAULT_DIGESTS[scenario]
         assert {name: hashlib.sha256((tmp_path / "None" / name).read_bytes()).hexdigest()
                 for name in digests} == digests

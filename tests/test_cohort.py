@@ -22,8 +22,8 @@ from hfrtrend.signals import (
     gender_fraction_series,
     trailing_average_7d,
 )
-from hfrtrend.store import CaseColumns, NO_STATE, as_columns, day_index
-from tests.conftest import make_records
+from hfrtrend.store import PROFILES, CaseColumns, NO_STATE, as_columns, day_index
+from tests.conftest import make_records, unpack
 
 START = dt.date(2020, 4, 1)
 
@@ -51,7 +51,7 @@ def oracle_mask(cases, window, maturity_days, data_vintage, excluded_states):
     before the vintage, outside the excluded states."""
     start, end = window
     last = min(end, data_vintage - dt.timedelta(days=maturity_days))
-    day = cases.event_day
+    day = unpack(cases)["day"]
     mask = (day >= day_index(start)) & (day <= day_index(last))
     if excluded_states:
         mask &= ~np.isin(cases.state, cases.state_codes(excluded_states))
@@ -61,15 +61,16 @@ def oracle_mask(cases, window, maturity_days, data_vintage, excluded_states):
 def oracle_table(cases, start, end, mask=None):
     """The whole-array count: masked column copies, one bincount per signal."""
     n_days = (end - start).days + 1
-    day = cases.event_day - np.int32(day_index(start))
+    fields = unpack(cases)
+    day = fields["day"] - np.int32(day_index(start))
     keep = (day >= 0) & (day < n_days)
     if mask is not None:
         keep &= mask
     shape = (len(ALL_AGE_BANDS), len(GENDERS), n_days)
     cell = np.ravel_multi_index(
-        (cases.age_band[keep], cases.gender[keep], day[keep]), shape
+        (fields["band"][keep], fields["gender"][keep], day[keep]), shape
     )
-    hosp, died = cases.hospitalized[keep], cases.died[keep]
+    hosp, died = fields["hospitalized"][keep], fields["died"][keep]
     counts = [np.bincount(cell, weights, np.prod(shape))
               for weights in (None, hosp, died, hosp & died)]
     array = np.stack(counts, axis=-1).astype(np.int64).reshape(*shape, len(SIGNALS))
@@ -77,16 +78,16 @@ def oracle_table(cases, start, end, mask=None):
 
 
 def random_columns(rng, n, vocab=("FL", "NJ", "NY")):
-    """n random cases dated from 10 days before START to 70 after it,
-    hospitalized and died drawn independently."""
+    """n random cases dated from 10 days before START to 70 after it, in
+    a shuffled date vocabulary, every profile (band, gender, hospitalized
+    and died) equally likely, a quarter of them without a state."""
     first = day_index(START)
+    state = rng.integers(0, len(vocab) + 1, n)
     return CaseColumns(
-        event_day=rng.integers(first - 10, first + 70, n).astype(np.int32),
-        age_band=rng.integers(0, len(ALL_AGE_BANDS), n).astype(np.uint8),
-        gender=rng.integers(0, len(GENDERS), n).astype(np.uint8),
-        hospitalized=rng.random(n) < 0.3,
-        died=rng.random(n) < 0.2,
-        state=rng.integers(NO_STATE, len(vocab), n).astype(np.int32),
+        profile=rng.integers(0, PROFILES, n).astype(np.uint8),
+        date=rng.integers(0, 80, n).astype(np.uint16),
+        state=np.where(state < len(vocab), state, NO_STATE).astype(np.uint8),
+        date_vocab=rng.permutation(np.arange(first - 10, first + 70, dtype=np.int32)),
         state_vocab=np.array(vocab),
     )
 
@@ -262,10 +263,15 @@ class TestSlicedCount:
 
     def test_random_columns_reach_every_case(self):
         cases = random_columns(np.random.default_rng(1), COUNT_SLICE + 1)
-        day = cases.event_day - day_index(START)
+        fields = unpack(cases)
+        day = fields["day"] - day_index(START)
         assert (day < 0).any() and (day > 49).any()  # outside on both sides
-        assert (cases.died & ~cases.hospitalized).any()
+        assert (fields["died"] & ~fields["hospitalized"]).any()
         assert set(np.unique(cases.state)) == {NO_STATE, 0, 1, 2}
+        assert set(np.unique(cases.profile)) == set(range(PROFILES))
+        # dates out of order in the vocabulary, and slices spanning it
+        assert (np.diff(cases.date_vocab) < 0).any()
+        assert np.ptp(cases.date[:COUNT_SLICE]) == 79
 
     def test_peak_memory_is_bounded_by_the_slice(self):
         import tracemalloc

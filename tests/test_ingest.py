@@ -31,7 +31,7 @@ from hfrtrend.records import (
     normalize_record,
 )
 from hfrtrend.schemas import CDC_SCHEMA, FLORIDA_SCHEMA, SchemaError
-from hfrtrend.store import COLUMN_DTYPES, NO_STATE, CaseColumns, as_columns
+from hfrtrend.store import COLUMN_DTYPES, NO_STATE, CaseColumns, as_columns, day_index
 from tests.conftest import make_records
 from tests.test_cohort import oracle_counts
 
@@ -255,7 +255,9 @@ def oracle_parse(text, schema, use_alt_event_date=False):
     Python: every cell decoded on its own, one RawLineRecord per kept row,
     per-row report counts, then `normalize_record` per record.
 
-    Returns (raw records, CaseColumns, report, quarantine text).
+    Returns (raw records, CaseColumns, report, quarantine text). The
+    store's date codes are the file's: every valid date of a row with all
+    its fields, kept or not, in order of first appearance.
     """
     date_col = (schema.alt_event_date_column if use_alt_event_date
                 else schema.event_date_column)
@@ -302,7 +304,7 @@ def oracle_parse(text, schema, use_alt_event_date=False):
     reasons = {"bad_date", "bad_age", "bad_gender", "bad_outcome",
                "not_lab_confirmed"}
 
-    report, quarantine, raws = IngestReport(), io.StringIO(), []
+    report, quarantine, raws, file_dates = IngestReport(), io.StringIO(), [], {}
     reader = csv.reader(io.StringIO(text), delimiter=schema.delimiter)
     header = next(reader)
     index = {name: i for i, name in enumerate(header)}
@@ -317,6 +319,8 @@ def oracle_parse(text, schema, use_alt_event_date=False):
             values = [decode(row[index[col]]) if col is not None else default
                       for (col, decode), default in zip(decoders, absent)]
             reason = next((v for v in values if v in reasons), None)
+            if values[0] != "bad_date":
+                file_dates.setdefault(values[0], len(file_dates))
         if reason is not None:
             report.reject(reason)
             padded = row[:len(header)] + [""] * (len(header) - len(row))
@@ -328,7 +332,10 @@ def oracle_parse(text, schema, use_alt_event_date=False):
         report.hospitalized_tallies[raw.hospitalized_raw] += 1
         report.died_tallies[raw.died_raw] += 1
         raws.append(raw)
-    cases = as_columns([normalize_record(r) for r in raws])
+    cases = replace(
+        as_columns([normalize_record(r) for r in raws]),
+        date=np.array([file_dates[r.event_date] for r in raws], np.uint16),
+        date_vocab=np.array([day_index(d) for d in file_dates], np.int32))
     return raws, cases, report, quarantine.getvalue()
 
 
@@ -474,8 +481,9 @@ class TestColumnParser:
         gc.collect()
         assert len(blocks) > 1
         assert all(ref() is None for ref in blocks)
-        for f, dtype in zip(fields(CaseColumns), COLUMN_DTYPES):
-            assert getattr(got, f.name).dtype == dtype
+        assert COLUMN_DTYPES == (np.uint8, np.uint16, np.uint8)
+        for f, dtype in zip(fields(CaseColumns), (*COLUMN_DTYPES, np.int32)):
+            assert getattr(got, f.name).dtype == dtype, f.name
 
     def test_states_keep_their_full_codes(self):
         got = parse_columns(io.StringIO(MESSY_CDC), CDC_SCHEMA, IngestReport())

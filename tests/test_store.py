@@ -1,14 +1,24 @@
 """Columnar store round trips."""
 
+import datetime as dt
+import itertools
 import zipfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from hfrtrend import LineRecord
 from hfrtrend.records import ALL_AGE_BANDS, GENDERS
+from hfrtrend.schemas import SchemaError
 from hfrtrend.store import (
+    COLUMN_DTYPES,
+    MAX_DATES,
+    MAX_STATES,
     NO_STATE,
+    PROFILES,
     STORE_VERSION,
+    CaseColumns,
     as_columns,
     day_date,
     load_store,
@@ -16,7 +26,7 @@ from hfrtrend.store import (
     save_store,
     write_npz,
 )
-from tests.conftest import make_records
+from tests.conftest import make_records, unpack
 
 
 def _state_names(cases):
@@ -31,16 +41,48 @@ class TestStore:
         cases, meta = load_store(path)
         assert len(cases) == 200
         assert meta == {"schema": "florida"}
-        assert [day_date(d) for d in cases.event_day] == [
-            r.event_date for r in records
-        ]
-        assert [ALL_AGE_BANDS[b] for b in cases.age_band] == [
+        assert COLUMN_DTYPES == (np.uint8, np.uint16, np.uint8)
+        assert [getattr(cases, f.name).dtype for f in fields(CaseColumns)][:4] == [
+            np.uint8, np.uint16, np.uint8, np.int32]
+        got = unpack(cases)
+        assert [day_date(d) for d in got["day"]] == [r.event_date for r in records]
+        assert [ALL_AGE_BANDS[b] for b in got["band"]] == [
             r.age_band for r in records
         ]
-        assert [GENDERS[g] for g in cases.gender] == [r.gender for r in records]
-        assert cases.hospitalized.tolist() == [r.hospitalized for r in records]
-        assert cases.died.tolist() == [r.died for r in records]
+        assert [GENDERS[g] for g in got["gender"]] == [r.gender for r in records]
+        assert got["hospitalized"].tolist() == [r.hospitalized for r in records]
+        assert got["died"].tolist() == [r.died for r in records]
         assert _state_names(cases) == [r.state for r in records]
+        # vocabularies are distinct, in first-seen order
+        assert [day_date(d) for d in cases.date_vocab] == list(
+            dict.fromkeys(r.event_date for r in records))
+
+    def test_every_profile_round_trips(self):
+        """All 120 (band, gender, hospitalized, died) combinations pack to
+        distinct codes and unpack to themselves."""
+        combos = list(itertools.product(ALL_AGE_BANDS, GENDERS, (False, True),
+                                        (False, True)))
+        assert len(combos) == PROFILES == 120
+        records = [LineRecord(dt.date(2020, 4, 1), *c) for c in combos]
+        cases = as_columns(records)
+        assert sorted(cases.profile.tolist()) == list(range(PROFILES))
+        got = unpack(cases)
+        assert list(zip([ALL_AGE_BANDS[b] for b in got["band"]],
+                        [GENDERS[g] for g in got["gender"]],
+                        got["hospitalized"].tolist(), got["died"].tolist())) == combos
+
+    @pytest.mark.parametrize("what, limit", [("event dates", MAX_DATES),
+                                             ("states", MAX_STATES)])
+    def test_vocabulary_past_its_column_is_refused(self, what, limit):
+        """The record path refuses what ingest refuses, at the same limit."""
+        dates = what == "event dates"
+        first = dt.date(1800, 1, 1)
+        records = [LineRecord(first + dt.timedelta(days=i * dates), "0-9", "female",
+                              False, False, None if dates else f"S{i}")
+                   for i in range(limit + 1)]
+        assert len(as_columns(records[:limit])) == limit
+        with pytest.raises(SchemaError, match=f"^more than {limit:,} distinct {what}:"):
+            as_columns(records)
 
     def test_state_codes_are_not_truncated(self, rng):
         records = make_records(rng, 50, states=["NYC", "NY", "FL"])
@@ -66,7 +108,7 @@ class TestStore:
         with pytest.raises(ValueError, match="version"):
             load_store(path)
 
-    @pytest.mark.parametrize("version", [1, None])
+    @pytest.mark.parametrize("version", [1, 2, None])
     def test_old_or_unversioned_store_rejected(self, tmp_path, version):
         path = tmp_path / "store.npz"
         payload = {"meta_json": np.str_("{}")}
