@@ -17,8 +17,8 @@ _EXPORTS = {
         "recode_outcome",
     ),
     "cohort": (
-        "CohortTable", "DemographicsSummary", "StratumKey",
-        "build_cohort_table", "detect_reporting_artifacts",
+        "CohortTable", "StratumKey", "build_cohort_table",
+        "demographics_text", "detect_reporting_artifacts",
         "summarize_demographics",
     ),
     "signals": (

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import dataclasses
 import datetime as dt
 import inspect
 import json
@@ -220,12 +218,8 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[int, dict]:
 
     demo = cohort_mod.summarize_demographics(table)
     with open(out_dir / "demographics.txt", "w", encoding="utf-8") as fh:
-        fh.write(demo.as_text() + "\n")
-    _write_json(out_dir / "demographics.json", {
-        **dataclasses.asdict(demo),
-        "hospitalized_no": demo.hospitalized_no,
-        "died_no": demo.died_no,
-    })
+        fh.write(cohort_mod.demographics_text(demo) + "\n")
+    _write_json(out_dir / "demographics.json", demo)
 
     for name in ("aggregate", *AGE_BANDS):
         stratum = cohort_mod.StratumKey(name, "all")
@@ -249,8 +243,8 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[int, dict]:
     else:
         log.info("no testing file supplied; skipping positive test rate")
 
-    print(f"analyzed {demo.total_cases} cohort records -> {out_dir}")
-    return EXIT_OK, {**stats, "cohort_records": demo.total_cases,
+    print(f"analyzed {demo['total_cases']} cohort records -> {out_dir}")
+    return EXIT_OK, {**stats, "cohort_records": demo["total_cases"],
                      "excluded_states": excluded_states}
 
 
@@ -337,6 +331,8 @@ def cmd_bootstrap(args: argparse.Namespace) -> tuple[int, dict | None]:
 
 def _write_drop_table(out_dir: Path, d_old: dt.date, d_new: dt.date,
                       rows: list[list[str]]) -> None:
+    from .store import write_csv
+
     tag = f"{d_old.strftime('%m-%d')}_to_{d_new.strftime('%m-%d')}"
     header = [
         "age_group",
@@ -344,11 +340,7 @@ def _write_drop_table(out_dir: Path, d_old: dt.date, d_new: dt.date,
         d_new.isoformat(),
         f"{d_old.strftime('%m-%d')} to {d_new.strftime('%m-%d')}",
     ]
-    with open(out_dir / f"hfr_drop_{tag}.csv", "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    write_csv(out_dir / f"hfr_drop_{tag}.csv", header, rows)
     widths = [
         max(len(str(r[i])) for r in [header] + rows) for i in range(len(header))
     ]

@@ -10,7 +10,6 @@ column; the demographics summary is read off the table.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import logging
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ import numpy as np
 
 from .records import ALL_AGE_BANDS, GENDERS, LineRecord
 from .store import (BAND_INDEX, GENDER_INDEX, NO_STATE, PROFILES, CaseColumns,
-                    as_columns, day_date, day_index)
+                    as_columns, day_date, day_index, write_csv)
 
 log = logging.getLogger(__name__)
 
@@ -94,13 +93,11 @@ class CohortTable:
 
     def write_long_csv(self, path) -> None:
         """Serialize to tidy long format (one row per date and base cell)."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["date", "age_band", "gender", *SIGNALS])
-            dates = [d.isoformat() for d in self.dates]
-            for (band, gender), arr in sorted(self.cells.items()):
-                for date, row in zip(dates, arr.tolist()):
-                    writer.writerow([date, band, gender, *row])
+        dates = [d.isoformat() for d in self.dates]
+        write_csv(path, ["date", "age_band", "gender", *SIGNALS],
+                  ([date, band, gender, *row]
+                   for (band, gender), arr in sorted(self.cells.items())
+                   for date, row in zip(dates, arr.tolist())))
 
 
 def detect_reporting_artifacts(cases: CaseColumns) -> list[tuple[str, dict]]:
@@ -170,61 +167,34 @@ def build_cohort_table(
     return CohortTable(start=start, end=end, array=array)
 
 
-@dataclass
-class DemographicsSummary:
-    total_cases: int
-    age_counts: dict[str, int]
-    gender_counts: dict[str, int]
-    hospitalized_yes: int
-    died_yes: int
-
-    @property
-    def hospitalized_no(self) -> int:
-        return self.total_cases - self.hospitalized_yes
-
-    @property
-    def died_no(self) -> int:
-        return self.total_cases - self.died_yes
-
-    def percentages(self, counts: dict[str, int]) -> dict[str, float]:
-        if self.total_cases == 0:
-            return {k: 0.0 for k in counts}
-        return {k: 100.0 * v / self.total_cases for k, v in counts.items()}
-
-    def as_text(self) -> str:
-        lines = [f"Lab Confirmed COVID-19 Cases  {self.total_cases}"]
-        lines.append("Age")
-        age_pct = self.percentages(self.age_counts)
-        for band in ALL_AGE_BANDS:
-            n = self.age_counts.get(band, 0)
-            lines.append(f"  {band:<8} {n:>9} ({age_pct.get(band, 0.0):.1f}%)")
-        lines.append("Gender")
-        gender_pct = self.percentages(self.gender_counts)
-        for g in GENDERS:
-            n = self.gender_counts.get(g, 0)
-            lines.append(f"  {g:<14} {n:>9} ({gender_pct.get(g, 0.0):.1f}%)")
-        hosp_pct = self.percentages(
-            {"yes": self.hospitalized_yes, "no": self.hospitalized_no}
-        )
-        died_pct = self.percentages({"yes": self.died_yes, "no": self.died_no})
-        lines.append("Hospitalized")
-        lines.append(f"  yes {self.hospitalized_yes:>9} ({hosp_pct['yes']:.1f}%)")
-        lines.append(f"  no  {self.hospitalized_no:>9} ({hosp_pct['no']:.1f}%)")
-        lines.append("Died")
-        lines.append(f"  yes {self.died_yes:>9} ({died_pct['yes']:.1f}%)")
-        lines.append(f"  no  {self.died_no:>9} ({died_pct['no']:.1f}%)")
-        return "\n".join(lines)
-
-
-def summarize_demographics(table: CohortTable) -> DemographicsSummary:
-    """Totals of the cases a table counts, summed over its days."""
+def summarize_demographics(table: CohortTable) -> dict:
+    """Totals of the cases a table counts, summed over its days: the dict
+    that demographics.json holds."""
     totals = table.array.sum(axis=2)  # (band, gender, signal)
     cases = totals[..., _SIG_INDEX["cases"]]
-    return DemographicsSummary(
-        total_cases=int(cases.sum()),
-        age_counts={b: int(n) for b, n in zip(ALL_AGE_BANDS, cases.sum(axis=1))},
-        gender_counts={g: int(n) for g, n in zip(GENDERS, cases.sum(axis=0))},
-        hospitalized_yes=int(totals[..., _SIG_INDEX["hosp"]].sum()),
-        died_yes=int(totals[..., _SIG_INDEX["deaths"]].sum()),
-    )
+    demo = {
+        "total_cases": int(cases.sum()),
+        "age_counts": {b: int(n) for b, n in zip(ALL_AGE_BANDS, cases.sum(axis=1))},
+        "gender_counts": {g: int(n) for g, n in zip(GENDERS, cases.sum(axis=0))},
+    }
+    for outcome, signal in (("hospitalized", "hosp"), ("died", "deaths")):
+        demo[f"{outcome}_yes"] = int(totals[..., _SIG_INDEX[signal]].sum())
+        demo[f"{outcome}_no"] = demo["total_cases"] - demo[f"{outcome}_yes"]
+    return demo
 
+
+def demographics_text(demo: dict) -> str:
+    """demographics.txt: each count of `demo` with its percent of all cases."""
+    total = demo["total_cases"]
+
+    def row(label: str, n: int, width: int) -> str:
+        return f"  {label:<{width}} {n:>9} ({100.0 * n / total if total else 0.0:.1f}%)"
+
+    lines = [f"Lab Confirmed COVID-19 Cases  {total}", "Age"]
+    lines += [row(b, demo["age_counts"][b], 8) for b in ALL_AGE_BANDS]
+    lines.append("Gender")
+    lines += [row(g, demo["gender_counts"][g], 14) for g in GENDERS]
+    for outcome in ("hospitalized", "died"):
+        lines.append(outcome.capitalize())
+        lines += [row(answer, demo[f"{outcome}_{answer}"], 3) for answer in ("yes", "no")]
+    return "\n".join(lines)

@@ -142,10 +142,11 @@ def _decode_age(text: str) -> int | None:
     if not text:
         return None
     try:
-        years = int(float(text))
-    except (ValueError, OverflowError):
+        years = float(text)
+    except ValueError:
         return _BAD_AGE
-    return years if 0 <= years <= 120 else _BAD_AGE
+    # range-checked before truncation, so -0.5 is no age 0; nan and inf fail it
+    return int(years) if 0 <= years < 121 else _BAD_AGE
 
 
 def _label(spellings: dict[str, str], reject: int, unknown: str | None = None):

@@ -9,7 +9,6 @@ male) pairs, are smoothed in one call. A gap day's CSV cell is empty.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 from dataclasses import dataclass
 
@@ -17,6 +16,7 @@ import numpy as np
 
 from .cohort import ALL_GENDERS, CohortTable, StratumKey
 from .records import AGE_BANDS
+from .store import write_csv
 
 
 @dataclass
@@ -53,13 +53,6 @@ def _cells(series: TimeSeries):
             for value, gap in zip(series.values, series.gaps))
 
 
-def _write_csv(path, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 @dataclass
 class RateSeries:
     """A smoothed ratio with its smoothed support counts."""
@@ -71,7 +64,7 @@ class RateSeries:
 
     def write_long_csv(self, path, stratum: str = "aggregate") -> None:
         ts = self.series
-        _write_csv(
+        write_csv(
             path, ["date", "stratum", "value", "num_support", "den_support", "gap"],
             ([date.isoformat(), stratum, value, f"{num:.10g}", f"{den:.10g}", int(gap)]
              for date, value, num, den, gap in zip(
@@ -84,8 +77,8 @@ def write_band_csv(path, band_series: dict[str, TimeSeries]) -> None:
     """A date column, then one column of cells per band."""
     dates = next(iter(band_series.values())).dates
     columns = [_cells(ts) for ts in band_series.values()]
-    _write_csv(path, ["date", *band_series],
-               ([date.isoformat(), *cells] for date, *cells in zip(dates, *columns)))
+    write_csv(path, ["date", *band_series],
+              ([date.isoformat(), *cells] for date, *cells in zip(dates, *columns)))
 
 
 WINDOW = 7

@@ -9,11 +9,13 @@ per-case object. A case takes 4 bytes: age band, gender and outcomes in
 one (`pack`), and a 2-byte date and 1-byte state code into vocabularies.
 `write_npz` and `open_npz` are the tool's one .npz writer and reader:
 the archive is what `np.savez_compressed` writes, at zlib level 1.
+`write_csv` writes every CSV table the tool reports.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import datetime as dt
 import json
 import zipfile
@@ -113,6 +115,14 @@ def write_npz(path, **arrays) -> None:
                 np.lib.format.write_array_header_1_0(
                     fh, np.lib.format.header_data_from_array_1_0(value))
                 fh.write(value.data)  # the array's own buffer, not a copy
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """Write a header row, then `rows`, in the csv module's default dialect."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def save_store(path, cases: CaseColumns, meta: dict) -> None:

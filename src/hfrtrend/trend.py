@@ -374,7 +374,6 @@ def build_replicates(base: SplineFit, config: BootstrapConfig, points) -> Replic
 
 @dataclass(frozen=True)
 class IntervalEstimate:
-    date: dt.date
     median: float
     lower: float
     upper: float
@@ -385,18 +384,9 @@ class IntervalEstimate:
 
 
 @dataclass(frozen=True)
-class DropEstimate:
-    date_old: dt.date
-    date_new: dt.date
-    median: float
-    lower: float
-    upper: float
+class DropEstimate(IntervalEstimate):
     excluded_replicates: int = 0
     flagged: bool = False
-
-    def __post_init__(self):
-        if not (self.lower <= self.median <= self.upper):
-            raise ValueError("percentiles out of order")
 
 
 def _nearest_rank(sorted_values: np.ndarray, q: float, per: int = 1) -> float:
@@ -465,23 +455,21 @@ def read_estimates(
     result = TrendResult()
     values = reps.evaluate(day_points(series, dates, date_pairs))
 
-    for i, date in enumerate(dates):
-        triplet = _percentile_triplet(values[i])
+    n = len(dates)
+    for level in values[:n]:
+        triplet = _percentile_triplet(level)
         result.clipped_bounds += sum(v < 0.0 or v > 1.0 for v in triplet)
         triplet = [min(max(v, 0.0), 1.0) for v in triplet]
-        result.levels.append(IntervalEstimate(date, *triplet))
+        result.levels.append(IntervalEstimate(*triplet))
 
-    offset = len(dates)
-    for j, (d_old, d_new) in enumerate(date_pairs):
-        old = values[offset + 2 * j]
-        new = values[offset + 2 * j + 1]
+    for old, new in zip(values[n::2], values[n + 1::2]):
         ok = old != 0.0
         excluded = int(np.sum(~ok))
         if excluded == len(old):
             raise InsufficientDataError("all replicates have zero old-date value")
         rel = (new[ok] - old[ok]) / old[ok]
         result.drops.append(DropEstimate(
-            d_old, d_new, *_percentile_triplet(rel),
+            *_percentile_triplet(rel),
             excluded_replicates=excluded,
             flagged=excluded > 0.01 * len(old),
         ))
@@ -493,8 +481,7 @@ def estimate_drop(
     config: BootstrapConfig,
     date_old: dt.date,
     date_new: dt.date,
-    lam: float | None = None,
 ) -> DropEstimate:
     """Relative change (new - old)/old with percentile bounds, computed
     per replicate."""
-    return analyze_trend(series, config, [], [(date_old, date_new)], lam=lam).drops[0]
+    return analyze_trend(series, config, [], [(date_old, date_new)]).drops[0]

@@ -13,6 +13,7 @@ from hfrtrend.cohort import (
     COUNT_SLICE,
     SIGNALS,
     CohortTable,
+    demographics_text,
     summarize_demographics,
 )
 from hfrtrend.records import AGE_BANDS, AGE_UNKNOWN, ALL_AGE_BANDS, GENDERS
@@ -205,15 +206,15 @@ class TestColumnarPath:
         records, cases = self._cases(rng)
         demo = summarize_demographics(
             build_cohort_table(cases, START, START + dt.timedelta(days=49)))
-        assert demo.total_cases == len(records)
-        assert demo.age_counts == {
+        assert demo["total_cases"] == len(records)
+        assert demo["age_counts"] == {
             b: sum(r.age_band == b for r in records) for b in ALL_AGE_BANDS
         }
-        assert demo.gender_counts == {
+        assert demo["gender_counts"] == {
             g: sum(r.gender == g for r in records) for g in GENDERS
         }
-        assert demo.hospitalized_yes == sum(r.hospitalized for r in records)
-        assert demo.died_yes == sum(r.died for r in records)
+        assert demo["hospitalized_yes"] == sum(r.hospitalized for r in records)
+        assert demo["died_yes"] == sum(r.died for r in records)
 
     def test_cells_are_the_nonempty_base_cells(self, rng):
         records, cases = self._cases(rng)
@@ -288,34 +289,67 @@ class TestSlicedCount:
         assert peak < 2 * 2**20, peak
 
 
+HAND_COUNTED = [
+    LineRecord(START, "50-59", "female", True, True),
+    LineRecord(START, "50-59", "male", False, False),
+    LineRecord(START, AGE_UNKNOWN, "other-unknown", True, False),
+]
+
+HAND_COUNTED_TEXT = """\
+Lab Confirmed COVID-19 Cases  3
+Age
+  0-9              0 (0.0%)
+  10-19            0 (0.0%)
+  20-29            0 (0.0%)
+  30-39            0 (0.0%)
+  40-49            0 (0.0%)
+  50-59            2 (66.7%)
+  60-69            0 (0.0%)
+  70-79            0 (0.0%)
+  80+              0 (0.0%)
+  unknown          1 (33.3%)
+Gender
+  female                 1 (33.3%)
+  male                   1 (33.3%)
+  other-unknown          1 (33.3%)
+Hospitalized
+  yes         2 (66.7%)
+  no          1 (33.3%)
+Died
+  yes         1 (33.3%)
+  no          2 (66.7%)"""
+
+
 class TestDemographics:
     def test_hand_counted_summary(self):
-        records = [
-            LineRecord(START, "50-59", "female", True, True),
-            LineRecord(START, "50-59", "male", False, False),
-            LineRecord(START, AGE_UNKNOWN, "other-unknown", True, False),
-        ]
-        demo = summarize_demographics(build_cohort_table(records, START, START))
-        assert demo.total_cases == 3
-        assert demo.age_counts["50-59"] == 2
-        assert demo.age_counts[AGE_UNKNOWN] == 1
-        assert demo.gender_counts == {"female": 1, "male": 1, "other-unknown": 1}
-        assert demo.hospitalized_yes == 2
-        assert demo.hospitalized_no == 1
-        assert demo.died_yes == 1
-        assert demo.died_no == 2
+        demo = summarize_demographics(build_cohort_table(HAND_COUNTED, START, START))
+        assert demo["total_cases"] == 3
+        assert demo["age_counts"]["50-59"] == 2
+        assert demo["age_counts"][AGE_UNKNOWN] == 1
+        assert demo["gender_counts"] == {"female": 1, "male": 1, "other-unknown": 1}
+        assert demo["hospitalized_yes"] == 2
+        assert demo["hospitalized_no"] == 1
+        assert demo["died_yes"] == 1
+        assert demo["died_no"] == 2
 
-    def test_percentages_sum_to_100(self):
-        records = [
-            LineRecord(START, band, "female", False, False) for band in AGE_BANDS
-        ]
-        demo = summarize_demographics(build_cohort_table(records, START, START))
-        assert sum(demo.percentages(demo.age_counts).values()) == pytest.approx(100.0)
+    def test_hand_counted_text(self):
+        """The layout of demographics.txt; each block's percents sum to 100."""
+        demo = summarize_demographics(build_cohort_table(HAND_COUNTED, START, START))
+        assert demographics_text(demo) == HAND_COUNTED_TEXT
+
+    def test_empty_cohort_text(self):
+        demo = summarize_demographics(build_cohort_table([], START, START))
+        text = demographics_text(demo)
+        lines = text.splitlines()
+        assert lines[0] == "Lab Confirmed COVID-19 Cases  0"
+        rows = [line for line in lines if line.startswith("  ")]
+        assert len(rows) == len(ALL_AGE_BANDS) + len(GENDERS) + 4
+        assert all(row.endswith(" 0 (0.0%)") for row in rows)
 
     def test_text_rendering_contains_counts(self):
         records = [LineRecord(START, "80+", "male", True, True)]
-        text = summarize_demographics(
-            build_cohort_table(records, START, START)).as_text()
+        text = demographics_text(summarize_demographics(
+            build_cohort_table(records, START, START)))
         assert "Lab Confirmed COVID-19 Cases  1" in text
         assert "80+" in text
 

@@ -2,8 +2,8 @@
 every module-level private name is read somewhere in the package, no
 CLI stage catches the errors that `cli.main` turns into exit codes,
 every .npz goes through `store.write_npz`, every rolling window is
-summed in `signals._window_sums`, and the count of settable values is
-pinned."""
+summed in `signals._window_sums`, every CSV table goes through
+`store.write_csv`, and the count of settable values is pinned."""
 
 import ast
 import builtins
@@ -151,6 +151,25 @@ def test_one_rolling_window():
         "signals._window_sums"]
 
 
+def csv_writer_users(path: Path) -> list[str]:
+    """`module.name` of each top-level statement in `path` that constructs
+    a `csv.writer`."""
+    return [f"{path.stem}.{getattr(node, 'name', '<module>')}"
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                   and n.func.attr == "writer"
+                   and getattr(n.func.value, "id", None) == "csv"
+                   for n in ast.walk(node))]
+
+
+def test_one_csv_writer():
+    """Every CSV table is written by `store.write_csv`, in one dialect; the
+    only other writer is ingest's quarantine, which streams rejected rows
+    into a file that stays open while the parse runs."""
+    assert [user for path in MODULES for user in csv_writer_users(path)] == [
+        "ingest._decode_blocks", "store.write_csv"]
+
+
 def settable_values(source: str) -> list[str]:
     """Each value a caller can set: a defaulted parameter of a public
     function or of a public method of a public class, a field of a public
@@ -200,4 +219,4 @@ def test_settable_values():
     configurations that tests must cover, so a change that moves this
     count says why."""
     assert sum(len(settable_values(path.read_text(encoding="utf-8")))
-               for path in MODULES) == 144
+               for path in MODULES) == 132

@@ -5,6 +5,7 @@ import datetime as dt
 import gc
 import gzip
 import io
+import json
 import os
 import warnings
 import weakref
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hfrtrend import LineRecord, ingest
+from hfrtrend.cli import EXIT_OK, main
 from hfrtrend.cohort import DUMP_FRACTION, build_cohort_table, detect_reporting_artifacts
 from hfrtrend.ingest import (
     load_testing_series,
@@ -31,8 +33,9 @@ from hfrtrend.records import (
     normalize_record,
 )
 from hfrtrend.schemas import CDC_SCHEMA, FLORIDA_SCHEMA, SchemaError
-from hfrtrend.store import COLUMN_DTYPES, NO_STATE, CaseColumns, as_columns, day_index
-from tests.conftest import make_records
+from hfrtrend.store import (COLUMN_DTYPES, NO_STATE, CaseColumns, as_columns, day_index,
+                            load_store)
+from tests.conftest import make_records, unpack
 from tests.test_cohort import oracle_counts
 
 FLORIDA_FIXTURE = """\
@@ -275,10 +278,10 @@ def oracle_parse(text, schema, use_alt_event_date=False):
         if not cell.strip():
             return None
         try:
-            years = int(float(cell))
-        except (ValueError, OverflowError):
+            years = float(cell)
+        except ValueError:
             return "bad_age"
-        return years if 0 <= years <= 120 else "bad_age"
+        return int(years) if 0 <= years < 121 else "bad_age"
 
     def label(spellings, reason, unknown=None):
         def decode(cell):
@@ -365,6 +368,7 @@ MESSY_FLORIDA = (
     "2020-04-01,34,Female,NO,NO\n"
     "2020-04-01,inf,Male,YES,YES\n"
     "2020-04-02,-1,Male,YES,YES\n"
+    "2020-04-02,-0.5,Male,YES,YES\n"
     "2020-04-02, 120 ,f,y,n\n"
     "2020-04-02,121,Male,YES,YES\n"
     "2020-13-01,twelve,Robot,MAYBE,NO\n"
@@ -592,6 +596,43 @@ def _rec(day, state=None):
         died=False,
         state=state,
     )
+
+
+class TestFractionalAges:
+    """An age is range-checked before it is cut to whole years: -0.5 is
+    no age 0, and 120.9 is age 120."""
+
+    TEXT = ("ChartDate,Age,Gender,Hospitalized,Died\n"
+            "2020-04-01,-0.5,Female,NO,NO\n"
+            "2020-04-01,-1,Female,NO,NO\n"
+            "2020-04-01,0.5,Female,NO,NO\n"
+            "2020-04-01,120.9,Male,NO,NO\n"
+            "2020-04-01,121,Male,NO,NO\n"
+            "2020-04-01,nan,Male,NO,NO\n"
+            "2020-04-01,inf,Male,NO,NO\n"
+            "2020-04-01,1e400,Male,NO,NO\n")
+    REJECTED = {"bad_age": 6}
+
+    def test_parse_columns(self):
+        report = IngestReport()
+        cases = parse_columns(io.StringIO(self.TEXT), FLORIDA_SCHEMA, report)
+        assert report.rejected_rows_by_reason == self.REJECTED
+        assert [ALL_AGE_BANDS[b] for b in unpack(cases)["band"]] == ["0-9", "80+"]
+
+    def test_parse_florida_lines(self):
+        records, report = parse_florida_lines(io.StringIO(self.TEXT))
+        assert report.rejected_rows_by_reason == self.REJECTED
+        assert [r.age_years for r in records] == [0, 120]
+
+    def test_cli_ingest(self, tmp_path):
+        src = tmp_path / "ages.csv"
+        src.write_text(self.TEXT)
+        assert main(["ingest", "--input", str(src), "--out", str(tmp_path)]) == EXIT_OK
+        report = json.loads((tmp_path / "ingest_report.json").read_text())
+        assert report["kept_rows"] == 2
+        assert report["rejected_rows_by_reason"] == self.REJECTED
+        cases, _ = load_store(tmp_path / "store.npz")
+        assert [ALL_AGE_BANDS[b] for b in unpack(cases)["band"]] == ["0-9", "80+"]
 
 
 class TestFilterCohort:

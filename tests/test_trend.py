@@ -25,7 +25,6 @@ from hfrtrend.trend import (
     analyze_trend,
     build_replicates,
     default_lambda_grid,
-    estimate_drop,
     fit_points,
     fit_smoothing_spline,
     read_estimates,
@@ -617,7 +616,8 @@ class TestAnalyzeTrend:
     def test_identical_dates_give_zero_drop(self, rng):
         series = self._series(rng)
         d = START + dt.timedelta(days=60)
-        drop = estimate_drop(series, BootstrapConfig(replicates=50, seed=0), d, d, lam=500.0)
+        drop = analyze_trend(series, BootstrapConfig(replicates=50, seed=0), [], [(d, d)],
+                             lam=500.0).drops[0]
         assert drop.median == pytest.approx(0.0, abs=1e-12)
         assert drop.upper - drop.lower == pytest.approx(0.0, abs=1e-12)
 
@@ -654,11 +654,11 @@ class TestAnalyzeTrend:
 
     def test_recovers_known_drop_sign(self, rng):
         series = self._series(rng)
-        drop = estimate_drop(
+        drop = analyze_trend(
             series,
             BootstrapConfig(replicates=200, seed=2),
-            START + dt.timedelta(days=10),
-            START + dt.timedelta(days=110),
+            [],
+            [(START + dt.timedelta(days=10), START + dt.timedelta(days=110))],
             lam=500.0,
-        )
+        ).drops[0]
         assert drop.upper < 0  # the decline is unambiguous at this noise level
