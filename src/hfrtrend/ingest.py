@@ -30,6 +30,7 @@ import datetime as dt
 import gzip
 import io
 import logging
+import re
 from itertools import chain, compress, islice
 from operator import itemgetter
 from typing import IO, Iterator
@@ -110,6 +111,7 @@ BAND_VALUES = (None, *AGE_BANDS)
 _BAND_TABLE = np.array([[BAND_INDEX[resolve_age_band(b, a)] for a in AGE_VALUES]
                         for b in BAND_VALUES], np.uint8)
 _YES = OUTCOME_CATEGORIES.index("yes")
+_AGE_TEXT = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?")  # ASCII digits, one optional point
 
 
 class _Coder(dict):
@@ -141,12 +143,10 @@ def _decode_age(text: str) -> int | None:
     text = text.strip()
     if not text:
         return None
-    try:
-        years = float(text)
-    except ValueError:
+    if not _AGE_TEXT.fullmatch(text):  # float alone reads 1_0, 5e1 and nan
         return _BAD_AGE
-    # range-checked before truncation, so -0.5 is no age 0; nan and inf fail it
-    return int(years) if 0 <= years < 121 else _BAD_AGE
+    years = float(text)
+    return int(years) if 0 <= years < 121 else _BAD_AGE  # so -0.5 is no age 0
 
 
 def _label(spellings: dict[str, str], reject: int, unknown: str | None = None):

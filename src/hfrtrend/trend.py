@@ -23,11 +23,11 @@ replicate values exist only at the points requested from
 that no (n, B) array outlives its slice; every requested date and drop
 is read off that one replicate set (`read_estimates`).
 
-Replicate stream contract: replicate j of a series of n residuals takes
-ceil(n/L) block starts, uniform on [0, n-L], from
-`default_rng(SeedSequence(seed).spawn(B)[j])`. The starts depend only
-on (seed, B, n, L), not on the residuals, so strata of equal length
-share them; they are drawn once per key and cached (`_block_starts`).
+Replicate stream contract: a stratum's block starts are 32-bit
+little-endian words of `random.Random(seed).randbytes`, each masked to
+the bit length of n-L and rejected above n-L, so uniform on [0, n-L];
+they fill a (B, ceil(n/L)) array row after row, row j for replicate j.
+So replicate j depends on (seed, n, L), not on B or the residuals.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
+import random
 import sys
 from dataclasses import dataclass, field
 
@@ -307,22 +308,21 @@ class BootstrapConfig:
             raise ValueError("replicates must be >= 1")
         if self.block_length < 1:
             raise ValueError("block_length must be >= 1")
+        if self.seed < 0:  # random.Random seeds with |seed|
+            raise ValueError("seed must be >= 0")
 
 
-@functools.lru_cache(maxsize=1)  # one (seed, B) per bootstrap run
-def _children(seed: int, replicates: int) -> list:
-    return np.random.SeedSequence(seed).spawn(replicates)
-
-
-@functools.lru_cache(maxsize=8)
-def _block_starts(seed: int, replicates: int, n: int, block_length: int):
-    """(B, ceil(n/L)) moving-block starts, row j drawn from replicate j's
-    stream; read-only, as it is shared between calls."""
-    high, size = n - block_length + 1, -(-n // block_length)
-    starts = np.array([np.random.default_rng(child).integers(0, high, size=size)
-                       for child in _children(seed, replicates)])
-    starts.flags.writeable = False
-    return starts
+def _block_starts(rng: random.Random, rows: int, n: int, block_length: int):
+    """The next (rows, ceil(n/L)) block starts of `rng` (module docstring).
+    Each draw asks for exactly the words still missing, so successive
+    calls continue one stream and drop no accepted word."""
+    high, size = n - block_length, -(-n // block_length)
+    mask = (1 << high.bit_length()) - 1
+    starts = np.empty(0, dtype=np.uint32)
+    while (missing := rows * size - len(starts)) > 0:
+        words = np.frombuffer(rng.randbytes(4 * missing), dtype="<u4") & mask
+        starts = np.concatenate([starts, words[words <= high]])
+    return starts.reshape(rows, size)
 
 
 @dataclass
@@ -348,10 +348,10 @@ def build_replicates(base: SplineFit, config: BootstrapConfig, points) -> Replic
     """Resample residual blocks, post-blacken, refit each replicate.
 
     Each replicate concatenates ceil(n/L) of the n-L+1 overlapping
-    length-L residual windows, drawn uniformly with replacement from its
-    own stream (module docstring), truncated to n. The replicates are
-    solved REPLICATE_SLICE columns at a time against one band (same lam,
-    same knots), and each slice is kept only at the `points` in range.
+    length-L residual windows, drawn uniformly with replacement from the
+    stratum's one stream (module docstring), truncated to n. Replicates
+    are drawn and solved REPLICATE_SLICE at a time against one band (same
+    lam, same knots); each slice is kept only at the `points` in range.
     """
     x, n, length = base.x, len(base.x), config.block_length
     if n < length:
@@ -360,11 +360,11 @@ def build_replicates(base: SplineFit, config: BootstrapConfig, points) -> Replic
     # not np.unique: in numpy 2.4 it imports numpy.ma
     points = np.array(sorted(set(np.asarray(points, dtype=float).tolist())))
     points = points[(points >= x[0]) & (points <= x[-1])]
-    starts = _block_starts(config.seed, config.replicates, n, length)
+    rng = random.Random(config.seed)
     residuals, h = base.residuals, _spacings(x)
     values = np.empty((len(points), config.replicates))
     for lo in range(0, config.replicates, REPLICATE_SLICE):
-        block = starts[lo:lo + REPLICATE_SLICE]
+        block = _block_starts(rng, min(REPLICATE_SLICE, config.replicates - lo), n, length)
         index = (block[:, :, None] + np.arange(length)).reshape(len(block), -1)
         synthetic = residuals[index[:, :n].T] + base.fitted[:, None]
         gammas, fitted = _smooth(h, synthetic, base.lam)

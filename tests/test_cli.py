@@ -247,7 +247,8 @@ class TestImports:
         code = (f"import hfrtrend.cli\nassert hfrtrend.cli.main({argv!r}) == 0\n"
                 "import hfrtrend.trend\n"
                 "assert hfrtrend.trend._pbsv.cache_info().currsize == 1")
-        watched = ("hfrtrend.ingest", "hfrtrend.synth", "scipy", "numpy.ma")
+        watched = ("hfrtrend.ingest", "hfrtrend.synth", "scipy", "numpy.ma",
+                   "numpy.random", "secrets", "_hashlib")
         assert _loaded_after(code, watched) == []
 
     def test_manifest_tool_version_is_the_package_version(self, pipeline_dirs):

@@ -275,12 +275,15 @@ def oracle_parse(text, schema, use_alt_event_date=False):
         return "bad_date"
 
     def age(cell):
-        if not cell.strip():
+        cell = cell.strip()
+        if not cell:
             return None
-        try:
-            years = float(cell)
-        except ValueError:
+        sign = cell[0] in "+-"
+        whole, point, fraction = cell[sign:].partition(".")
+        if not all(part and part.isascii() and part.isdigit()
+                   for part in (whole, *([fraction] if point else []))):
             return "bad_age"
+        years = float(cell)
         return int(years) if 0 <= years < 121 else "bad_age"
 
     def label(spellings, reason, unknown=None):
@@ -390,7 +393,8 @@ def _random_line_list(rng, schema, n_rows, plain=False):
     pools = {
         "date": ["2020-04-01", "2020-04-02", "2020/04/03", "04/05/2020",
                  " 2020-04-06", "not-a-date", "", "2020-13-01"],
-        "age": ["34", "0", "120", "121", "-1", "", " 45 ", "x", "inf", "80.9"],
+        "age": ["34", "0", "120", "121", "-1", "", " 45 ", "x", "inf", "80.9",
+                "1_0", "5e1"],
         "band": ["30 - 39 Years", "80+ Years", "Unknown", "", "90 - 99 Years",
                  "50-59"],
         "gender": ["Female", "male", "F", "", "Other", "Robot", "Male, adult"],
@@ -600,7 +604,9 @@ def _rec(day, state=None):
 
 class TestFractionalAges:
     """An age is range-checked before it is cut to whole years: -0.5 is
-    no age 0, and 120.9 is age 120."""
+    no age 0, and 120.9 is age 120. It is ASCII digits with an optional
+    sign and decimal part; the rest of Python's float syntax (1_0, 5e1,
+    nan, non-ASCII digits) is `bad_age`."""
 
     TEXT = ("ChartDate,Age,Gender,Hospitalized,Died\n"
             "2020-04-01,-0.5,Female,NO,NO\n"
@@ -610,29 +616,38 @@ class TestFractionalAges:
             "2020-04-01,121,Male,NO,NO\n"
             "2020-04-01,nan,Male,NO,NO\n"
             "2020-04-01,inf,Male,NO,NO\n"
-            "2020-04-01,1e400,Male,NO,NO\n")
-    REJECTED = {"bad_age": 6}
+            "2020-04-01,1e400,Male,NO,NO\n"
+            "2020-04-01,1_0,Male,NO,NO\n"
+            "2020-04-01,\u0661\u0662,Male,NO,NO\n"
+            "2020-04-01,5e1,Male,NO,NO\n"
+            "2020-04-01,54.,Male,NO,NO\n"
+            "2020-04-01,.5,Male,NO,NO\n"
+            "2020-04-01,0x10,Male,NO,NO\n"
+            "2020-04-01, 54 ,Male,NO,NO\n"
+            "2020-04-01,+54.0,Male,NO,NO\n")
+    REJECTED = {"bad_age": 12}
+    BANDS = ["0-9", "80+", "50-59", "50-59"]
 
     def test_parse_columns(self):
         report = IngestReport()
         cases = parse_columns(io.StringIO(self.TEXT), FLORIDA_SCHEMA, report)
         assert report.rejected_rows_by_reason == self.REJECTED
-        assert [ALL_AGE_BANDS[b] for b in unpack(cases)["band"]] == ["0-9", "80+"]
+        assert [ALL_AGE_BANDS[b] for b in unpack(cases)["band"]] == self.BANDS
 
     def test_parse_florida_lines(self):
         records, report = parse_florida_lines(io.StringIO(self.TEXT))
         assert report.rejected_rows_by_reason == self.REJECTED
-        assert [r.age_years for r in records] == [0, 120]
+        assert [r.age_years for r in records] == [0, 120, 54, 54]
 
     def test_cli_ingest(self, tmp_path):
         src = tmp_path / "ages.csv"
-        src.write_text(self.TEXT)
+        src.write_text(self.TEXT, encoding="utf-8")
         assert main(["ingest", "--input", str(src), "--out", str(tmp_path)]) == EXIT_OK
         report = json.loads((tmp_path / "ingest_report.json").read_text())
-        assert report["kept_rows"] == 2
+        assert report["kept_rows"] == 4
         assert report["rejected_rows_by_reason"] == self.REJECTED
         cases, _ = load_store(tmp_path / "store.npz")
-        assert [ALL_AGE_BANDS[b] for b in unpack(cases)["band"]] == ["0-9", "80+"]
+        assert [ALL_AGE_BANDS[b] for b in unpack(cases)["band"]] == self.BANDS
 
 
 class TestFilterCohort:

@@ -5,6 +5,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -402,16 +403,36 @@ def moving_block_resample(residuals, block_length, rng):
     return out[:n]
 
 
+class ScalarStarts:
+    """Oracle of the replicate stream contract, one word at a time: one
+    `random.Random(seed)`, each 32-bit word masked to the bit length of
+    the largest start and rejected above it. `integers` draws as
+    `Generator.integers` does, so `moving_block_resample` can take it."""
+
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+
+    def integers(self, low, high, size):
+        top = high - 1 - low
+        mask = 2 ** top.bit_length() - 1
+        out = []
+        while len(out) < size:
+            word = self.rng.getrandbits(32) & mask
+            if word <= top:
+                out.append(low + word)
+        return np.array(out)
+
+
 def per_replicate_build(base, config):
-    """Oracle for build_replicates: one spawned stream and one resample
-    per replicate column, then one multi-RHS solve of the whole (n, B)
-    array. Returns the synthetic series and their fitted values and
-    second derivatives."""
-    children = np.random.SeedSequence(config.seed).spawn(config.replicates)
+    """Oracle for build_replicates: one stream for the stratum, read
+    word by word, one resample per replicate column in order, then one
+    multi-RHS solve of the whole (n, B) array. Returns the synthetic
+    series and their fitted values and second derivatives."""
+    stream = ScalarStarts(config.seed)
     synthetic = np.empty((len(base.x), config.replicates))
-    for j, child in enumerate(children):
+    for j in range(config.replicates):
         synthetic[:, j] = base.fitted + moving_block_resample(
-            base.residuals, config.block_length, np.random.default_rng(child)
+            base.residuals, config.block_length, stream
         )
     gammas, fitted = _smooth(_spacings(base.x), synthetic, base.lam)
     return synthetic, fitted, gammas
@@ -476,7 +497,7 @@ class TestBuildReplicates:
             points = knots_and_midpoints(x)
             config = BootstrapConfig(replicates=replicates,
                                      block_length=block_length, seed=4)
-            # two series of one length share the cached block starts
+            # two series of one length draw the same block starts
             for _ in range(2):
                 y = np.sin(x / 8) + rng.normal(0, 0.1, size=n)
                 base = fit_points(x, y, 100.0)
@@ -520,7 +541,6 @@ class TestBuildReplicates:
         base = fit_points(x, np.sin(x / 20), 50.0)
         config = BootstrapConfig(replicates=replicates, seed=5)
         points = [3.0, 90.0, 105.0, 198.0]
-        _block_starts(config.seed, replicates, n, config.block_length)  # warm
         tracemalloc.start()
         try:
             reps = build_replicates(base, config, points)
@@ -532,6 +552,39 @@ class TestBuildReplicates:
         # whole-array build peaks at about 26 MB here
         slice_array = 8 * n * REPLICATE_SLICE
         assert peak < 12 * slice_array + reps.values.nbytes, peak
+
+    @pytest.mark.parametrize("n, block_length", [(47, 7), (49, 7), (30, 1),
+                                                 (20, 20)])
+    def test_block_starts(self, n, block_length):
+        size = -(-n // block_length)
+        starts = _block_starts(random.Random(8), 300, n, block_length)
+        assert starts.shape == (300, size)
+        assert starts.min() >= 0 and starts.max() <= n - block_length
+        if block_length == n:  # one window, so every start is 0
+            assert not starts.any()
+        else:  # every start in range is drawn
+            counts = np.bincount(starts.ravel(), minlength=n - block_length + 1)
+            assert counts.min() > 0
+        # a build of B + k replicates begins with the build of B, and the
+        # slices of one stream are the rows of one whole draw
+        whole = _block_starts(random.Random(8), 300 + 77, n, block_length)
+        assert whole[:300].tobytes() == starts.tobytes()
+        rng = random.Random(8)
+        sliced = [_block_starts(rng, rows, n, block_length) for rows in (1, 64, 235, 77)]
+        assert np.concatenate(sliced).tobytes() == whole.tobytes()
+
+    def test_first_replicates_do_not_depend_on_b(self, rng):
+        x = np.arange(45, dtype=float)
+        base = fit_points(x, np.sin(x / 7) + rng.normal(0, 0.1, size=45), 30.0)
+        small = build_replicates(base, BootstrapConfig(replicates=70, seed=2), x)
+        large = build_replicates(base, BootstrapConfig(replicates=140, seed=2), x)
+        assert large.values[:, :70].tobytes() == small.values.tobytes()
+
+    def test_config_rejects_out_of_range_values(self):
+        for bad in ({"replicates": 0}, {"block_length": 0}, {"seed": -1}):
+            with pytest.raises(ValueError):
+                BootstrapConfig(**bad)
+        assert BootstrapConfig(seed=0).seed == 0
 
     def test_deterministic_across_runs(self, rng):
         x = np.arange(40, dtype=float)
