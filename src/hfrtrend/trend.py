@@ -6,20 +6,20 @@ over natural cubic splines with knots at the data abscissae. With the
 standard tridiagonal Q (second-difference) and R (roughness) matrices,
 the interior second derivatives solve (R + lam Q'Q) g = Q'y and the
 fitted values are y - lam Q g; R + lam Q'Q is symmetric pentadiagonal,
-so the solve is banded and O(n). The smoothing parameter is a given
-number or is chosen by block cross-validation, which solves the whole
-lam grid against each block's bands, about 1.8k small solves per
-selection, so LAPACK pbsv is called directly rather than through
-scipy's solveh_banded wrapper. The routine comes from scipy's own LAPACK
-extension, loaded on the first solve without importing scipy.linalg, so
-no stage imports scipy.
+so every solve is one O(n) LDL' elimination in numpy (`_eliminate`),
+vectorized over right-hand sides or over a lam grid. The smoothing
+parameter is a given number or is chosen by block cross-validation,
+which eliminates the whole series once down and once up over the grid
+and then solves four rows per held-out block (`_block_cv_scores`).
 
 Uncertainty: resample residual blocks with replacement, add them back
 onto the base trend (post-blackening), refit with the base smoothing
 parameter, and read 95% percentile intervals off the replicate trends,
-with levels clipped to [0, 1]. A stratum is bootstrapped once, and its
-replicate values exist only at the points requested from
-`build_replicates`, which solves REPLICATE_SLICE replicates at a time so
+with levels clipped to [0, 1]. A refit is linear in its series, so a
+replicate's value at a point is the smoother's weights there times its
+series; one solve gives the weights. A stratum is bootstrapped once,
+and its replicate values exist only at the points requested from
+`build_replicates`, which draws REPLICATE_SLICE replicates at a time so
 that no (n, B) array outlives its slice; every requested date and drop
 is read off that one replicate set (`read_estimates`).
 
@@ -33,13 +33,8 @@ So replicate j depends on (seed, n, L), not on B or the residuals.
 from __future__ import annotations
 
 import datetime as dt
-import functools
-import importlib.machinery
-import importlib.util
 import math
-import os
 import random
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,7 +44,7 @@ from .signals import RateSeries
 LAMBDA_GRID_SIZE = 61  # points in default_lambda_grid
 CV_BLOCK_LENGTH = 7  # days held out per block CV fold: one trailing window
 CV_GAP = 6  # days dropped each side of a fold: a window's overlap with it
-REPLICATE_SLICE = 64  # replicates solved at once: bounds their (n, slice) arrays
+REPLICATE_SLICE = 64  # replicates drawn at once: bounds their (slice, n) arrays
 
 
 class InsufficientDataError(ValueError):
@@ -91,18 +86,18 @@ def _q_matvec(h: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _penalty_matrices(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Banded (upper form, bandwidth 2) R and Q'Q of size n-2."""
+    """R and Q'Q of size n-2 as lower bands: band[0, j] = A[j, j],
+    band[1, j] = A[j+1, j], band[2, j] = A[j+2, j], zero past the last row."""
     m = len(h) - 1  # n - 2
     inv = 1.0 / h
     r_band = np.zeros((3, m))
-    r_band[2] = (h[:-1] + h[1:]) / 3.0
-    r_band[1, 1:] = h[1:-1] / 6.0
+    r_band[0] = (h[:-1] + h[1:]) / 3.0
+    r_band[1, :-1] = h[1:-1] / 6.0
 
     qtq_band = np.zeros((3, m))
-    qtq_band[2] = inv[:-1] ** 2 + (inv[:-1] + inv[1:]) ** 2 + inv[1:] ** 2
-    qtq_band[1, 1:] = -(inv[1:-1]) * (inv[:-2] + 2.0 * inv[1:-1] + inv[2:])
-    if m >= 3:
-        qtq_band[0, 2:] = inv[1:-2] * inv[2:-1]
+    qtq_band[0] = inv[:-1] ** 2 + (inv[:-1] + inv[1:]) ** 2 + inv[1:] ** 2
+    qtq_band[1, :-1] = -(inv[1:-1]) * (inv[:-2] + 2.0 * inv[1:-1] + inv[2:])
+    qtq_band[2, :-2] = inv[1:-2] * inv[2:-1]
     return r_band, qtq_band
 
 
@@ -145,16 +140,19 @@ def _eval_natural_cubic(x, f, gamma, xq, extrapolate: bool = False) -> np.ndarra
         d_lo = np.where(outside_lo, xq - x[0], 0.0)
         d_hi = np.where(outside_hi, xq - x[-1], 0.0)
         return inner + d_lo[:, None] * slope_lo + d_hi[:, None] * slope_hi
+    idx, *weights = _cubic_weights(x, xq)
+    a, b, c, d = (w[:, None] for w in weights)
+    return a * f[idx] + b * f[idx + 1] + c * g[idx] + d * g[idx + 1]
+
+
+def _cubic_weights(x, xq):
+    """For points xq in [x[0], x[-1]]: each one's interval start i, and the
+    weights of f[i], f[i+1], g[i] and g[i+1] in the cubic's value there."""
     idx = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, len(x) - 2)
     h = x[idx + 1] - x[idx]
-    a = ((x[idx + 1] - xq) / h)[:, None]
-    b = ((xq - x[idx]) / h)[:, None]
-    h2 = (h**2)[:, None]
-    return (
-        a * f[idx]
-        + b * f[idx + 1]
-        + ((a**3 - a) * g[idx] + (b**3 - b) * g[idx + 1]) * h2 / 6.0
-    )
+    a = (x[idx + 1] - xq) / h
+    b = (xq - x[idx]) / h
+    return idx, a, b, (a**3 - a) * h**2 / 6.0, (b**3 - b) * h**2 / 6.0
 
 
 def _as_points(x, y, min_points: int, purpose: str = ""):
@@ -173,48 +171,39 @@ def _as_points(x, y, min_points: int, purpose: str = ""):
     return x, y
 
 
-@functools.cache
-def _pbsv():
-    """LAPACK dpbsv from scipy's f2py extension scipy/linalg/_flapack, the
-    routine `scipy.linalg.lapack` re-exports, loaded without scipy.linalg's
-    package import (about 0.3 s and 25 MB, mostly numpy submodules that
-    scipy's array-API layer pulls in)."""
-    scipy = importlib.util.find_spec("scipy")  # finds the package, no import
-    roots = scipy.submodule_search_locations if scipy else None
-    dirs = [os.path.join(root, "linalg") for root in roots or ()]
-    spec = importlib.machinery.PathFinder.find_spec("_flapack", dirs)
-    if spec is None:
-        raise ImportError(f"scipy's LAPACK extension _flapack not found in {dirs}")
-    # scipy's own name selects PyInit__flapack and is CPython's cache key for
-    # the extension, so scipy.linalg, imported before or after, shares it
-    spec.name = "scipy.linalg._flapack"
-    registered = spec.name in sys.modules
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    if not registered:  # loading registers the name without its parent packages
-        sys.modules.pop(spec.name, None)
-    return module.dpbsv
+def _eliminate(band, rhs, state=(0.0,) * 5):
+    """Eliminate a symmetric pentadiagonal system top-down (LDL', the O(n)
+    solve of Green & Silverman 1994, ch. 2) for a lower band and a
+    right-hand side with the rows first; further axes broadcast, so one
+    sweep can carry a lam grid. `state` is what rows eliminated before add
+    to the first two: (A[0,0], A[1,0], A[1,1], b[0], b[1]). Yields, per
+    row, the state before it and the row as eliminated (pivot, A[j+1,j],
+    A[j+2,j], b[j]). A pivot that is not positive raises LinAlgError."""
+    s00, s10, s11, t0, t1 = state
+    for a0, a1, a2, b in zip(*band, rhs):
+        pivot, a1, b = a0 + s00, a1 + s10, b + t0
+        if not np.all(pivot > 0):
+            raise np.linalg.LinAlgError("matrix not positive definite")
+        yield (s00, s10, s11, t0, t1), (pivot, a1, a2, b)
+        l1, l2 = a1 / pivot, a2 / pivot
+        s00, s10, s11 = s11 - l1 * a1, -l1 * a2, -l2 * a2
+        t0, t1 = t1 - l1 * b, -l2 * b
 
 
-def _solve_band(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`solveh_banded(ab, b, check_finite=False)` for a float64 upper
-    band and a right-hand side of shape (m,) or (m, B): the same LAPACK
-    pbsv call, resolved once, without the wrapper's per-call argument
-    handling, so the result is bitwise the same."""
-    _, x, info = _pbsv()(ab, b)
-    if info > 0:
-        raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}th argument of internal pbsv")
-    return x
+def _solve(band, rhs, state=(0.0,) * 5) -> np.ndarray:
+    """The solution of `_eliminate`'s system, by back substitution."""
+    out, x1, x2 = [], 0.0, 0.0
+    for pivot, a1, a2, b in reversed([row for _, row in _eliminate(band, rhs, state)]):
+        x1, x2 = (b - a1 * x1 - a2 * x2) / pivot, x1
+        out.append(x1)
+    return np.array(out[::-1])
 
 
-def _smooth(h: np.ndarray, y: np.ndarray, lam: float):
-    """Interior second derivatives and fitted values for knot spacings h
-    and ordinates y of shape (n,) or (n, B), all finite."""
-    r_band, qtq_band = _penalty_matrices(h)
-    gamma = _solve_band(r_band + lam * qtq_band, _qt_matvec(h, y))
-    return gamma, y - lam * _q_matvec(h, gamma)
+def _states(band, rhs, rows) -> dict:
+    """`_eliminate`'s state before each of `rows`, every one an array."""
+    start = np.zeros((5,) + band.shape[2:])
+    sweep = zip(range(max(rows, default=-1) + 1), _eliminate(band, rhs, start))
+    return {j: state for j, (state, _) in sweep if j in rows}
 
 
 def fit_points(x, y, lam: float) -> SplineFit:
@@ -222,8 +211,10 @@ def fit_points(x, y, lam: float) -> SplineFit:
     x, y = _as_points(x, y, 4)
     if not 0 <= lam < math.inf:
         raise ValueError("lam must be nonnegative and finite")
-    gamma, fitted = _smooth(_spacings(x), y, lam)
-    return SplineFit(x=x, y=y, lam=float(lam), fitted=fitted, gamma=gamma)
+    h = _spacings(x)
+    r_band, qtq_band = _penalty_matrices(h)
+    gamma = _solve(r_band + lam * qtq_band, _qt_matvec(h, y))
+    return SplineFit(x, y, float(lam), y - lam * _q_matvec(h, gamma), gamma)
 
 
 def default_lambda_grid(x) -> np.ndarray:
@@ -247,42 +238,58 @@ def select_lambda_block_cv(x, y) -> float:
     x, y = _as_points(x, y, 4 + CV_BLOCK_LENGTH + 2 * CV_GAP, " for block CV")
     grid = default_lambda_grid(x)
     scores = _block_cv_scores(x, y, grid)
+    if not np.all(np.isfinite(scores)):
+        raise np.linalg.LinAlgError("block CV score not finite")
     return float(grid[int(np.argmin(scores))])
 
 
-def _block_cv_scores(x, y, grid) -> np.ndarray:
-    """Mean squared held-out error of each lam of a nonnegative grid, for
-    validated, strictly increasing x.
+def _block_cv_scores(x, y, lams) -> np.ndarray:
+    """Mean squared held-out error of each lam of a grid array, for validated,
+    strictly increasing x (h-block CV: Burman, Chow & Nolan 1994).
 
-    Each block builds its bands and Q'y once and solves every lam against
-    them; the arithmetic is that of one `fit_points` per (block, lam).
+    A block that drops points [lo, hi) from training leaves m unknowns,
+    and its system equals the series' system on every row but the four
+    of its window [k, k+4), k = clip(lo-3, 0, m-4): rows above k are the
+    series' rows, rows from k+4 on its rows hi-lo further on. So a sweep
+    down and one up the series, over the whole grid, eliminate every
+    block's rows above and below its window, which it then solves alone
+    (all m rows when m < 4). The window's six knots carry the training
+    spline over the held-out points: between the knots around the gap,
+    or linearly past an end.
     """
-    lams = np.asarray(grid, dtype=float)
-    n = len(x)
-    err = np.zeros(len(lams))
-    count = 0
+    n, h = len(x), np.diff(x)
+    r_band, qtq_band = _penalty_matrices(h)
+    band = r_band[..., None] + lams * qtq_band[..., None]
+    qty = _qt_matvec(h, y)
+    blocks = []  # every point is held out once; n >= 4 + L + 2 gaps leaves m >= 2
     for s in range(0, n, CV_BLOCK_LENGTH):
-        train = np.ones(n, dtype=bool)
-        train[max(0, s - CV_GAP) : min(n, s + CV_BLOCK_LENGTH + CV_GAP)] = False
-        if train.sum() < 4:
-            continue
+        lo, hi = max(0, s - CV_GAP), min(n, s + CV_BLOCK_LENGTH + CV_GAP)
+        m = n - (hi - lo) - 2
+        blocks.append((s, lo, hi, m, max(0, min(lo - 3, m - 4))))
+    flipped = np.zeros_like(band)  # rows and columns in reverse order
+    for d in range(3):
+        flipped[d, :n - 2 - d] = band[d, :n - 2 - d][::-1]
+    # the series' row k+4+hi-lo is the upward sweep's row m-k-4
+    above = _states(band, qty, {k for *_, k in blocks})
+    below = _states(flipped, qty[::-1], {m - k - 4 for *_, m, k in blocks if m >= 4})
+    err = np.zeros(len(lams))
+    for s, lo, hi, m, k in blocks:
+        knots = np.r_[:lo, hi:n][k:k + 6]
+        xw, yw, hw = x[knots], y[knots], np.diff(x[knots])
+        r_w, qtq_w = _penalty_matrices(hw)
+        window = r_w[..., None] + lams * qtq_w[..., None]
+        rhs = np.repeat(_qt_matvec(hw, yw)[:, None], len(lams), axis=1)
+        if m >= 4:  # rows below it, eliminated upward, add to its last two
+            s00, s10, s11, t0, t1 = below[m - k - 4]
+            window[0, 2:] += s11, s00
+            window[1, 2] += s10
+            rhs[2:] += t1, t0
+        gammas = _solve(window, rhs, above[k])
+        fitted = yw[:, None] - lams * _q_matvec(hw, gammas)
         held = slice(s, min(s + CV_BLOCK_LENGTH, n))
-        xt, yt = x[train], y[train]
-        h = np.diff(xt)
-        r_band, qtq_band = _penalty_matrices(h)
-        qty = _qt_matvec(h, yt)
-        gammas = np.empty((len(qty), len(lams)))
-        for k, lam in enumerate(lams):
-            gammas[:, k] = _solve_band(r_band + lam * qtq_band, qty)
-        fitted = yt[:, None] - lams * _q_matvec(h, gammas)
-        pred = _eval_natural_cubic(xt, fitted, gammas, x[held], extrapolate=True)
-        # per-lam rows, contiguous, so each sum runs as a 1-D np.sum does
-        sq = np.ascontiguousarray(((y[held][:, None] - pred) ** 2).T)
-        err += sq.sum(axis=1)
-        count += len(pred)
-    if count == 0:
-        raise InsufficientDataError("no usable cross-validation blocks")
-    return err / count
+        pred = _eval_natural_cubic(xw, fitted, gammas, x[held], extrapolate=True)
+        err += ((y[held, None] - pred) ** 2).sum(axis=0)
+    return err / n
 
 
 def fit_smoothing_spline(series: RateSeries, lam: float | None = None) -> SplineFit:
@@ -327,7 +334,7 @@ def _block_starts(rng: random.Random, rows: int, n: int, block_length: int):
 
 @dataclass
 class ReplicateSet:
-    """B refitted trends, kept only at the points they were built for."""
+    """B replicate trends, kept only at the points they were built for."""
 
     base: SplineFit
     points: np.ndarray  # (m,) requested points in the fitted range, sorted
@@ -345,13 +352,18 @@ class ReplicateSet:
 
 
 def build_replicates(base: SplineFit, config: BootstrapConfig, points) -> ReplicateSet:
-    """Resample residual blocks, post-blacken, refit each replicate.
+    """Resample residual blocks, post-blacken, and read each replicate's
+    refit off the smoother's weights.
 
-    Each replicate concatenates ceil(n/L) of the n-L+1 overlapping
+    Each replicate y* concatenates ceil(n/L) of the n-L+1 overlapping
     length-L residual windows, drawn uniformly with replacement from the
-    stratum's one stream (module docstring), truncated to n. Replicates
-    are drawn and solved REPLICATE_SLICE at a time against one band (same
-    lam, same knots); each slice is kept only at the `points` in range.
+    stratum's one stream (module docstring), truncated to n, onto the
+    base fit. Its refit at the base lam is w_p . y* at point p, with
+    w_p = e_f + Q (R + lam Q'Q)^-1 (e_g - lam Q'e_f) for e_f and e_g the
+    cubic's weights at p on knot values and second derivatives; one solve
+    gives every w_p. Replicates are drawn REPLICATE_SLICE at a time, and
+    each dot product is one contiguous row sum, so no value depends on
+    the slice or on B.
     """
     x, n, length = base.x, len(base.x), config.block_length
     if n < length:
@@ -360,15 +372,25 @@ def build_replicates(base: SplineFit, config: BootstrapConfig, points) -> Replic
     # not np.unique: in numpy 2.4 it imports numpy.ma
     points = np.array(sorted(set(np.asarray(points, dtype=float).tolist())))
     points = points[(points >= x[0]) & (points <= x[-1])]
+    idx, a, b, c, d = _cubic_weights(x, points)
+    on_f, on_g = on = np.zeros((2, n, len(points)))  # e_f and e_g, as columns
+    cols = np.arange(len(points))
+    on[:, idx, cols], on[:, idx + 1, cols] = (a, c), (b, d)
+    h = _spacings(x)
+    r_band, qtq_band = _penalty_matrices(h)
+    solved = _solve(r_band + base.lam * qtq_band,
+                    on_g[1:-1] - base.lam * _qt_matvec(h, on_f))
+    weights = np.ascontiguousarray((on_f + _q_matvec(h, solved)).T)
     rng = random.Random(config.seed)
-    residuals, h = base.residuals, _spacings(x)
+    residuals = base.residuals
     values = np.empty((len(points), config.replicates))
     for lo in range(0, config.replicates, REPLICATE_SLICE):
         block = _block_starts(rng, min(REPLICATE_SLICE, config.replicates - lo), n, length)
         index = (block[:, :, None] + np.arange(length)).reshape(len(block), -1)
-        synthetic = residuals[index[:, :n].T] + base.fitted[:, None]
-        gammas, fitted = _smooth(h, synthetic, base.lam)
-        values[:, lo:lo + len(block)] = _eval_natural_cubic(x, fitted, gammas, points)
+        resampled = residuals[index[:, :n]]
+        for row, w in zip(values, weights):
+            row[lo:lo + len(block)] = (resampled * w).sum(axis=1)
+    values += (weights * base.fitted).sum(axis=1)[:, None]
     return ReplicateSet(base=base, points=points, values=values)
 
 

@@ -243,12 +243,15 @@ class TestImports:
         argv = ["bootstrap", "--analyzed", str(pipeline_dirs["analyzed"]),
                 "--dates", "2020-05-01,2020-09-15", "--replicates", "10",
                 "--out", str(tmp_path / "boot")]
-        # the stage must reach LAPACK, so scipy's extension is loaded
-        code = (f"import hfrtrend.cli\nassert hfrtrend.cli.main({argv!r}) == 0\n"
-                "import hfrtrend.trend\n"
-                "assert hfrtrend.trend._pbsv.cache_info().currsize == 1")
-        watched = ("hfrtrend.ingest", "hfrtrend.synth", "scipy", "numpy.ma",
-                   "numpy.random", "secrets", "_hashlib")
+        # every solve is numpy's, so nothing of scipy is loaded, not even
+        # its LAPACK extension under another name (Linux lists every
+        # mapped file in /proc/self/maps)
+        code = (f"import hfrtrend.cli, os\nassert hfrtrend.cli.main({argv!r}) == 0\n"
+                "maps = '/proc/self/maps'\n"
+                "assert not os.path.exists(maps) or '_flapack' not in open(maps).read()")
+        watched = ("hfrtrend.ingest", "hfrtrend.synth", "scipy",
+                   "scipy.linalg._flapack", "numpy.ma", "numpy.random",
+                   "secrets", "_hashlib")
         assert _loaded_after(code, watched) == []
 
     def test_manifest_tool_version_is_the_package_version(self, pipeline_dirs):

@@ -1,16 +1,8 @@
 """Spline fitting and bootstrap machinery against dense-matrix oracles."""
 
 import datetime as dt
-import importlib.machinery
-import importlib.util
 import math
-import os
 import random
-import re
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,8 +28,9 @@ from hfrtrend.trend import (
     _nearest_rank,
     _percentile_triplet,
     _penalty_matrices,
-    _smooth,
-    _solve_band,
+    _q_matvec,
+    _qt_matvec,
+    _solve,
     _spacings,
 )
 
@@ -58,6 +51,16 @@ def dense_q_r(x):
         if j + 1 < n - 2:
             r[j, j + 1] = r[j + 1, j] = h[j + 1] / 6.0
     return q, r
+
+
+def dense_band(band):
+    """The symmetric matrix of a lower band."""
+    m = band.shape[1]
+    out = np.diag(band[0])
+    for k in (1, 2):
+        off = np.diag(band[k, :m - k], -k)
+        out = out + off + off.T
+    return out
 
 
 def dense_spline_fit(x, y, lam):
@@ -97,6 +100,38 @@ def oracle_block_cv_scores(x, y):
             count += len(held)
         scores[i] = err / count
     return scores
+
+
+def lapack_block_cv_scores(x, y):
+    """Oracle: block CV scores from one LAPACK pbsv solve per (block, lam)
+    of each block's own training system."""
+    from scipy.linalg.lapack import dpbsv
+
+    def solve(band, rhs):
+        _, out, info = dpbsv(band, rhs, lower=1)
+        assert info == 0
+        return out
+
+    n, block_length, gap = len(x), 7, 6
+    grid = default_lambda_grid(x)
+    err, count = np.zeros(len(grid)), 0
+    for s in range(0, n, block_length):
+        train = np.ones(n, dtype=bool)
+        train[max(0, s - gap) : min(n, s + block_length + gap)] = False
+        if train.sum() < 4:
+            continue
+        held = slice(s, min(s + block_length, n))
+        xt, yt = x[train], y[train]
+        h = np.diff(xt)
+        r_band, qtq_band = _penalty_matrices(h)
+        qty = _qt_matvec(h, yt)
+        gammas = np.column_stack([
+            solve(r_band + lam * qtq_band, qty) for lam in grid])
+        fitted = yt[:, None] - grid * _q_matvec(h, gammas)
+        pred = _eval_natural_cubic(xt, fitted, gammas, x[held], extrapolate=True)
+        err += ((y[held, None] - pred) ** 2).sum(axis=0)
+        count += len(pred)
+    return err / count
 
 
 def dense_hat_matrix(x, lam):
@@ -181,74 +216,33 @@ class TestFitPoints:
 
 
 class TestBandedSolve:
-    def test_bitwise_equal_to_solveh_banded(self, rng):
+    def test_matches_solveh_banded_and_dense_fit(self, rng):
         from scipy.linalg import solveh_banded
 
         for n in (5, 23, 200):
             x = np.cumsum(rng.uniform(0.2, 3.0, size=n))
-            r_band, qtq_band = _penalty_matrices(np.diff(x))
+            h = np.diff(x)
+            r_band, qtq_band = _penalty_matrices(h)
             for lam in (0.0, 0.37, 1e6):
                 band = r_band + lam * qtq_band
                 for rhs in (rng.normal(size=n - 2), rng.normal(size=(n - 2, 7))):
-                    got = _solve_band(band, rhs)
+                    got = _solve(band, rhs)
+                    want = solveh_banded(band, rhs, lower=True)
                     assert got.shape == rhs.shape
-                    assert np.array_equal(got, solveh_banded(band, rhs))
+                    # two backward-stable solves differ by up to about
+                    # eps * cond; at lam = 1e6, n = 200, that is ~1e-10
+                    tol = 1e-15 * np.linalg.cond(dense_band(band)) * np.abs(want).max()
+                    assert np.abs(got - want).max() <= tol
+                y = rng.normal(size=n)
+                gamma = _solve(band, _qt_matvec(h, y))
+                fitted = y - lam * _q_matvec(h, gamma)
+                assert np.allclose(fitted, dense_spline_fit(x, y, lam),
+                                   rtol=1e-8, atol=1e-10)
 
     def test_band_not_positive_definite_raises(self):
-        band = np.array([[0.0, 0.0, 0.1], [0.0, 0.2, 0.2], [1.0, -1.0, 1.0]])
+        band = np.array([[1.0, -1.0, 1.0], [0.2, 0.2, 0.0], [0.1, 0.0, 0.0]])
         with pytest.raises(np.linalg.LinAlgError):
-            _solve_band(band, np.ones(3))
-
-    @pytest.mark.parametrize("first", ["_solve_band", "solveh_banded"])
-    def test_bitwise_equal_whichever_loads_lapack_first(self, first):
-        # in a fresh interpreter, so the first call is the one that loads
-        # scipy's LAPACK extension
-        probe = textwrap.dedent(f"""
-            import numpy as np
-            from hfrtrend.trend import _penalty_matrices, _solve_band
-
-            rng = np.random.default_rng(3)
-            x = np.cumsum(rng.uniform(0.2, 3.0, size=60))
-            r_band, qtq_band = _penalty_matrices(np.diff(x))
-            band = r_band + 0.37 * qtq_band
-            rhs = [rng.normal(size=58), rng.normal(size=(58, 9))]
-
-            def ours():
-                return [_solve_band(band, b) for b in rhs]
-
-            def scipys():
-                from scipy.linalg import solveh_banded
-                return [solveh_banded(band, b) for b in rhs]
-
-            if {first!r} == "_solve_band":
-                got = ours()
-                want = scipys()
-            else:
-                want = scipys()
-                got = ours()
-            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
-
-            import sys, scipy.linalg  # scipy's own registration is kept
-            assert sys.modules["scipy.linalg._flapack"] is scipy.linalg._flapack
-        """)
-        src = str(Path(trend.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        subprocess.run([sys.executable, "-c", probe], env=env, check=True)
-
-    def test_missing_scipy_raises_import_error(self, monkeypatch):
-        monkeypatch.setattr(importlib.util, "find_spec", lambda name, package=None: None)
-        trend._pbsv.cache_clear()
-        with pytest.raises(ImportError, match=r"not found in \[\]"):
-            trend._pbsv()
-
-    def test_missing_extension_names_where_it_looked(self, monkeypatch, tmp_path):
-        fake = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
-        fake.submodule_search_locations = [str(tmp_path)]
-        monkeypatch.setattr(importlib.util, "find_spec", lambda name, package=None: fake)
-        trend._pbsv.cache_clear()
-        with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
-            trend._pbsv()
+            _solve(band, np.ones(3))
 
 
 class TestEvaluate:
@@ -342,9 +336,39 @@ class TestLambdaSelection:
             y = np.sin(x / 12.0) + rng.normal(0, 0.2, size=n)
             expected = oracle_block_cv_scores(x, y)
             grid = default_lambda_grid(x)
-            assert np.array_equal(_block_cv_scores(x, y, grid), expected)
+            assert np.allclose(_block_cv_scores(x, y, grid), expected,
+                               rtol=1e-8, atol=0)
             chosen = select_lambda_block_cv(x, y)
             assert chosen == grid[int(np.argmin(expected))]
+
+    def test_block_cv_picks_the_lapack_argmin_on_random_series(self, rng):
+        # uneven spacing, daily grids with and without missing days, and
+        # near-linear y; n from 23 up, every n of 23-26 ten times
+        for i in range(200):
+            n = 23 + i % 4 if i < 40 else int(rng.integers(27, 241))
+            kind = i % 3
+            if kind == 0:
+                x = np.cumsum(rng.uniform(0.3, 3.0, size=n))
+            else:
+                days = n + int(rng.integers(0, n // 3 + 1)) * (kind == 2)
+                x = np.sort(rng.choice(days, size=n, replace=False)).astype(float)
+            if i % 5 == 4:
+                y = 0.3 - 0.001 * x + rng.normal(0, 1e-5, size=n)
+            else:
+                y = np.sin(x / rng.uniform(5, 40)) + rng.normal(0, 0.2, size=n)
+            expected = lapack_block_cv_scores(x, y)
+            got = _block_cv_scores(x, y, default_lambda_grid(x))
+            assert np.argmin(got) == np.argmin(expected), (i, n)
+            assert np.allclose(got, expected, rtol=1e-8, atol=0), (i, n)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_block_cv_raises_on_a_non_finite_score(self, monkeypatch, bad):
+        x = np.arange(40.0)
+        scores = np.ones(len(default_lambda_grid(x)))
+        scores[5] = bad  # np.argmin would pick a nan
+        monkeypatch.setattr(trend, "_block_cv_scores", lambda *args: scores)
+        with pytest.raises(np.linalg.LinAlgError):
+            select_lambda_block_cv(x, np.sin(x))
 
     def test_block_cv_rejects_bad_inputs(self):
         x = np.arange(30.0)
@@ -426,16 +450,22 @@ class ScalarStarts:
 def per_replicate_build(base, config):
     """Oracle for build_replicates: one stream for the stratum, read
     word by word, one resample per replicate column in order, then one
-    multi-RHS solve of the whole (n, B) array. Returns the synthetic
-    series and their fitted values and second derivatives."""
+    multi-RHS LAPACK solve (scipy's solveh_banded) refitting the whole
+    (n, B) array. Returns the synthetic series and their fitted values
+    and second derivatives."""
+    from scipy.linalg import solveh_banded
+
     stream = ScalarStarts(config.seed)
     synthetic = np.empty((len(base.x), config.replicates))
     for j in range(config.replicates):
         synthetic[:, j] = base.fitted + moving_block_resample(
             base.residuals, config.block_length, stream
         )
-    gammas, fitted = _smooth(_spacings(base.x), synthetic, base.lam)
-    return synthetic, fitted, gammas
+    h = _spacings(base.x)
+    r_band, qtq_band = _penalty_matrices(h)
+    gammas = solveh_banded(r_band + base.lam * qtq_band, _qt_matvec(h, synthetic),
+                           lower=True)
+    return synthetic, synthetic - base.lam * _q_matvec(h, gammas), gammas
 
 
 class TestMovingBlockResample:
@@ -474,15 +504,15 @@ def knots_and_midpoints(x):
 
 
 def assert_matches_whole_array_build(base, config, points):
-    """build_replicates at `points` is bitwise the oracle's whole-array
-    build evaluated there; it keeps no other point."""
+    """build_replicates at `points` is the oracle's whole-array refit
+    evaluated there; it keeps no other point."""
     reps = build_replicates(base, config, points)
     synthetic, fitted, gammas = per_replicate_build(base, config)
     assert np.array_equal(reps.points, points)
     expected = _eval_natural_cubic(base.x, fitted, gammas, points)
     assert reps.values.shape == (len(points), config.replicates)
-    assert reps.values.tobytes() == expected.tobytes()
-    assert reps.evaluate(points).tobytes() == expected.tobytes()
+    assert np.allclose(reps.values, expected, rtol=0, atol=1e-10)
+    assert reps.evaluate(points).tobytes() == reps.values.tobytes()
     return reps, synthetic
 
 
@@ -515,15 +545,15 @@ class TestBuildReplicates:
         2 * REPLICATE_SLICE + 3])
     @pytest.mark.parametrize("n, block_length", [(47, 7), (20, 20)],
                              ids=["n_mod_L_nonzero", "L_equals_n"])
-    def test_slices_match_whole_array_build(self, rng, n, block_length,
-                                            replicates):
+    def test_slices_match_whole_array_build(self, rng, monkeypatch, n,
+                                            block_length, replicates):
         x = np.cumsum(rng.uniform(0.5, 1.5, size=n))  # uneven knots
         y = np.sin(x / 6) + rng.normal(0, 0.1, size=n)
         base = fit_points(x, y, 20.0)
         config = BootstrapConfig(replicates=replicates,
                                  block_length=block_length, seed=11)
         points = knots_and_midpoints(x)
-        assert_matches_whole_array_build(base, config, points)
+        reps, _ = assert_matches_whole_array_build(base, config, points)
         # requested points are deduplicated and sorted, and the ones
         # outside the fitted range are dropped
         outside = [x[0] - 1.0, x[-1] + 0.5]
@@ -532,6 +562,11 @@ class TestBuildReplicates:
         assert np.array_equal(reps.points, points)
         assert reps.values.tobytes() == build_replicates(
             base, config, points).values.tobytes()
+        # the slice size changes no bit
+        for size in (1, 64, 10**6):
+            monkeypatch.setattr(trend, "REPLICATE_SLICE", size)
+            sliced = build_replicates(base, config, points)
+            assert sliced.values.tobytes() == reps.values.tobytes(), size
 
     def test_peak_memory_is_bounded_by_the_slice(self):
         import tracemalloc
