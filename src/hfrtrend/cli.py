@@ -272,9 +272,7 @@ def cmd_bootstrap(args: argparse.Namespace) -> tuple[int, dict | None]:
         min_deaths = int(npz["min_deaths"])
     table = _load_cohort_npz(path)
 
-    config = trend_mod.BootstrapConfig(
-        replicates=args.replicates, block_length=args.blocks, seed=args.seed
-    )
+    config = trend_mod.BootstrapConfig(replicates=args.replicates, seed=args.seed)
     # One fit and one replicate set per stratum; every pair is read off it.
     tables = {pair: [] for pair in date_pairs}
     dash_cells = []  # why each "-" row is one, for the manifest
@@ -458,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_boot.add_argument("--dates", default=None, metavar="D1,D2")
     p_boot.add_argument("--seed", type=_at_least(0), default=0)
     p_boot.add_argument("--replicates", type=_at_least(1), default=1000)
-    p_boot.add_argument("--blocks", type=_at_least(1), default=7)
     p_boot.add_argument("--gender", choices=("all", "female", "male"),
                         default="all")
     p_boot.add_argument("--out", required=True)

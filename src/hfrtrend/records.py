@@ -91,12 +91,6 @@ class IngestReport:
         self.total_rows += len(died)
         self.kept_rows += len(died)
 
-    @property
-    def conserved(self) -> bool:
-        return self.total_rows == self.kept_rows + sum(
-            self.rejected_rows_by_reason.values()
-        )
-
     def as_dict(self) -> dict:
         return {
             "total_rows": self.total_rows,

@@ -81,7 +81,7 @@ def write_band_csv(path, band_series: dict[str, TimeSeries]) -> None:
               ([date.isoformat(), *cells] for date, *cells in zip(dates, *columns)))
 
 
-WINDOW = 7
+WINDOW = 7  # days per rate window; also trend's block-CV fold and bootstrap block
 
 
 def _window_sums(values) -> tuple[np.ndarray, np.ndarray]:

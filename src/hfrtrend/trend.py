@@ -26,8 +26,9 @@ is read off that one replicate set (`read_estimates`).
 Replicate stream contract: a stratum's block starts are 32-bit
 little-endian words of `random.Random(seed).randbytes`, each masked to
 the bit length of n-L and rejected above n-L, so uniform on [0, n-L];
-they fill a (B, ceil(n/L)) array row after row, row j for replicate j.
-So replicate j depends on (seed, n, L), not on B or the residuals.
+they fill a (B, ceil(n/L)) array row after row, row j for replicate j,
+with L = `signals.WINDOW`. So replicate j depends on (seed, n), not on
+B or the residuals.
 """
 
 from __future__ import annotations
@@ -39,11 +40,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .signals import RateSeries
+from .signals import WINDOW, RateSeries
 
 LAMBDA_GRID_SIZE = 61  # points in default_lambda_grid
-CV_BLOCK_LENGTH = 7  # days held out per block CV fold: one trailing window
-CV_GAP = 6  # days dropped each side of a fold: a window's overlap with it
+CV_BLOCK_LENGTH = WINDOW  # days held out per block CV fold: one trailing window
+CV_GAP = WINDOW - 1  # days dropped each side of a fold: a window's overlap with it
 REPLICATE_SLICE = 64  # replicates drawn at once: bounds their (slice, n) arrays
 
 
@@ -307,14 +308,11 @@ def fit_smoothing_spline(series: RateSeries, lam: float | None = None) -> Spline
 @dataclass(frozen=True)
 class BootstrapConfig:
     replicates: int = 1000
-    block_length: int = 7
     seed: int = 0
 
     def __post_init__(self):
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
-        if self.block_length < 1:
-            raise ValueError("block_length must be >= 1")
         if self.seed < 0:  # random.Random seeds with |seed|
             raise ValueError("seed must be >= 0")
 
@@ -358,17 +356,18 @@ def build_replicates(base: SplineFit, config: BootstrapConfig, points) -> Replic
     Each replicate y* concatenates ceil(n/L) of the n-L+1 overlapping
     length-L residual windows, drawn uniformly with replacement from the
     stratum's one stream (module docstring), truncated to n, onto the
-    base fit. Its refit at the base lam is w_p . y* at point p, with
-    w_p = e_f + Q (R + lam Q'Q)^-1 (e_g - lam Q'e_f) for e_f and e_g the
-    cubic's weights at p on knot values and second derivatives; one solve
-    gives every w_p. Replicates are drawn REPLICATE_SLICE at a time, and
-    each dot product is one contiguous row sum, so no value depends on
-    the slice or on B.
+    base fit; L = WINDOW, so a block spans the dependence the rate window
+    puts into the noise (Kunsch 1989). Its refit at the base lam is
+    w_p . y* at point p, with w_p = e_f + Q (R + lam Q'Q)^-1 (e_g - lam Q'e_f)
+    for e_f and e_g the cubic's weights at p on knot values and second
+    derivatives; one solve gives every w_p. Replicates are drawn
+    REPLICATE_SLICE at a time, and each dot product is one contiguous row
+    sum, so no value depends on the slice or on B.
     """
-    x, n, length = base.x, len(base.x), config.block_length
-    if n < length:
+    x, n = base.x, len(base.x)
+    if n < WINDOW:
         raise InsufficientDataError(
-            f"series length {n} shorter than block length {length}")
+            f"series length {n} shorter than block length {WINDOW}")
     # not np.unique: in numpy 2.4 it imports numpy.ma
     points = np.array(sorted(set(np.asarray(points, dtype=float).tolist())))
     points = points[(points >= x[0]) & (points <= x[-1])]
@@ -385,8 +384,8 @@ def build_replicates(base: SplineFit, config: BootstrapConfig, points) -> Replic
     residuals = base.residuals
     values = np.empty((len(points), config.replicates))
     for lo in range(0, config.replicates, REPLICATE_SLICE):
-        block = _block_starts(rng, min(REPLICATE_SLICE, config.replicates - lo), n, length)
-        index = (block[:, :, None] + np.arange(length)).reshape(len(block), -1)
+        block = _block_starts(rng, min(REPLICATE_SLICE, config.replicates - lo), n, WINDOW)
+        index = (block[:, :, None] + np.arange(WINDOW)).reshape(len(block), -1)
         resampled = residuals[index[:, :n]]
         for row, w in zip(values, weights):
             row[lo:lo + len(block)] = (resampled * w).sum(axis=1)

@@ -326,7 +326,7 @@ def replay_runs(tmp_path_factory):
                        "--dates", "2020-05-01,2020-09-15",
                        "--replicates", "40", "--seed", "2", "--out", str(boot)],
                       {"analyzed": str(analyzed), "dates": "2020-05-01,2020-09-15",
-                       "seed": 2, "replicates": 40, "blocks": 7,
+                       "seed": 2, "replicates": 40,
                        "gender": "all", "out": str(boot)}),
     }
     for stage, (argv, _) in runs.items():
@@ -358,6 +358,31 @@ class TestManifestReplay:
         for name in names:
             assert (replay / name).read_bytes() == (out / name).read_bytes(), name
 
+    def test_manifest_with_removed_blocks_is_usage_error(self, replay_runs,
+                                                         tmp_path, capsys):
+        # bootstrap manifests recorded while --blocks existed hold it
+        out, _ = replay_runs["bootstrap"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["args"].update(blocks=7, out=str(tmp_path / "replay"))
+        manifest_path = tmp_path / "manifest.json"
+        manifest_path.write_text(json.dumps(manifest))
+        assert main(["report", "--manifest", str(manifest_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].endswith("unrecognized arguments: --blocks 7")
+        assert not (tmp_path / "replay").exists()
+
+
+@pytest.fixture(scope="module")
+def short_analyzed(pipeline_dirs, tmp_path_factory):
+    """An analyze run whose window leaves every stratum 14 defined days,
+    fewer than block CV needs."""
+    analyzed = tmp_path_factory.mktemp("short") / "analyzed"
+    assert main(["analyze", "--store", str(pipeline_dirs["ingested"] / "store.npz"),
+                 "--window", "2020-05-01..2020-05-20",
+                 "--out", str(analyzed)]) == EXIT_OK
+    return analyzed
+
 
 class TestExitCodes:
     def test_missing_input_is_data_error(self, tmp_path):
@@ -387,7 +412,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["bootstrap", "--analyzed", "a", "--replicates", "0"],
-        ["bootstrap", "--analyzed", "a", "--blocks", "0"],
         ["analyze", "--store", "s.npz", "--maturity-days", "-1"],
         ["analyze", "--store", "s.npz", "--window", "2020-11-01..2020-04-01"],
         ["synth", "--daily-cases", "-5"],
@@ -399,7 +423,7 @@ class TestExitCodes:
         ["analyze", "--store", "s.npz", "--auto-exclude", "--exclude-states", "FL"],
         ["analyze", "--store", "s.npz", "--maturity-days", "1000000"],
         ["analyze", "--store", "s.npz", "--vintage", "0001-01-05"],
-    ], ids=["replicates", "blocks", "maturity_days", "reversed_window",
+    ], ids=["replicates", "maturity_days", "reversed_window",
             "daily_cases", "bootstrap_seed", "synth_seed", "analyze_min_deaths",
             "daily_cases_inf", "daily_cases_over_poisson",
             "both_exclusions", "maturity_before_year_one", "vintage_before_maturity"])
@@ -564,8 +588,15 @@ class TestExitCodes:
         if case.startswith("cohort_table"):
             assert lines[0].endswith("re-run analyze")
 
+    def test_removed_blocks_option_is_usage_error(self, tmp_path, capsys):
+        assert main(["bootstrap", "--analyzed", "a", "--blocks", "7",
+                     "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].endswith("unrecognized arguments: --blocks 7")
+
     def test_manifest_only_from_a_stage_that_finished(self, pipeline_dirs,
-                                                      tmp_path):
+                                                      short_analyzed, tmp_path):
         analyzed = tmp_path / "analyzed"
         analyzed.mkdir()
         (analyzed / "cohort_table.npz").write_text("date,cases\n")
@@ -578,9 +609,8 @@ class TestExitCodes:
                      "--dates", "yesterday", "--out", str(bad_dates)]) == EXIT_USAGE
         assert not (bad_dates / "manifest.json").exists()
         short = tmp_path / "short"
-        assert main(["bootstrap", "--analyzed", str(pipeline_dirs["analyzed"]),
-                     "--blocks", "1000", "--replicates", "20",
-                     "--out", str(short)]) == EXIT_INSUFFICIENT
+        assert main(["bootstrap", "--analyzed", str(short_analyzed),
+                     "--replicates", "20", "--out", str(short)]) == EXIT_INSUFFICIENT
         manifest = json.loads((short / "manifest.json").read_text())
         assert manifest["subcommand"] == "bootstrap"
         assert set(manifest) == {"tool_version", "subcommand", "args", "stats",
@@ -601,12 +631,11 @@ class TestExitCodes:
                      "--replicates", "20", "--out", str(tmp_path / "boot")])
         assert code == EXIT_INSUFFICIENT
 
-    def test_blocks_longer_than_every_series_is_insufficient(
-            self, pipeline_dirs, tmp_path, capsys):
+    def test_series_too_short_for_block_cv_is_insufficient(
+            self, short_analyzed, tmp_path, capsys):
         boot = tmp_path / "boot"
-        code = main(["bootstrap", "--analyzed", str(pipeline_dirs["analyzed"]),
-                     "--blocks", "1000", "--replicates", "20",
-                     "--out", str(boot)])
+        code = main(["bootstrap", "--analyzed", str(short_analyzed),
+                     "--replicates", "20", "--out", str(boot)])
         assert code == EXIT_INSUFFICIENT
         assert "Traceback" not in capsys.readouterr().err
         for d_old, d_new in DEFAULT_DATE_PAIRS:
@@ -620,7 +649,7 @@ class TestExitCodes:
         assert len(cells) == len(TABLE_BANDS) * len(DEFAULT_DATE_PAIRS)
         reasons = {c["stratum"]: c["reason"] for c in cells}
         for fitted in ("aggregate", "50-59"):
-            assert reasons[fitted].endswith("shorter than block length 1000")
+            assert reasons[fitted] == "need >= 23 points for block CV, got 14"
 
 
 class TestIngestRows:

@@ -77,7 +77,8 @@ class TestParseFlorida:
             "bad_date": 1,
             "bad_outcome": 1,
         }
-        assert report.conserved
+        assert report.total_rows == report.kept_rows + sum(
+            report.rejected_rows_by_reason.values())
         assert len(records) == 6
 
     def test_first_row_fields(self, tmp_path):
@@ -151,7 +152,8 @@ class TestRowShapes:
         assert [r.age_years for r in records] == [34, 61]
         assert report.total_rows == 3  # the blank line is not a row
         assert report.rejected_rows_by_reason == {"malformed_row": 1}
-        assert report.conserved
+        assert report.total_rows == report.kept_rows + sum(
+            report.rejected_rows_by_reason.values())
         assert quarantine.getvalue().splitlines() == [
             "ChartDate,Age,Gender,Hospitalized,Died,rejection_reason",
             "2020-04-02,54,,,,malformed_row",
@@ -443,7 +445,8 @@ class TestColumnParser:
             assert a.dtype == b.dtype, f.name
             np.testing.assert_array_equal(a, b, err_msg=f.name)
         assert report.as_dict() == want_report.as_dict()
-        assert report.conserved
+        assert report.total_rows == report.kept_rows + sum(
+            report.rejected_rows_by_reason.values())
         assert quarantine.getvalue() == want_quarantine
         if stream is None:
             records, record_report = parse_florida_lines(
@@ -879,7 +882,8 @@ class TestLoadTestingSeries:
         assert (start, positives.tolist(), tests.tolist()) == (
             dt.date(2020, 4, 1), [10], [50])
         assert report.rejected_rows_by_reason == {"bad_count": 3}
-        assert report.conserved
+        assert report.total_rows == report.kept_rows + sum(
+            report.rejected_rows_by_reason.values())
 
     def test_missing_column_is_schema_error(self, tmp_path):
         path = tmp_path / "tests.csv"

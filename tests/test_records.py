@@ -110,7 +110,8 @@ class TestIngestReport:
                 _keep(report, _raw())
             else:
                 report.reject(reason)
-        assert report.conserved
+        assert report.total_rows == report.kept_rows + sum(
+            report.rejected_rows_by_reason.values())
         assert report.total_rows == len(events)
         assert report.kept_rows == sum(1 for keep, _ in events if keep)
 

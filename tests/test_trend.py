@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hfrtrend import trend
-from hfrtrend.signals import RateSeries, TimeSeries
+from hfrtrend.signals import WINDOW, RateSeries, TimeSeries
 from hfrtrend.trend import (
     REPLICATE_SLICE,
     BootstrapConfig,
@@ -275,15 +275,14 @@ class TestEvaluate:
         fit = fit_points(x, rng.normal(size=10), 1.0)
         with pytest.raises(OutOfRangeError):
             fit.evaluate([9.5])
-        reps = build_replicates(fit, BootstrapConfig(replicates=4, block_length=3),
-                                [2.0, -1.0])
+        reps = build_replicates(fit, BootstrapConfig(replicates=4), [2.0, -1.0])
         with pytest.raises(OutOfRangeError):
             reps.evaluate([2.0, -1.0])
 
     def test_unrequested_point_in_range_raises(self, rng):
         x = np.arange(10, dtype=float)
         fit = fit_points(x, rng.normal(size=10), 1.0)
-        config = BootstrapConfig(replicates=4, block_length=3)
+        config = BootstrapConfig(replicates=4)
         for points in ([2.0, 5.5], []):
             reps = build_replicates(fit, config, points)
             for xq in ([3.0], [2.0, 5.0], [5.49]):
@@ -447,9 +446,10 @@ class ScalarStarts:
         return np.array(out)
 
 
-def per_replicate_build(base, config):
-    """Oracle for build_replicates: one stream for the stratum, read
-    word by word, one resample per replicate column in order, then one
+def per_replicate_build(base, config, block_length=WINDOW):
+    """Oracle for build_replicates (at the default `block_length`): one
+    stream for the stratum, read word by word, one resample of
+    `block_length`-day blocks per replicate column in order, then one
     multi-RHS LAPACK solve (scipy's solveh_banded) refitting the whole
     (n, B) array. Returns the synthetic series and their fitted values
     and second derivatives."""
@@ -459,7 +459,7 @@ def per_replicate_build(base, config):
     synthetic = np.empty((len(base.x), config.replicates))
     for j in range(config.replicates):
         synthetic[:, j] = base.fitted + moving_block_resample(
-            base.residuals, config.block_length, stream
+            base.residuals, block_length, stream
         )
     h = _spacings(base.x)
     r_band, qtq_band = _penalty_matrices(h)
@@ -517,16 +517,15 @@ def assert_matches_whole_array_build(base, config, points):
 
 
 class TestBuildReplicates:
-    # (n, L, B): n % L != 0 truncates the last block, L = 1 resamples
-    # i.i.d., L = n leaves a single window; B = 1 is one column
-    SHAPES = ((50, 7, 16), (49, 7, 16), (30, 1, 12), (33, 7, 1), (20, 20, 5))
+    # (n, B) with blocks of L = WINDOW days: n % L != 0 truncates the last
+    # block, n = L leaves a single window; B = 1 is one column
+    SHAPES = ((50, 16), (49, 16), (33, 1), (WINDOW, 5))
 
     def test_batched_solve_equals_per_replicate_fits(self, rng):
-        for n, block_length, replicates in self.SHAPES:
+        for n, replicates in self.SHAPES:
             x = np.arange(n, dtype=float)
             points = knots_and_midpoints(x)
-            config = BootstrapConfig(replicates=replicates,
-                                     block_length=block_length, seed=4)
+            config = BootstrapConfig(replicates=replicates, seed=4)
             # two series of one length draw the same block starts
             for _ in range(2):
                 y = np.sin(x / 8) + rng.normal(0, 0.1, size=n)
@@ -543,15 +542,14 @@ class TestBuildReplicates:
     @pytest.mark.parametrize("replicates", [
         1, REPLICATE_SLICE - 1, REPLICATE_SLICE, REPLICATE_SLICE + 1,
         2 * REPLICATE_SLICE + 3])
-    @pytest.mark.parametrize("n, block_length", [(47, 7), (20, 20)],
+    @pytest.mark.parametrize("n", [47, WINDOW],
                              ids=["n_mod_L_nonzero", "L_equals_n"])
     def test_slices_match_whole_array_build(self, rng, monkeypatch, n,
-                                            block_length, replicates):
+                                            replicates):
         x = np.cumsum(rng.uniform(0.5, 1.5, size=n))  # uneven knots
         y = np.sin(x / 6) + rng.normal(0, 0.1, size=n)
         base = fit_points(x, y, 20.0)
-        config = BootstrapConfig(replicates=replicates,
-                                 block_length=block_length, seed=11)
+        config = BootstrapConfig(replicates=replicates, seed=11)
         points = knots_and_midpoints(x)
         reps, _ = assert_matches_whole_array_build(base, config, points)
         # requested points are deduplicated and sorted, and the ones
@@ -607,6 +605,15 @@ class TestBuildReplicates:
         rng = random.Random(8)
         sliced = [_block_starts(rng, rows, n, block_length) for rows in (1, 64, 235, 77)]
         assert np.concatenate(sliced).tobytes() == whole.tobytes()
+        # the word-by-word oracle resamples the blocks these starts open,
+        # at any L: build_replicates itself runs only at L = WINDOW
+        x = np.arange(n, dtype=float)
+        base = fit_points(x, np.sin(x), 10.0)
+        synthetic, _, _ = per_replicate_build(
+            base, BootstrapConfig(replicates=300, seed=8), block_length)
+        index = (starts[:, :, None] + np.arange(block_length)).reshape(300, -1)
+        expected = base.fitted + base.residuals[index[:, :n]]
+        assert synthetic.T.tobytes() == expected.tobytes()
 
     def test_first_replicates_do_not_depend_on_b(self, rng):
         x = np.arange(45, dtype=float)
@@ -616,7 +623,7 @@ class TestBuildReplicates:
         assert large.values[:, :70].tobytes() == small.values.tobytes()
 
     def test_config_rejects_out_of_range_values(self):
-        for bad in ({"replicates": 0}, {"block_length": 0}, {"seed": -1}):
+        for bad in ({"replicates": 0}, {"seed": -1}):
             with pytest.raises(ValueError):
                 BootstrapConfig(**bad)
         assert BootstrapConfig(seed=0).seed == 0
