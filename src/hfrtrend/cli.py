@@ -422,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.add_argument("--schema", choices=sorted(BUILTIN_SCHEMAS),
                           default="florida")
     p_ingest.add_argument("--schema-config", default=None,
-                          help="YAML overriding the built-in schema")
+                          help="JSON object overriding the built-in schema")
     p_ingest.add_argument("--use-specimen-date", action="store_true",
                           help="sensitivity switch: alternate event-date column")
     p_ingest.add_argument("--quarantine", action="store_true",

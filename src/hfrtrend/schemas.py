@@ -1,7 +1,7 @@
 """Declarative parse schemas for the supported line-list file layouts.
 
 Column names and category spellings in public surveillance files drift
-over time, so they live in data (a YAML file or the built-in defaults
+over time, so they live in data (a JSON file or the built-in defaults
 below) rather than in parser code.
 """
 
@@ -141,24 +141,20 @@ BUILTIN_SCHEMAS = {"florida": FLORIDA_SCHEMA, "cdc": CDC_SCHEMA}
 
 
 def load_schema(path: str, base: str | None = None) -> ParseSchema:
-    """Load a schema from YAML, optionally overriding a built-in base.
+    """Load a schema from a JSON object, optionally overriding a built-in base.
 
     The file may set any ParseSchema field; spelling maps are merged into
     the base's maps rather than replacing them.
     """
-    import yaml  # only schema files need it; keeps it off the CLI's import
-
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh) or {}
-    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
-        # YAML errors span lines; the CLI reports one
-        raise SchemaError(f"cannot read schema file {path}: "
-                          + " ".join(str(exc).split())) from exc
+            raw = json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SchemaError(f"cannot read schema file {path}: {exc}") from exc
     if not isinstance(raw, dict):
-        raise SchemaError(f"schema file {path} must contain a mapping")
+        raise SchemaError(f"schema file {path} must contain an object")
     base_name = raw.pop("base", base)
-    # a tuple, not the dict: a YAML list or mapping is not hashable
+    # a tuple, not the dict: a JSON array or object is not hashable
     if base_name is not None and base_name not in tuple(BUILTIN_SCHEMAS):
         raise SchemaError(f"schema file {path}: base must be one of "
                           f"{', '.join(BUILTIN_SCHEMAS)}, not {base_name!r}")
@@ -169,9 +165,9 @@ def load_schema(path: str, base: str | None = None) -> ParseSchema:
         if key in raw:
             spellings = raw.pop(key)
             if not isinstance(spellings, dict):
-                raise SchemaError(f"schema file {path}: {key} must be a mapping")
+                raise SchemaError(f"schema file {path}: {key} must be an object")
             combined = dict(getattr(schema, key)) if schema else {}
-            combined.update({str(k).lower(): v for k, v in spellings.items()})
+            combined.update({k.lower(): v for k, v in spellings.items()})
             merged_maps[key] = combined
     for key in ("date_formats", "confirmed_values"):
         if key in raw:

@@ -440,9 +440,9 @@ class TestExitCodes:
             np.random.default_rng(0).poisson(np.nextafter(_POISSON_LAM_MAX, np.inf))
 
     @pytest.mark.parametrize("spellings", [
-        "outcome_spellings: {maybe: perhaps}",
-        "gender_spellings: {nb: nonbinary}",
-        "age_band_spellings: {'90+': '90-99'}",
+        '"outcome_spellings": {"maybe": "perhaps"}',
+        '"gender_spellings": {"nb": "nonbinary"}',
+        '"age_band_spellings": {"90+": "90-99"}',
     ], ids=["outcome", "gender", "age_band"])
     def test_spelling_to_unknown_category_is_data_error(self, tmp_path, capsys,
                                                         spellings):
@@ -450,8 +450,8 @@ class TestExitCodes:
         src.write_text("ChartDate,Age,Gender,Hospitalized,Died\n"
                        "2020-04-01,34,NB,maybe,NO\n"
                        "2020-04-02,54,Male,NO,NO\n")
-        schema = tmp_path / "schema.yaml"
-        schema.write_text(f"base: florida\n{spellings}\n")
+        schema = tmp_path / "schema.json"
+        schema.write_text(f'{{"base": "florida", {spellings}}}')
         code = main(["ingest", "--input", str(src), "--schema-config",
                      str(schema), "--out", str(tmp_path / "out")])
         assert code == EXIT_DATA
@@ -459,55 +459,71 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error: ")
 
     @pytest.mark.parametrize("entry", [
-        "outcome_spellings: [yes]",
-        "gender_spellings: female",
-        "age_band_spellings: 5",
-        "date_formats: 5",
-        "date_formats: '%Y-%m-%d'",
-        "confirmed_values: {a: b}",
-        "event_date_column: 5",
-        "delimiter: 5",
-        "delimiter: ';;'",
-        "name: 5",
-        "schema.yaml: [unclosed",
-        "schema.yaml: \xff",
+        '"outcome_spellings": ["yes"]',
+        '"gender_spellings": "female"',
+        '"age_band_spellings": 5',
+        '"date_formats": 5',
+        '"date_formats": "%Y-%m-%d"',
+        '"confirmed_values": {"a": "b"}',
+        '"event_date_column": 5',
+        '"delimiter": 5',
+        '"delimiter": ";;"',
+        '"name": 5',
+        '"schema.json": [unclosed',
+        '"schema.json": "\xff"',
         None,
     ], ids=["outcome_spellings", "gender_spellings", "age_band_spellings",
             "date_formats", "date_formats_string", "confirmed_values",
             "column_name", "delimiter", "delimiter_string", "name",
-            "malformed_yaml", "not_utf8", "missing_file"])
+            "malformed_json", "not_utf8", "missing_file"])
     def test_wrong_typed_schema_value_is_data_error(self, tmp_path, capsys,
                                                      entry):
         src = tmp_path / "fl.csv"
         src.write_text("ChartDate,Age,Gender,Hospitalized,Died\n"
                        "2020-04-02,54,Male,NO,NO\n")
-        schema = tmp_path / "schema.yaml"
+        schema = tmp_path / "schema.json"
         if entry is not None:  # else the file is missing
             # in Latin-1 the "\xff" entry is a byte that is not UTF-8
-            schema.write_text(f"base: florida\n{entry}\n", encoding="latin-1")
+            schema.write_text(f'{{"base": "florida", {entry}}}', encoding="latin-1")
         code = main(["ingest", "--input", str(src), "--schema-config",
                      str(schema), "--out", str(tmp_path / "out")])
         assert code == EXIT_DATA
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         # the bad key, or the file for an unreadable one
-        assert (entry or "schema.yaml").split(":")[0] in err[0]
+        assert (entry or '"schema.json"').split(":")[0].strip('"') in err[0]
 
-    @pytest.mark.parametrize("base", ["[florida]", "floridaa"],
+    @pytest.mark.parametrize("base", ['["florida"]', '"floridaa"'],
                              ids=["list", "unknown_name"])
     def test_bad_schema_base_names_the_builtin_schemas(self, tmp_path, capsys,
                                                        base):
         src = tmp_path / "fl.csv"
         src.write_text("ChartDate,Age,Gender,Hospitalized,Died\n"
                        "2020-04-02,54,Male,NO,NO\n")
-        schema = tmp_path / "schema.yaml"
-        schema.write_text(f"base: {base}\ngender_column: Gender\n")
+        schema = tmp_path / "schema.json"
+        schema.write_text(f'{{"base": {base}, "gender_column": "Gender"}}')
         code = main(["ingest", "--input", str(src), "--schema-config",
                      str(schema), "--out", str(tmp_path / "out")])
         assert code == EXIT_DATA
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "base must be one of florida, cdc" in err[0]
+
+    def test_yaml_schema_file_is_data_error(self, tmp_path, capsys):
+        """A schema file is JSON: block-style YAML, whose reader turned
+        the keys `on` and `off` into booleans, exits 2 naming the file."""
+        src = tmp_path / "fl.csv"
+        src.write_text("ChartDate,Age,Gender,Hospitalized,Died\n"
+                       "2020-04-02,54,Male,on,off\n")
+        schema = tmp_path / "schema.yaml"
+        schema.write_text("base: florida\n"
+                          "outcome_spellings:\n  on: 'yes'\n  off: 'no'\n")
+        code = main(["ingest", "--input", str(src), "--schema-config",
+                     str(schema), "--out", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "schema.yaml" in err[0]
 
     def test_v2_store_is_data_error(self, tmp_path, capsys):
         """A store of the six v2 columns says to re-run ingest."""

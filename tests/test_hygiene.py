@@ -3,10 +3,13 @@ every module-level private name is read somewhere in the package, no
 CLI stage catches the errors that `cli.main` turns into exit codes,
 every .npz goes through `store.write_npz`, every rolling window is
 summed in `signals._window_sums`, every CSV table goes through
-`store.write_csv`, and the count of settable values is pinned."""
+`store.write_csv`, the package imports only the standard library and
+numpy, and the count of settable values is pinned."""
 
 import ast
 import builtins
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,6 +41,40 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Top-level names of the modules that any import statement in the
+    source, at module level or inside a function, loads from outside the
+    standard library, numpy and the package itself."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "hfrtrend"}
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return [top for top in (n.split(".")[0] for n in names) if top not in allowed]
+
+
+def test_detects_a_foreign_import():
+    source = ("import os, numpy.linalg\nfrom . import store\n"
+              "from hfrtrend.trend import fit\n"
+              "def f():\n    import yaml\n    from scipy import linalg\n")
+    assert foreign_imports(source) == ["yaml", "scipy"]
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    assert [f"{path.name}: {name}" for path in sorted(PACKAGE.glob("*.py"))
+            for name in foreign_imports(path.read_text(encoding="utf-8"))] == []
+
+
+def test_numpy_is_the_only_dependency():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        dependencies = tomllib.load(fh)["project"]["dependencies"]
+    assert [re.split(r"[\s<>=!~;\[]", d, maxsplit=1)[0] for d in dependencies] == [
+        "numpy"]
 
 
 def unread_private_names(sources: list[str]) -> list[str]:
