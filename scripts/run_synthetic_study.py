@@ -53,7 +53,7 @@ def main() -> None:
     table = H.build_cohort_table(cases, config.start, config.end)
     series = H.hfr_series(table, H.StratumKey("50-59", "all"))
 
-    curve = H.TruthTable.from_config(config).hfr["50-59"]
+    curve = config.hfr["50-59"]
     i_old = (args.date_old - config.start).days
     i_new = (args.date_new - config.start).days
     true_drop = curve[i_new] / curve[i_old] - 1

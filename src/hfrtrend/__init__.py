@@ -34,7 +34,7 @@ _EXPORTS = {
     ),
     "ingest": ("load_testing_series", "parse_florida_lines"),
     "synth": (
-        "SynthConfig", "TruthTable", "generate_line_records",
+        "SynthConfig", "generate_line_records",
         "simpson_paradox_holds", "simpson_scenario", "step_down_scenario",
         "write_florida_csv",
     ),

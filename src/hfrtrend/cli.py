@@ -207,6 +207,8 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[int, dict]:
         _write_json(out_dir / "excluded_states.json", dict(flagged))
     elif args.exclude_states:
         excluded_states = [s.strip().upper() for s in args.exclude_states.split(",")]
+        if absent := sorted(set(excluded_states) - set(cases.state_vocab.tolist())):
+            log.warning("--exclude-states: %s not in the store", ", ".join(absent))
 
     table = cohort_mod.build_cohort_table(
         cases, *args.window,
@@ -360,22 +362,14 @@ def cmd_synth(args: argparse.Namespace) -> tuple[int, dict]:
     daily_cases = (inspect.signature(scenario).parameters["daily_cases"].default
                    if args.daily_cases is None else args.daily_cases)
     config = scenario(daily_cases, seed=args.seed)
-    codes, truth = synth_mod.generate_cases(config)
-    synth_mod.write_cases_csv(codes, truth, out_dir / "synthetic_florida.csv")
+    codes = synth_mod.generate_cases(config)
+    synth_mod.write_cases_csv(codes, config, out_dir / "synthetic_florida.csv")
+    truth = {"start": config.start.isoformat(), "bands": list(config.bands),
+             **{name: {b: getattr(config, name)[b].tolist() for b in config.bands}
+                for name in ("hfr", "p_hosp", "case_intensity")},
+             "aggregate_hfr": config.aggregate_hfr().tolist()}
     with open(out_dir / "truth.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "start": truth.start.isoformat(),
-                "bands": list(truth.bands),
-                "hfr": {b: truth.hfr[b].tolist() for b in truth.bands},
-                "p_hosp": {b: truth.p_hosp[b].tolist() for b in truth.bands},
-                "case_intensity": {
-                    b: truth.case_intensity[b].tolist() for b in truth.bands
-                },
-                "aggregate_hfr": truth.aggregate_hfr().tolist(),
-            },
-            fh, sort_keys=True,
-        )
+        json.dump(truth, fh, sort_keys=True)
         fh.write("\n")
     print(f"generated {len(codes)} synthetic records -> {out_dir}")
     return EXIT_OK, {"records": len(codes), "daily_cases": daily_cases}

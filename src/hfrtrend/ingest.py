@@ -31,6 +31,7 @@ import gzip
 import io
 import logging
 import re
+import tempfile
 from itertools import chain, compress, islice
 from operator import itemgetter
 from typing import IO, Iterator
@@ -44,9 +45,10 @@ from .records import (
     OUTCOME_CATEGORIES,
     IngestReport,
     RawLineRecord,
+    recode_outcome,
     resolve_age_band,
 )
-from .schemas import FLORIDA_SCHEMA, ParseSchema, SchemaError
+from .schemas import FLORIDA_SCHEMA, ParseSchema, SchemaError, fold
 from .store import BAND_INDEX, COLUMN_DTYPES, NO_STATE, CaseColumns, day_index, pack
 
 log = logging.getLogger(__name__)
@@ -110,7 +112,7 @@ BAND_VALUES = (None, *AGE_BANDS)
 # store band code by (band code, age code): an explicit band wins
 _BAND_TABLE = np.array([[BAND_INDEX[resolve_age_band(b, a)] for a in AGE_VALUES]
                         for b in BAND_VALUES], np.uint8)
-_YES = OUTCOME_CATEGORIES.index("yes")
+_RECODE = np.array([recode_outcome(c) for c in OUTCOME_CATEGORIES])  # by outcome code
 _AGE_TEXT = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?")  # ASCII digits, one optional point
 
 
@@ -153,7 +155,7 @@ def _label(spellings: dict[str, str], reject: int, unknown: str | None = None):
     """Decoder of a category cell; the `unknown` spelling decodes to None."""
 
     def decode(text: str):
-        value = spellings.get(text.strip().lower(), reject)
+        value = spellings.get(fold(text), reject)
         return None if value == unknown else value
 
     return decode
@@ -246,7 +248,7 @@ def _decode_blocks(
             (schema.died_column, _Coder(outcome, OUTCOME_CATEGORIES)),
             (schema.state_column, _Coder(lambda t: t.strip().upper() or None, (None,))),
             (schema.confirmation_column, _Coder(
-                lambda t: None if t.strip().lower() in confirmed else _NOT_CONFIRMED,
+                lambda t: None if fold(t) in confirmed else _NOT_CONFIRMED,
                 (None,))),
         ]
         missing = dict.fromkeys(c for c, _ in columns if c is not None and c not in index)
@@ -308,31 +310,34 @@ def parse_columns(
     uncounted and fields past the header's are ignored.
 
     Each block becomes store columns (states in store codes, dates in the
-    file's) before the next is decoded, so memory holds the final columns
-    plus one block.
+    file's), appended to a temporary file per column, before the next is
+    decoded. Read back once at its final size, a column never grows by
+    realloc, whose copies and heap holes would tie the peak to heap layout.
     """
     dates, states = [], []
     # store code by named state code, in the order kept rows meet them
     store_code: dict[int, int] = {}
-    # grown in place by realloc: a join of per-block parts holds each column twice
-    columns = [bytearray() for _ in COLUMN_DTYPES]
-    for values, codes in _decode_blocks(
-            file, schema, report, use_alt_event_date, quarantine):
-        dates, states = values[0], values[6]
-        day, age, band, gender, hosp, died, state, _ = codes
-        found, first = np.unique(state, return_index=True)
-        for code in found[np.argsort(first)].tolist():
-            if states[code]:
-                store_code.setdefault(code, len(store_code))
-        vocab_code = np.array([store_code.get(c, NO_STATE) for c in range(len(states))])
-        for column, dtype, part in zip(columns, COLUMN_DTYPES, (
-                pack(_BAND_TABLE[band, age], gender, hosp == _YES, died == _YES),
-                day, vocab_code[state])):
-            # raw bytes; a code past the dtype wraps, and CaseColumns refuses it
-            column.extend(part.astype(dtype))
-    return CaseColumns(*map(np.frombuffer, columns, COLUMN_DTYPES),
-                       date_vocab=np.fromiter(map(day_index, dates), np.int32),
-                       state_vocab=np.array([states[c] for c in store_code], dtype=str))
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(tempfile.TemporaryFile()) for _ in COLUMN_DTYPES]
+        for values, codes in _decode_blocks(
+                file, schema, report, use_alt_event_date, quarantine):
+            dates, states = values[0], values[6]
+            day, age, band, gender, hosp, died, state, _ = codes
+            found, first = np.unique(state, return_index=True)
+            for code in found[np.argsort(first)].tolist():
+                if states[code]:
+                    store_code.setdefault(code, len(store_code))
+            vocab_code = np.array([store_code.get(c, NO_STATE) for c in range(len(states))])
+            for column, dtype, part in zip(files, COLUMN_DTYPES, (
+                    pack(_BAND_TABLE[band, age], gender, _RECODE[hosp], _RECODE[died]),
+                    day, vocab_code[state])):
+                # raw bytes; a code past the dtype wraps, and CaseColumns refuses it
+                column.write(part.astype(dtype))
+        for column in files:
+            column.seek(0)
+        return CaseColumns(*map(np.fromfile, files, COLUMN_DTYPES),
+                           date_vocab=np.fromiter(map(day_index, dates), np.int32),
+                           state_vocab=np.array([states[c] for c in store_code], dtype=str))
 
 
 def parse_florida_lines(

@@ -26,6 +26,23 @@ class SchemaError(ValueError):
 DATA_ERRORS = (SchemaError, OSError, EOFError, zlib.error, UnicodeDecodeError,
                json.JSONDecodeError, csv.Error)
 
+_SPELLING_MAPS = ("outcome_spellings", "gender_spellings", "age_band_spellings")
+
+
+def fold(text: str) -> str:
+    """The form in which cell text meets schema keys and confirmed values."""
+    return text.strip().lower()
+
+
+def _unique(pairs, where: str, key=str) -> dict:
+    """The pairs as a dict keyed by key(k), refusing a key that repeats."""
+    out = {}
+    for k, v in pairs:
+        if key(k) in out:
+            raise SchemaError(f"{where} repeats key {k!r}")
+        out[key(k)] = v
+    return out
+
 
 @dataclass(frozen=True)
 class ParseSchema:
@@ -58,15 +75,16 @@ class ParseSchema:
         if not (isinstance(self.delimiter, str) and len(self.delimiter) == 1):
             raise SchemaError(f"schema {self.name}: delimiter must be one "
                               f"character, not {self.delimiter!r}")
-        for key, categories in (("outcome_spellings", OUTCOME_CATEGORIES),
-                                ("gender_spellings", GENDERS),
-                                ("age_band_spellings", ALL_AGE_BANDS)):
+        for key, categories in zip(_SPELLING_MAPS,
+                                   (OUTCOME_CATEGORIES, GENDERS, ALL_AGE_BANDS)):
             unknown = [v for v in getattr(self, key).values() if v not in categories]
             if unknown:
-                raise SchemaError(
-                    f"schema {self.name}: {key} maps to unknown categories "
-                    f"{unknown}; expected one of {', '.join(categories)}"
-                )
+                raise SchemaError(f"schema {self.name}: {key} maps to unknown categories "
+                                  f"{unknown}; expected one of {', '.join(categories)}")
+            object.__setattr__(self, key, _unique(
+                getattr(self, key).items(), f"schema {self.name}: {key}", fold))
+        object.__setattr__(self, "confirmed_values",
+                           tuple(map(fold, self.confirmed_values)))
 
 
 _COMMON_OUTCOME_SPELLINGS = {
@@ -144,11 +162,13 @@ def load_schema(path: str, base: str | None = None) -> ParseSchema:
     """Load a schema from a JSON object, optionally overriding a built-in base.
 
     The file may set any ParseSchema field; spelling maps are merged into
-    the base's maps rather than replacing them.
+    the base's maps rather than replacing them. A key given twice in one
+    object, or twice in one spelling map once folded, is an error.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=lambda pairs: _unique(
+                pairs, f"schema file {path}"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read schema file {path}: {exc}") from exc
     if not isinstance(raw, dict):
@@ -161,13 +181,14 @@ def load_schema(path: str, base: str | None = None) -> ParseSchema:
     schema = BUILTIN_SCHEMAS.get(base_name)
 
     merged_maps = {}
-    for key in ("outcome_spellings", "gender_spellings", "age_band_spellings"):
+    for key in _SPELLING_MAPS:
         if key in raw:
             spellings = raw.pop(key)
             if not isinstance(spellings, dict):
                 raise SchemaError(f"schema file {path}: {key} must be an object")
             combined = dict(getattr(schema, key)) if schema else {}
-            combined.update({k.lower(): v for k, v in spellings.items()})
+            combined.update(_unique(spellings.items(),
+                                    f"schema file {path}: {key}", fold))
             merged_maps[key] = combined
     for key in ("date_formats", "confirmed_values"):
         if key in raw:

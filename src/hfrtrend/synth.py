@@ -25,6 +25,8 @@ FEMALE_FRACTION = 0.5  # chance that a synthetic case is female
 
 @dataclass
 class SynthConfig:
+    """The generator's input, and the truth its output is checked against."""
+
     start: dt.date
     end: dt.date
     # band -> per-day arrays over [start, end]
@@ -39,6 +41,17 @@ class SynthConfig:
     @property
     def n_days(self) -> int:
         return (self.end - self.start).days + 1
+
+    @property
+    def bands(self) -> tuple[str, ...]:
+        return tuple(self.case_intensity)
+
+    def aggregate_hfr(self) -> np.ndarray:
+        """Hospitalization-weighted mixture of the per-band HFR curves."""
+        num = sum(self.case_intensity[b] * self.p_hosp[b] * self.hfr[b]
+                  for b in self.bands)
+        den = sum(self.case_intensity[b] * self.p_hosp[b] for b in self.bands)
+        return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
 
     def validate(self) -> None:
         for name in ("case_intensity", "p_hosp", "hfr"):
@@ -55,39 +68,13 @@ class SynthConfig:
             raise ValueError("missingness_rate not in [0,1]")
 
 
-@dataclass
-class TruthTable:
-    """Exact generating curves, for comparing pipeline output to truth."""
-
-    start: dt.date
-    bands: tuple[str, ...]
-    hfr: dict[str, np.ndarray]
-    p_hosp: dict[str, np.ndarray]
-    case_intensity: dict[str, np.ndarray]
-
-    @classmethod
-    def from_config(cls, config: SynthConfig) -> TruthTable:
-        bands = tuple(config.case_intensity)
-        return cls(config.start, bands, **{
-            name: {b: np.asarray(getattr(config, name)[b], dtype=float) for b in bands}
-            for name in ("hfr", "p_hosp", "case_intensity")})
-
-    def aggregate_hfr(self) -> np.ndarray:
-        """Hospitalization-weighted mixture of the per-band HFR curves."""
-        num = sum(self.case_intensity[b] * self.p_hosp[b] * self.hfr[b]
-                  for b in self.bands)
-        den = sum(self.case_intensity[b] * self.p_hosp[b] for b in self.bands)
-        return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-
-
-def generate_cases(config: SynthConfig) -> tuple[np.ndarray, TruthTable]:
+def generate_cases(config: SynthConfig) -> np.ndarray:
     """Draw a synthetic dataset: Poisson daily case counts per band, each
     case hospitalized with p_hosp(t), each hospitalized case dying with
-    the true HFR(t). Returns one code per case, in draw order, and the
-    generating curves."""
+    the true HFR(t). Returns one code per case, in draw order."""
     config.validate()
     rng = np.random.default_rng(config.seed)
-    bands = tuple(config.case_intensity)
+    bands = config.bands
     chunks = []
     for day in range(config.n_days):
         for b, band in enumerate(bands):
@@ -101,8 +88,7 @@ def generate_cases(config: SynthConfig) -> tuple[np.ndarray, TruthTable]:
             if config.missingness_rate > 0:
                 outcome = _relabel_missing(rng, hosp, died, config.missingness_rate)
             chunks.append(((day * len(bands) + b) * 2 + female) * 16 + outcome)
-    codes = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
-    return codes, TruthTable.from_config(config)
+    return np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
 
 
 # A case's code is ((day * n_bands + band) * 2 + female) * 16 + hosp * 4 + died,
@@ -128,14 +114,15 @@ def _relabel_missing(rng, hosp, died, rate: float) -> np.ndarray:
     return np.array(labels, dtype=np.int64).reshape(-1, 2) @ np.array([4, 1])
 
 
-def _record_table(codes: np.ndarray, truth: TruthTable) -> list:
+def _record_table(codes: np.ndarray, config: SynthConfig) -> list:
     """One shared RawLineRecord per code that occurs, indexed by code."""
+    bands = config.bands
     table = [None] * (int(codes.max()) + 1 if len(codes) else 0)
     for code in np.flatnonzero(np.bincount(codes)).tolist():
         group, outcome = divmod(code, 16)
-        day, band = divmod(group // 2, len(truth.bands))
+        day, band = divmod(group // 2, len(bands))
         table[code] = RawLineRecord(
-            truth.start + dt.timedelta(days=day), None, truth.bands[band],
+            config.start + dt.timedelta(days=day), None, bands[band],
             "female" if group % 2 else "male", _LABELS[outcome // 4],
             _LABELS[outcome % 4], None)
     return table
@@ -143,10 +130,11 @@ def _record_table(codes: np.ndarray, truth: TruthTable) -> list:
 
 def generate_line_records(
     config: SynthConfig,
-) -> tuple[list[RawLineRecord], TruthTable]:
-    """`generate_cases` as RawLineRecords, one shared record per code."""
-    codes, truth = generate_cases(config)
-    return list(map(_record_table(codes, truth).__getitem__, codes.tolist())), truth
+) -> tuple[list[RawLineRecord], SynthConfig]:
+    """`generate_cases` as RawLineRecords, one shared record per code, and
+    the config itself, whose curves are the truth."""
+    codes = generate_cases(config)
+    return list(map(_record_table(codes, config).__getitem__, codes.tolist())), config
 
 
 _FLORIDA_LABEL = {"yes": "YES", "no": "NO", "unknown": "UNKNOWN", "missing": ""}
@@ -172,9 +160,9 @@ def _write_florida(path, table: list, index: np.ndarray) -> None:
             fh.write("".join(map(lines.__getitem__, index[i:i + (1 << 16)].tolist())))
 
 
-def write_cases_csv(codes: np.ndarray, truth: TruthTable, path) -> None:
+def write_cases_csv(codes: np.ndarray, config: SynthConfig, path) -> None:
     """Write `generate_cases` output as `write_florida_csv` writes records."""
-    _write_florida(path, _record_table(codes, truth), codes)
+    _write_florida(path, _record_table(codes, config), codes)
 
 
 def write_florida_csv(records: list[RawLineRecord], path) -> None:
@@ -240,6 +228,5 @@ def simpson_scenario(daily_cases: float = 1600.0, seed: int = 0) -> SynthConfig:
 def simpson_paradox_holds(config: SynthConfig) -> bool:
     """Analytic check on the configured curves: first vs last day, every
     band's HFR rises yet the aggregate HFR falls."""
-    truth = TruthTable.from_config(config)
-    agg = truth.aggregate_hfr()
-    return all(h[-1] > h[0] for h in truth.hfr.values()) and bool(agg[-1] < agg[0])
+    agg = config.aggregate_hfr()
+    return all(h[-1] > h[0] for h in config.hfr.values()) and bool(agg[-1] < agg[0])

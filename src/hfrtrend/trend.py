@@ -128,32 +128,23 @@ def _eval_natural_cubic(x, f, gamma, xq, extrapolate: bool = False) -> np.ndarra
     interior second derivatives at m points: an (m, B) result. Outside
     the knot range the natural spline continues linearly; that is an
     OutOfRangeError unless `extrapolate`."""
-    g = np.zeros((len(x), f.shape[1]))  # second derivatives, 0 at the ends
-    g[1:-1] = gamma
-    outside_lo = xq < x[0]
-    outside_hi = xq > x[-1]
-    if np.any(outside_lo) or np.any(outside_hi):
-        if not extrapolate:
-            raise OutOfRangeError("evaluation point outside fitted range")
-        inner = _eval_natural_cubic(x, f, gamma, np.clip(xq, x[0], x[-1]))
-        slope_lo = (f[1] - f[0]) / (x[1] - x[0]) - (x[1] - x[0]) * g[1] / 6.0
-        slope_hi = (f[-1] - f[-2]) / (x[-1] - x[-2]) + (x[-1] - x[-2]) * g[-2] / 6.0
-        d_lo = np.where(outside_lo, xq - x[0], 0.0)
-        d_hi = np.where(outside_hi, xq - x[-1], 0.0)
-        return inner + d_lo[:, None] * slope_lo + d_hi[:, None] * slope_hi
+    if not extrapolate and (np.any(xq < x[0]) or np.any(xq > x[-1])):
+        raise OutOfRangeError("evaluation point outside fitted range")
+    g = np.pad(gamma, ((1, 1), (0, 0)))  # second derivatives, 0 at the ends
     idx, *weights = _cubic_weights(x, xq)
     a, b, c, d = (w[:, None] for w in weights)
     return a * f[idx] + b * f[idx + 1] + c * g[idx] + d * g[idx + 1]
 
 
 def _cubic_weights(x, xq):
-    """For points xq in [x[0], x[-1]]: each one's interval start i, and the
-    weights of f[i], f[i+1], g[i] and g[i+1] in the cubic's value there."""
+    """For points xq: each one's interval start i, and the weights of f[i],
+    f[i+1], g[i] and g[i+1] in the cubic's value there. Past an end a or b
+    is negative and its cube drops: with g 0 there, the value goes on linearly."""
     idx = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, len(x) - 2)
     h = x[idx + 1] - x[idx]
     a = (x[idx + 1] - xq) / h
     b = (xq - x[idx]) / h
-    return idx, a, b, (a**3 - a) * h**2 / 6.0, (b**3 - b) * h**2 / 6.0
+    return idx, a, b, *((np.maximum(w, 0) ** 3 - w) * h**2 / 6.0 for w in (a, b))
 
 
 def _as_points(x, y, min_points: int, purpose: str = ""):

@@ -525,6 +525,22 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "schema.yaml" in err[0]
 
+    @pytest.mark.parametrize("spellings", ['{"si": "yes", "si": "no"}',
+                                           '{"Si": "yes", "si": "no"}'],
+                             ids=["exact", "folded"])
+    def test_repeated_schema_key_is_data_error(self, tmp_path, capsys, spellings):
+        src = tmp_path / "fl.csv"
+        src.write_text("ChartDate,Age,Gender,Hospitalized,Died\n"
+                       "2020-04-02,54,Male,si,NO\n")
+        schema = tmp_path / "schema.json"
+        schema.write_text(f'{{"base": "florida", "outcome_spellings": {spellings}}}')
+        code = main(["ingest", "--input", str(src), "--schema-config",
+                     str(schema), "--out", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "schema.json" in err[0] and "repeats key 'si'" in err[0]
+
     def test_v2_store_is_data_error(self, tmp_path, capsys):
         """A store of the six v2 columns says to re-run ingest."""
         store = tmp_path / "store.npz"
@@ -969,3 +985,21 @@ class TestStateExclusion:
         assert list(excluded) == ["NJ"]
         demo = json.loads((auto / "demographics.json").read_text())
         assert demo["total_cases"] == 40
+
+    def test_absent_excluded_state_is_named(self, tmp_path, caplog):
+        rows = ["cdc_report_dt,pos_spec_dt,age_group,sex,hosp_yn,death_yn,"
+                "res_state,current_status"]
+        for state, n in (("NJ", 4), ("CT", 3)):
+            rows += [f"2020-04-0{i + 1},2020-04-01,50 - 59 Years,Female,No,No,"
+                     f"{state},Laboratory-confirmed case" for i in range(n)]
+        src = tmp_path / "cdc.csv"
+        src.write_text("\n".join(rows) + "\n")
+        ingested = tmp_path / "ingested"
+        assert main(["ingest", "--input", str(src), "--schema", "cdc",
+                     "--out", str(ingested)]) == EXIT_OK
+        out = tmp_path / "out"
+        assert main(["analyze", "--store", str(ingested / "store.npz"),
+                     "--exclude-states", "NJ,CTT,XX", "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "demographics.json").read_text())["total_cases"] == 3
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1 and "CTT, XX not in the store" in warnings[0], warnings

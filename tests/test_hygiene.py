@@ -256,4 +256,4 @@ def test_settable_values():
     configurations that tests must cover, so a change that moves this
     count says why."""
     assert sum(len(settable_values(path.read_text(encoding="utf-8")))
-               for path in MODULES) == 130
+               for path in MODULES) == 125

@@ -12,7 +12,6 @@ from hfrtrend.records import RawLineRecord
 from hfrtrend.synth import (
     FEMALE_FRACTION,
     SynthConfig,
-    TruthTable,
     generate_cases,
     generate_line_records,
     simpson_paradox_holds,
@@ -90,8 +89,8 @@ class TestGenerate:
     def test_truth_table_mirrors_config(self):
         config = _flat_config()
         _, truth = generate_line_records(config)
+        assert truth is config
         assert truth.bands == ("50-59",)
-        assert np.array_equal(truth.hfr["50-59"], config.hfr["50-59"])
 
     def test_validation_rejects_bad_curves(self):
         config = _flat_config()
@@ -120,8 +119,7 @@ class TestScenarios:
         config = simpson_scenario()
         assert simpson_paradox_holds(config)
         # aggregate endpoint drop close to the documented -2.6%
-        _, truth = generate_line_records(config)
-        agg = truth.aggregate_hfr()
+        agg = config.aggregate_hfr()
         assert (agg[-1] / agg[0] - 1) == pytest.approx(-0.026, abs=0.005)
 
     def test_flat_scenario_is_not_a_paradox(self):
@@ -187,16 +185,7 @@ def oracle_generate_line_records(config: SynthConfig):
                         state=None,
                     )
                 )
-    truth = TruthTable(
-        start=config.start,
-        bands=bands,
-        hfr={b: np.asarray(config.hfr[b], dtype=float) for b in bands},
-        p_hosp={b: np.asarray(config.p_hosp[b], dtype=float) for b in bands},
-        case_intensity={
-            b: np.asarray(config.case_intensity[b], dtype=float) for b in bands
-        },
-    )
-    return records, truth
+    return records, config
 
 
 def _oracle_midpoint_age(band):
@@ -268,19 +257,14 @@ class TestColumnarMatchesOracle:
         expected, expected_truth = oracle_generate_line_records(config)
         records, truth = generate_line_records(config)
         assert records == expected
-        assert (truth.start, truth.bands) == (expected_truth.start,
-                                              expected_truth.bands)
-        for curves in ("hfr", "p_hosp", "case_intensity"):
-            got, want = getattr(truth, curves), getattr(expected_truth, curves)
-            assert list(got) == list(want)
-            assert all(np.array_equal(got[b], want[b]) for b in want)
+        assert truth is expected_truth is config
         # equal records are one shared object, not one object per case
         assert len(set(map(id, records))) == len(set(records))
 
         oracle_write_florida_csv(expected, tmp_path / "oracle.csv")
         write_florida_csv(records, tmp_path / "records.csv")
-        codes, truth = generate_cases(config)
-        write_cases_csv(codes, truth, tmp_path / "codes.csv")
+        codes = generate_cases(config)
+        write_cases_csv(codes, config, tmp_path / "codes.csv")
         want = (tmp_path / "oracle.csv").read_bytes()
         assert (tmp_path / "records.csv").read_bytes() == want
         assert (tmp_path / "codes.csv").read_bytes() == want
