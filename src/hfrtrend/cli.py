@@ -206,8 +206,10 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[int, dict]:
         excluded_states = [state for state, _ in flagged]
         _write_json(out_dir / "excluded_states.json", dict(flagged))
     elif args.exclude_states:
-        excluded_states = [s.strip().upper() for s in args.exclude_states.split(",")]
-        if absent := sorted(set(excluded_states) - set(cases.state_vocab.tolist())):
+        named = [s.strip().upper() for s in args.exclude_states.split(",") if s.strip()]
+        vocab = set(cases.state_vocab.tolist())
+        excluded_states = [s for s in dict.fromkeys(named) if s in vocab]
+        if absent := sorted(set(named) - vocab):
             log.warning("--exclude-states: %s not in the store", ", ".join(absent))
 
     table = cohort_mod.build_cohort_table(

@@ -5,10 +5,10 @@ from known per-band curves and writes them in the Florida file layout,
 so the production parser reads them as it reads real data. Per day, then
 per band, it draws one Poisson count n and three ``random(n)`` vectors,
 and keeps each case as one integer code (`_record_table`). The CSV is
-joined from a table of one line per code that occurs. A "no" label draws
-a double when ``missingness_rate > 0``, and a relabeled one a second, so
-a band-day draws 4n at once, counts the k its cases use, then rewinds
-the generator and advances it by k.
+joined from a table of one line per code that occurs. When
+``missingness_rate > 0``, one ``random((2, 2, n))`` block follows: row
+[0] relabels the hospitalized and died "no" labels below the rate, and
+row [1] makes a relabeled one "missing" below 0.5, else "unknown".
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .records import RawLineRecord
+from .records import OUTCOME_CATEGORIES, RawLineRecord
 
 FEMALE_FRACTION = 0.5  # chance that a synthetic case is female
 
@@ -71,7 +71,9 @@ class SynthConfig:
 def generate_cases(config: SynthConfig) -> np.ndarray:
     """Draw a synthetic dataset: Poisson daily case counts per band, each
     case hospitalized with p_hosp(t), each hospitalized case dying with
-    the true HFR(t). Returns one code per case, in draw order."""
+    the true HFR(t). Returns one code per case, in draw order:
+    ((day * n_bands + band) * 2 + female) * 16 + hosp * 4 + died, each
+    outcome label indexing OUTCOME_CATEGORIES."""
     config.validate()
     rng = np.random.default_rng(config.seed)
     bands = config.bands
@@ -84,34 +86,14 @@ def generate_cases(config: SynthConfig) -> np.ndarray:
             hosp = rng.random(n_cases) < config.p_hosp[band][day]
             died = hosp & (rng.random(n_cases) < config.hfr[band][day])
             female = rng.random(n_cases) < FEMALE_FRACTION
-            outcome = hosp * 4 + died
+            labels = np.where([hosp, died], 0, 1)  # "yes", "no"
             if config.missingness_rate > 0:
-                outcome = _relabel_missing(rng, hosp, died, config.missingness_rate)
-            chunks.append(((day * len(bands) + b) * 2 + female) * 16 + outcome)
+                u = rng.random((2, 2, n_cases))
+                labels = np.where((labels == 1) & (u[0] < config.missingness_rate),
+                                  2 + (u[1] < 0.5), labels)  # "unknown", "missing"
+            chunks.append(((day * len(bands) + b) * 2 + female) * 16
+                          + labels[0] * 4 + labels[1])
     return np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
-
-
-# A case's code is ((day * n_bands + band) * 2 + female) * 16 + hosp * 4 + died,
-# each outcome label indexing _LABELS.
-_LABELS = ("no", "yes", "unknown", "missing")
-
-
-def _relabel_missing(rng, hosp, died, rate: float) -> np.ndarray:
-    """Outcome codes with each "no" relabeled unknown or missing at `rate`,
-    leaving `rng` where one ``rng.random()`` per decision, in order, would."""
-    state = rng.bit_generator.state
-    u = rng.random(4 * len(hosp)).tolist()  # at most two draws a label
-    labels = np.column_stack([hosp, died]).ravel().tolist()
-    k = 0
-    for i, yes in enumerate(labels):
-        if not yes:
-            if u[k] < rate:
-                labels[i] = 3 if u[k + 1] < 0.5 else 2
-                k += 1
-            k += 1
-    rng.bit_generator.state = state
-    rng.bit_generator.advance(k)  # PCG64 spends one 64-bit output a double
-    return np.array(labels, dtype=np.int64).reshape(-1, 2) @ np.array([4, 1])
 
 
 def _record_table(codes: np.ndarray, config: SynthConfig) -> list:
@@ -123,8 +105,8 @@ def _record_table(codes: np.ndarray, config: SynthConfig) -> list:
         day, band = divmod(group // 2, len(bands))
         table[code] = RawLineRecord(
             config.start + dt.timedelta(days=day), None, bands[band],
-            "female" if group % 2 else "male", _LABELS[outcome // 4],
-            _LABELS[outcome % 4], None)
+            "female" if group % 2 else "male", OUTCOME_CATEGORIES[outcome // 4],
+            OUTCOME_CATEGORIES[outcome % 4], None)
     return table
 
 

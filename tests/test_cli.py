@@ -999,7 +999,10 @@ class TestStateExclusion:
                      "--out", str(ingested)]) == EXIT_OK
         out = tmp_path / "out"
         assert main(["analyze", "--store", str(ingested / "store.npz"),
-                     "--exclude-states", "NJ,CTT,XX", "--out", str(out)]) == EXIT_OK
+                     "--exclude-states", "NJ,CTT,,xx", "--out", str(out)]) == EXIT_OK
         assert json.loads((out / "demographics.json").read_text())["total_cases"] == 3
         warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
-        assert len(warnings) == 1 and "CTT, XX not in the store" in warnings[0], warnings
+        assert warnings == ["--exclude-states: CTT, XX not in the store"]
+        # the manifest lists only the states the exclusion removed
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["stats"]["excluded_states"] == ["NJ"]

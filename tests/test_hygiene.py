@@ -4,7 +4,8 @@ CLI stage catches the errors that `cli.main` turns into exit codes,
 every .npz goes through `store.write_npz`, every rolling window is
 summed in `signals._window_sums`, every CSV table goes through
 `store.write_csv`, the package imports only the standard library and
-numpy, and the count of settable values is pinned."""
+numpy, the count of settable values is pinned, and the count of source
+lines has a ceiling."""
 
 import ast
 import builtins
@@ -257,3 +258,10 @@ def test_settable_values():
     count says why."""
     assert sum(len(settable_values(path.read_text(encoding="utf-8")))
                for path in MODULES) == 125
+
+
+def test_source_lines():
+    """The package's lines, at most. A change that raises this ceiling
+    says in CHANGES.md what the new lines pay for."""
+    assert sum(len(path.read_text(encoding="utf-8").splitlines())
+               for path in PACKAGE.glob("*.py")) <= 2608

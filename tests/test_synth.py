@@ -25,11 +25,11 @@ START = dt.date(2020, 4, 1)
 END = dt.date(2020, 5, 31)
 
 
-def _flat_config(seed=0, hfr=0.3, p_hosp=0.25, cases=400.0, **kwargs):
-    n = (END - START).days + 1
+def _flat_config(seed=0, hfr=0.3, p_hosp=0.25, cases=400.0, end=END, **kwargs):
+    n = (end - START).days + 1
     return SynthConfig(
         start=START,
-        end=END,
+        end=end,
         case_intensity={"50-59": np.full(n, cases)},
         p_hosp={"50-59": np.full(n, p_hosp)},
         hfr={"50-59": np.full(n, hfr)},
@@ -85,6 +85,26 @@ class TestGenerate:
         hfr = sum(r.died for r in hosp) / len(hosp)
         se = (0.3 * 0.7 / len(hosp)) ** 0.5
         assert abs(hfr - 0.3) < 4 * se
+
+        # A band-day draws its cases before its relabel block, so on one day
+        # a clean run of the same seed labels the same cases.
+        rate = 0.3
+        clean, _ = generate_line_records(_flat_config(seed=2, cases=20_000.0, end=START))
+        relabeled, _ = generate_line_records(_flat_config(
+            seed=2, cases=20_000.0, end=START, missingness_rate=rate))
+        assert [r.gender for r in clean] == [r.gender for r in relabeled]
+        for field in ("hospitalized_raw", "died_raw"):
+            pairs = [(getattr(a, field), getattr(b, field))
+                     for a, b in zip(clean, relabeled)]
+            assert {a for a, _ in pairs} == {"yes", "no"}
+            assert all(b == "yes" for a, b in pairs if a == "yes")
+            after = [b for a, b in pairs if a == "no"]
+            moved = [b for b in after if b != "no"]
+            assert set(moved) == {"unknown", "missing"}
+            se = (rate * (1 - rate) / len(after)) ** 0.5
+            assert abs(len(moved) / len(after) - rate) < 3 * se, field
+            se = (0.25 / len(moved)) ** 0.5
+            assert abs(moved.count("missing") / len(moved) - 0.5) < 3 * se, field
 
     def test_truth_table_mirrors_config(self):
         config = _flat_config()
@@ -166,14 +186,16 @@ def oracle_generate_line_records(config: SynthConfig):
             hosp = rng.random(n_cases) < config.p_hosp[band][day_idx]
             died = hosp & (rng.random(n_cases) < config.hfr[band][day_idx])
             female = rng.random(n_cases) < FEMALE_FRACTION
+            if config.missingness_rate > 0:  # [relabel, pick] x [hosp, died] x case
+                u = rng.random((2, 2, n_cases))
             for i in range(n_cases):
                 hosp_label = "yes" if hosp[i] else "no"
                 died_label = "yes" if died[i] else "no"
                 if config.missingness_rate > 0:
-                    if hosp_label == "no" and rng.random() < config.missingness_rate:
-                        hosp_label = unknown_labels[int(rng.random() < 0.5)]
-                    if died_label == "no" and rng.random() < config.missingness_rate:
-                        died_label = unknown_labels[int(rng.random() < 0.5)]
+                    if hosp_label == "no" and u[0, 0, i] < config.missingness_rate:
+                        hosp_label = unknown_labels[int(u[1, 0, i] < 0.5)]
+                    if died_label == "no" and u[0, 1, i] < config.missingness_rate:
+                        died_label = unknown_labels[int(u[1, 1, i] < 0.5)]
                 records.append(
                     RawLineRecord(
                         event_date=date,
