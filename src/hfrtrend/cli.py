@@ -117,7 +117,7 @@ def cmd_ingest(args: argparse.Namespace) -> tuple[int, dict]:
     from . import ingest as ingest_mod, store as store_mod
 
     out_dir = Path(args.out)
-    if args.schema_config:
+    if args.schema_config is not None:
         schema = load_schema(args.schema_config, base=args.schema)
     else:
         schema = BUILTIN_SCHEMAS[args.schema]
@@ -148,9 +148,9 @@ def cmd_ingest(args: argparse.Namespace) -> tuple[int, dict]:
 # --------------------------------------------------------------- analyze
 
 
-def _save_cohort_npz(path, table, min_deaths: int) -> None:
-    """The cohort table, with the HFR support floor that analyze applied,
-    so bootstrap fits the series that the hfr_*.csv files hold."""
+def _save_cohort_npz(path, table) -> None:
+    """The cohort table with its HFR support floor, so bootstrap fits the
+    series that the hfr_*.csv files hold."""
     from .store import write_npz
 
     write_npz(
@@ -158,7 +158,7 @@ def _save_cohort_npz(path, table, min_deaths: int) -> None:
         start=np.str_(table.start.isoformat()),
         end=np.str_(table.end.isoformat()),
         array=table.array,
-        min_deaths=np.int64(min_deaths),
+        min_deaths=np.int64(table.min_deaths),
     )
 
 
@@ -171,6 +171,7 @@ def _load_cohort_npz(path):
             start=dt.date.fromisoformat(str(npz["start"])),
             end=dt.date.fromisoformat(str(npz["end"])),
             array=npz["array"],
+            min_deaths=int(npz["min_deaths"]),
         )
 
 
@@ -186,7 +187,7 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[int, dict]:
 
     stats: dict = {}
     testing = None
-    if args.testing_file:
+    if args.testing_file is not None:
         from . import ingest as ingest_mod
         if "schema" not in meta:  # the label of the testing rows
             raise SchemaError(f"{args.store} names no schema; re-run ingest")
@@ -217,7 +218,8 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[int, dict]:
         last=args.vintage - dt.timedelta(days=args.maturity_days),
         excluded_states=excluded_states,
     )
-    _save_cohort_npz(out_dir / "cohort_table.npz", table, args.min_deaths)
+    table.min_deaths = args.min_deaths
+    _save_cohort_npz(out_dir / "cohort_table.npz", table)
     table.write_long_csv(out_dir / "cohort_long.csv")
 
     demo = cohort_mod.summarize_demographics(table)
@@ -230,7 +232,7 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[int, dict]:
         signals_mod.cfr_series(table, stratum).write_long_csv(
             out_dir / f"cfr_{name}.csv", stratum=name
         )
-        signals_mod.hfr_series(table, stratum, min_deaths=args.min_deaths).write_long_csv(
+        signals_mod.hfr_series(table, stratum).write_long_csv(
             out_dir / f"hfr_{name}.csv", stratum=name
         )
 
@@ -258,9 +260,8 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[int, dict]:
 def cmd_bootstrap(args: argparse.Namespace) -> tuple[int, dict | None]:
     from . import signals as signals_mod, trend as trend_mod
     from .cohort import StratumKey
-    from .store import open_npz
 
-    if args.dates:
+    if args.dates is not None:
         try:
             d1, d2 = (_parse_date(d) for d in args.dates.split(","))
         except ValueError:
@@ -271,60 +272,42 @@ def cmd_bootstrap(args: argparse.Namespace) -> tuple[int, dict | None]:
         date_pairs = list(DEFAULT_DATE_PAIRS)
 
     out_dir = Path(args.out)
-    path = Path(args.analyzed) / "cohort_table.npz"
-    with open_npz(path, "analyze") as npz:
-        min_deaths = int(npz["min_deaths"])
-    table = _load_cohort_npz(path)
+    table = _load_cohort_npz(Path(args.analyzed) / "cohort_table.npz")
 
     config = trend_mod.BootstrapConfig(replicates=args.replicates, seed=args.seed)
     # One fit and one replicate set per stratum; every pair is read off it.
     tables = {pair: [] for pair in date_pairs}
     dash_cells = []  # why each "-" row is one, for the manifest
-
-    def dash(rows, name, d_old, d_new, exc) -> None:
-        rows.append([name, "-", "-", "-"])
-        dash_cells.append({"stratum": name, "d_old": d_old.isoformat(),
-                           "d_new": d_new.isoformat(), "reason": str(exc)})
-
-    any_rows = False
     for name in TABLE_BANDS:
-        series = signals_mod.hfr_series(table, StratumKey(name, args.gender),
-                                        min_deaths=min_deaths)
+        series = signals_mod.hfr_series(table, StratumKey(name, args.gender))
         try:
             reps = trend_mod.build_replicates(
                 trend_mod.fit_smoothing_spline(series), config,
                 trend_mod.day_points(series, (), date_pairs))
         except trend_mod.InsufficientDataError as exc:
-            log.info("band %s: %s", name, exc)
-            for (d_old, d_new), rows in tables.items():
-                dash(rows, name, d_old, d_new, exc)
-            continue
+            reps = exc  # a stratum that cannot be fitted fails every pair's cell
         for (d_old, d_new), rows in tables.items():
             try:
-                result = trend_mod.read_estimates(
-                    reps, series, [d_old, d_new], [(d_old, d_new)]
-                )
+                if isinstance(reps, Exception):
+                    raise reps
+                result = trend_mod.read_estimates(reps, series, [d_old, d_new],
+                                                  [(d_old, d_new)])
             except (trend_mod.InsufficientDataError,
                     trend_mod.OutOfRangeError) as exc:
                 log.info("band %s, %s to %s: %s", name, d_old, d_new, exc)
-                dash(rows, name, d_old, d_new, exc)
+                rows.append([name, "-", "-", "-"])
+                dash_cells.append({"stratum": name, "d_old": d_old.isoformat(),
+                                   "d_new": d_new.isoformat(), "reason": str(exc)})
                 continue
-            old_lv, new_lv = result.levels
-            drop = result.drops[0]
-            rows.append([
-                name,
-                _interval_text(old_lv.median, old_lv.lower, old_lv.upper),
-                _interval_text(new_lv.median, new_lv.lower, new_lv.upper),
-                _interval_text(drop.median, drop.lower, drop.upper),
-            ])
-            any_rows = True
+            rows.append([name, *(_interval_text(c.median, c.lower, c.upper)
+                                 for c in (*result.levels, result.drops[0]))])
     for (d_old, d_new), rows in tables.items():
         _write_drop_table(out_dir, d_old, d_new, rows)
     stats = {
         "date_pairs": [[a.isoformat(), b.isoformat()] for a, b in date_pairs],
         "dash_cells": dash_cells,
     }
-    if not any_rows:
+    if len(dash_cells) == len(TABLE_BANDS) * len(date_pairs):
         print("error: no stratum had sufficient data", file=sys.stderr)
         return EXIT_INSUFFICIENT, stats
     print(f"bootstrap reports -> {out_dir}")

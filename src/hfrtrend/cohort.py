@@ -58,6 +58,8 @@ class CohortTable:
     end: dt.date
     # int64, shape (len(ALL_AGE_BANDS), len(GENDERS), n_days, len(SIGNALS))
     array: np.ndarray
+    # the 7-day hospitalized-and-died total below which an HFR day is a gap
+    min_deaths: int = 2
 
     @property
     def n_days(self) -> int:

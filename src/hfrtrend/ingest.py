@@ -113,7 +113,7 @@ BAND_VALUES = (None, *AGE_BANDS)
 _BAND_TABLE = np.array([[BAND_INDEX[resolve_age_band(b, a)] for a in AGE_VALUES]
                         for b in BAND_VALUES], np.uint8)
 _RECODE = np.array([recode_outcome(c) for c in OUTCOME_CATEGORIES])  # by outcome code
-_AGE_TEXT = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?")  # ASCII digits, one optional point
+_NUMBER_TEXT = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?")  # ASCII digits, one optional point
 
 
 class _Coder(dict):
@@ -145,7 +145,7 @@ def _decode_age(text: str) -> int | None:
     text = text.strip()
     if not text:
         return None
-    if not _AGE_TEXT.fullmatch(text):  # float alone reads 1_0, 5e1 and nan
+    if not _NUMBER_TEXT.fullmatch(text):  # float alone reads 1_0, 5e1 and nan
         return _BAD_AGE
     years = float(text)
     return int(years) if 0 <= years < 121 else _BAD_AGE  # so -0.5 is no age 0
@@ -373,8 +373,9 @@ def load_testing_series(
     Negative daily increments (reporting corrections) are clamped to zero
     and counted on the report. As in the line-list parser, a row with
     fewer fields than the header is rejected as malformed_row and blank
-    lines are skipped; an empty count cell reads as 0. A file with no
-    usable row is a SchemaError.
+    lines are skipped. A count is a whole number in ASCII digits, and an
+    empty cell reads as 0; any other rejects its row as bad_count. A file
+    with no usable row is a SchemaError.
     """
     rows = []
     with _open_text(file) as text:
@@ -397,12 +398,12 @@ def load_testing_series(
             if date is None:
                 report.reject("bad_date")
                 continue
-            try:
-                pos = int(float(row[i_pos] or 0))
-                tests = int(float(row[i_tests] or 0))
-            except (ValueError, OverflowError):
+            counts = [row[i_pos] or "0", row[i_tests] or "0"]
+            if not all(_NUMBER_TEXT.fullmatch(c.strip()) and float(c).is_integer()
+                       for c in counts):  # float alone reads 1_5 and 12.7
                 report.reject("bad_count")
                 continue
+            pos, tests = (int(float(c)) for c in counts)
             report.total_rows += 1
             report.kept_rows += 1
             rows.append((date, pos, tests))

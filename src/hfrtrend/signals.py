@@ -130,17 +130,15 @@ def cfr_series(table: CohortTable, stratum: StratumKey = StratumKey()) -> RateSe
     return _rate(table.start, counts[:, 2], counts[:, 0], "cfr")
 
 
-def hfr_series(
-    table: CohortTable, stratum: StratumKey = StratumKey(), min_deaths: int = 2
-) -> RateSeries:
+def hfr_series(table: CohortTable, stratum: StratumKey = StratumKey()) -> RateSeries:
     """Cohort HFR: smoothed hospitalized-and-died over smoothed
     eventual hospitalizations.
 
-    Dates whose trailing 7-day hospitalized-and-died total is below
-    `min_deaths` are gap-marked (inadequate support).
+    Dates whose trailing 7-day hospitalized-and-died total is below the
+    table's `min_deaths` are gap-marked (inadequate support).
     """
     counts = table.counts(stratum)
-    return _rate(table.start, counts[:, 3], counts[:, 1], "hfr", min_deaths)
+    return _rate(table.start, counts[:, 3], counts[:, 1], "hfr", table.min_deaths)
 
 
 def positive_test_rate(start: dt.date, positives, tests) -> RateSeries:

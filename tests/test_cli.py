@@ -1,6 +1,7 @@
 """Command-line pipeline: subcommands, exit codes, manifest replay."""
 
 import csv
+import dataclasses
 import datetime as dt
 import filecmp
 import gzip
@@ -112,9 +113,9 @@ def _expected_rows(table, config, d_old, d_new, min_deaths=2):
     """The drop-table rows of one pair, and the reason for each "-" row,
     from one `analyze_trend` per stratum."""
     rows, dash_cells = [], []
+    table = dataclasses.replace(table, min_deaths=min_deaths)
     for name in TABLE_BANDS:
-        series = signals.hfr_series(table, StratumKey(name, "all"),
-                                    min_deaths=min_deaths)
+        series = signals.hfr_series(table, StratumKey(name, "all"))
         try:
             result = trend.analyze_trend(
                 series, config, [d_old, d_new], [(d_old, d_new)]
@@ -183,6 +184,36 @@ class TestBootstrapTables:
                 _expected_rows(table, config, *pair, min_deaths=floor)[0]
                 for pair in DEFAULT_DATE_PAIRS]
         assert written[2] != written[8]
+
+    def test_table_carries_the_floor_analyze_applied(self, pipeline_dirs,
+                                                     tmp_path):
+        # the acceptance gate's calls read the floor of the run that wrote
+        # the table, not the default one
+        analyzed = tmp_path / "analyzed"
+        assert main(["analyze", "--store",
+                     str(pipeline_dirs["ingested"] / "store.npz"),
+                     "--min-deaths", "8", "--out", str(analyzed)]) == EXIT_OK
+        table = _load_cohort_npz(analyzed / "cohort_table.npz")
+        gaps = signals.hfr_series(table, StratumKey()).series.gaps
+        with open(analyzed / "hfr_aggregate.csv", newline="") as fh:
+            written = [row["gap"] == "1" for row in csv.DictReader(fh)]
+        assert gaps.tolist() == written
+        floor_2 = signals.hfr_series(dataclasses.replace(table, min_deaths=2))
+        assert floor_2.series.gaps.tolist() != written
+
+    def test_bootstrap_opens_the_cohort_table_once(self, pipeline_dirs,
+                                                   tmp_path, monkeypatch):
+        opened = []
+        open_npz = hfrtrend.store.open_npz
+
+        def counting(path, writer):
+            opened.append(Path(path).name)
+            return open_npz(path, writer)
+
+        monkeypatch.setattr(hfrtrend.store, "open_npz", counting)
+        assert main(["bootstrap", "--analyzed", str(pipeline_dirs["analyzed"]),
+                     "--replicates", "20", "--out", str(tmp_path / "boot")]) == EXIT_OK
+        assert opened == ["cohort_table.npz"]
 
 
 def _loaded_after(code: str, watched: tuple[str, ...]) -> list[str]:
@@ -401,6 +432,26 @@ class TestExitCodes:
             code = main(["bootstrap", "--analyzed", str(analyzed),
                          "--dates", "yesterday", "--out", str(tmp_path / "out")])
             assert code == EXIT_USAGE, analyzed
+
+    @pytest.mark.parametrize("stage, option, code", [
+        ("ingest", "--schema-config", EXIT_DATA),
+        ("analyze", "--testing-file", EXIT_DATA),
+        ("bootstrap", "--dates", EXIT_USAGE),
+    ])
+    def test_empty_option_value_is_given(self, pipeline_dirs, tmp_path, capsys,
+                                         stage, option, code):
+        # "" names no schema file, testing file or date pair; it is not the
+        # option left out
+        argv = {
+            "ingest": ["--input", str(pipeline_dirs["synth"] / "synthetic_florida.csv")],
+            "analyze": ["--store", str(pipeline_dirs["ingested"] / "store.npz")],
+            "bootstrap": ["--analyzed", str(pipeline_dirs["analyzed"]),
+                          "--replicates", "20"],
+        }[stage]
+        out = tmp_path / "out"
+        assert main([stage, *argv, option, "", "--out", str(out)]) == code
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     def test_unknown_flag_is_usage_error(self, tmp_path):
         assert main(["synth", "--frobnicate", "--out", str(tmp_path)]) == EXIT_USAGE

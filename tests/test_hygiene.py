@@ -264,4 +264,4 @@ def test_source_lines():
     """The package's lines, at most. A change that raises this ceiling
     says in CHANGES.md what the new lines pay for."""
     assert sum(len(path.read_text(encoding="utf-8").splitlines())
-               for path in PACKAGE.glob("*.py")) <= 2608
+               for path in PACKAGE.glob("*.py")) <= 2592

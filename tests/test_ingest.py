@@ -871,19 +871,42 @@ class TestLoadTestingSeries:
         assert report.clamped_values == 0
 
     def test_unreadable_count_is_bad_count(self, tmp_path):
+        # a count reads as an age does (ASCII digits, one optional point)
+        # and must be whole: no other number is rounded into one
         path = tmp_path / "tests.csv"
         path.write_text("date,positive,totalTestResults\n"
                         "2020-04-01,10,50\n"
                         "2020-04-02,x,60\n"
                         "2020-04-03,20,inf\n"
-                        "2020-04-04,1e400,90\n")
+                        "2020-04-04,1e400,90\n"
+                        "2020-04-05,12.7,95\n"
+                        "2020-04-06,-0.5,95\n"
+                        "2020-04-07,1_5,95\n"
+                        "2020-04-08,\u0661\u0668,95\n",
+                        encoding="utf-8")
+        for cumulative in (True, False):
+            report = IngestReport()
+            start, positives, tests = load_testing_series(path, cumulative, report)
+            assert (start, positives.tolist(), tests.tolist()) == (
+                dt.date(2020, 4, 1), [10], [50])
+            assert report.rejected_rows_by_reason == {"bad_count": 7}
+            assert report.clamped_values == 0
+            assert report.total_rows == report.kept_rows + sum(
+                report.rejected_rows_by_reason.values())
+
+    @pytest.mark.parametrize("cumulative", [True, False])
+    def test_whole_counts_in_any_spelling_are_kept(self, tmp_path, cumulative):
+        path = tmp_path / "tests.csv"
+        path.write_text("date,positive,totalTestResults\n"
+                        "2020-04-01,10,50\n"
+                        "2020-04-02, 12 ,60.0\n"
+                        "2020-04-03,12.0,\n")
         report = IngestReport()
-        start, positives, tests = load_testing_series(path, True, report)
-        assert (start, positives.tolist(), tests.tolist()) == (
-            dt.date(2020, 4, 1), [10], [50])
-        assert report.rejected_rows_by_reason == {"bad_count": 3}
-        assert report.total_rows == report.kept_rows + sum(
-            report.rejected_rows_by_reason.values())
+        start, positives, tests = load_testing_series(path, cumulative, report)
+        # the empty cell reads as 0 tests, so day three's positives clamp to 0
+        expected = ([10, 2, 0], [50, 10, 0]) if cumulative else ([10, 12, 0], [50, 60, 0])
+        assert (positives.tolist(), tests.tolist()) == expected
+        assert report.rejected_rows_by_reason == {}
 
     def test_missing_column_is_schema_error(self, tmp_path):
         path = tmp_path / "tests.csv"

@@ -1,5 +1,6 @@
 """Smoothing and rate series against naive loop oracles."""
 
+import dataclasses
 import datetime as dt
 
 import numpy as np
@@ -163,7 +164,7 @@ class TestRateSeries:
         rows = [(d, "50-59", "female", False, True) for d in range(20)]
         rows += [(d, "50-59", "female", True, False) for d in range(20)]
         table = _table(rows)
-        series = hfr_series(table, min_deaths=0)
+        series = hfr_series(dataclasses.replace(table, min_deaths=0))
         ok = ~series.series.gaps
         assert np.allclose(series.series.values[ok], 0.0)
 
@@ -175,8 +176,8 @@ class TestRateSeries:
             rows.append((d, "50-59", "female", True, died))
             rows.append((d, "50-59", "female", True, False))
         table = _table(rows)
-        strict = hfr_series(table, min_deaths=2)
-        loose = hfr_series(table, min_deaths=1)
+        strict = hfr_series(dataclasses.replace(table, min_deaths=2))
+        loose = hfr_series(dataclasses.replace(table, min_deaths=1))
         assert strict.series.gaps[6:].all()
         assert not loose.series.gaps[6:].all()
 
@@ -326,8 +327,8 @@ class TestAgainstPerSeriesOracles:
         table = random_table(seed)
         for stratum in STRATA:
             cases = [(cfr_series(table, stratum), oracle_cfr(table, stratum))]
-            cases += [(hfr_series(table, stratum, k), oracle_hfr(table, stratum, k))
-                      for k in (0, 2, 5)]
+            cases += [(hfr_series(dataclasses.replace(table, min_deaths=k), stratum),
+                       oracle_hfr(table, stratum, k)) for k in (0, 2, 5)]
             for series, (values, gaps, num, den) in cases:
                 assert_same_on_defined_days(series.series, values, gaps)
                 assert series.numerator_support.tobytes() == num.tobytes()
