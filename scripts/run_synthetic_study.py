@@ -65,7 +65,7 @@ def main() -> None:
         args.date_new,
     )
     summary = {
-        "records": len(cases),
+        "records": int(cases.count.sum()),
         "date_old": args.date_old.isoformat(),
         "date_new": args.date_new.isoformat(),
         "true_drop": round(float(true_drop), 4),

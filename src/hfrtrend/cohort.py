@@ -3,9 +3,10 @@
 A CohortTable holds, for every (age band, gender) cell and every date in
 a contiguous range, the number of cases confirmed that day together with
 how many of them were eventually hospitalized, eventually died, and were
-hospitalized AND died (the HFR numerator). `build_cohort_table` counts
-in one pass over the store columns, a slice at a time, so it copies no
-column; the demographics summary is read off the table.
+hospitalized AND died (the HFR numerator). `build_cohort_table` is one
+count over the store's cells, weighted by their counts, and
+`detect_reporting_artifacts` reads one weighted (state, date) count; the
+demographics summary is read off the table.
 """
 
 from __future__ import annotations
@@ -28,11 +29,9 @@ ALL_GENDERS = "all"
 
 SIGNALS = ("cases", "hosp", "deaths", "hosp_and_died")
 _SIG_INDEX = {name: i for i, name in enumerate(SIGNALS)}
-# SIGNALS of each joint outcome code, hospitalized + 2 * died (`store.pack`)
+# SIGNALS of each joint outcome code, hospitalized + 2 * died (`store.count_cells`)
 _SIGNALS_OF_JOINT = np.array(
     [[1, 0, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0], [1, 1, 1, 1]], np.int64)
-# rows counted at a time: a slice's temporaries stay under 1 MB
-COUNT_SLICE = 1 << 14
 DUMP_FRACTION = 0.5
 
 
@@ -109,10 +108,14 @@ def detect_reporting_artifacts(cases: CaseColumns) -> list[tuple[str, dict]]:
     Returns (state, evidence) pairs sorted by state code; evidence gives
     the offending dates and the joint fraction.
     """
+    named, n_dates = cases.state != NO_STATE, len(cases.date_vocab)
+    margin = np.bincount(
+        cases.state[named].astype(np.intp) * n_dates + cases.date[named],
+        cases.count[named], len(cases.state_vocab) * n_dates).reshape(-1, n_dates)
     flagged = []
     for code in np.argsort(cases.state_vocab):
-        dates, counts = np.unique(cases.date[cases.state == code], return_counts=True)
-        days = cases.date_vocab[dates]
+        dates = np.flatnonzero(margin[code])
+        counts, days = margin[code, dates], cases.date_vocab[dates]
         # ties broken by date so the evidence is input-order invariant
         top = np.lexsort((days, -counts))[:2]
         total, top_total = int(counts.sum()), int(counts[top].sum())
@@ -142,27 +145,13 @@ def build_cohort_table(
     cases = as_columns(records)
     n_days = (end - start).days + 1
     n_kept = n_days if last is None else min(n_days, (last - start).days + 1)
-    # by state code; a state is looked up only when named, as np.isin on
-    # strings imports numpy.ma
-    in_cohort = np.ones(NO_STATE + 1, bool)
-    if excluded_states := list(excluded_states):
-        in_cohort[cases.state_codes(excluded_states)] = False
-    # counts by date code, then profile: a slice counts into the range of
-    # codes it spans, which is short when the rows come in date order
-    joint = np.zeros(len(cases.date_vocab) * PROFILES, np.int64)
-    for lo in range(0, len(cases), COUNT_SLICE):
-        rows = slice(lo, lo + COUNT_SLICE)
-        first = int(cases.date[rows].min()) * PROFILES
-        code = cases.date[rows] * np.intp(PROFILES) + cases.profile[rows] - first
-        if excluded_states:
-            code = code[in_cohort.take(cases.state[rows])]
-        part = np.bincount(code)
-        joint[first:first + part.size] += part
-    # the window and maturity cut, once per date code
-    day = cases.date_vocab - np.int32(day_index(start))
+    day = cases.date_vocab[cases.date] - np.int32(day_index(start))
     kept = (day >= 0) & (day < n_kept)
-    counts = np.zeros((n_days, len(ALL_AGE_BANDS), len(GENDERS), 4), np.int64)
-    counts[day[kept]] = joint.reshape(-1, *counts.shape[1:])[kept]
+    if excluded_states := list(excluded_states):  # np.isin on strings imports numpy.ma
+        kept &= ~np.isin(cases.state, cases.state_codes(excluded_states))
+    joint = np.bincount(day[kept] * PROFILES + cases.profile[kept], cases.count[kept],
+                        n_days * PROFILES)  # float, so exact below 2**53 cases
+    counts = joint.astype(np.int64).reshape(n_days, len(ALL_AGE_BANDS), len(GENDERS), 4)
     if not counts.any():
         log.warning("cohort filter produced an empty result")
     array = np.ascontiguousarray((counts @ _SIGNALS_OF_JOINT).transpose(1, 2, 0, 3))

@@ -12,14 +12,14 @@ code (negative for a reject reason), so each distinct date, age or label
 is decoded once (a study window has a few hundred distinct dates and
 ages) and the per-row work is dict lookups driven from C. Category
 columns code into fixed code spaces laid out for the store (AGE_VALUES,
-BAND_VALUES, GENDERS, OUTCOME_CATEGORIES), so each block turns into
-store columns by array arithmetic; only dates and states grow a
-vocabulary. No Python object is built per row and the file is never
-held in memory. `parse_florida_lines` builds RawLineRecords from the
-same decoded blocks, for either layout.
+BAND_VALUES, GENDERS, OUTCOME_CATEGORIES), so each block's cases are
+counted into the store's cells by array arithmetic; only dates and
+states grow a vocabulary. No Python object is built per row and the
+file is never held in memory. `parse_florida_lines` builds
+RawLineRecords from the same decoded blocks, for either layout.
 `load_testing_series` reads the few hundred rows of a testing file one
 by one into a dense daily grid of new positives and new tests.
-Cohort selection and artifact detection on store columns live in `cohort`.
+Cohort selection and artifact detection on the store's cells live in `cohort`.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import gzip
 import io
 import logging
 import re
-import tempfile
 from itertools import chain, compress, islice
 from operator import itemgetter
 from typing import IO, Iterator
@@ -49,14 +48,14 @@ from .records import (
     resolve_age_band,
 )
 from .schemas import FLORIDA_SCHEMA, ParseSchema, SchemaError, fold
-from .store import BAND_INDEX, COLUMN_DTYPES, NO_STATE, CaseColumns, day_index, pack
+from .store import BAND_INDEX, NO_CELLS, NO_STATE, CaseColumns, count_cells, day_index
 
 log = logging.getLogger(__name__)
 
 # Characters read per block, before the cut at the next newline. Each
-# block is turned into store dtypes before the next is read, so a small
-# block keeps peak memory near the final columns' size; at a few
-# thousand rows the per-block numpy overhead is already negligible.
+# block is counted into the store's cells before the next is read, so a
+# small block keeps peak memory near the cells' size; at a few thousand
+# rows the per-block numpy overhead is already negligible.
 BLOCK_CHARS = 1 << 16
 
 
@@ -298,7 +297,7 @@ def parse_columns(
     use_alt_event_date: bool = False,
     quarantine: IO[str] | None = None,
 ) -> CaseColumns:
-    """Parse a delimited file straight into store columns, filling
+    """Parse a delimited file straight into the store's cells, filling
     `report`.
 
     A row is rejected for its first bad cell in field order (date, age,
@@ -309,35 +308,27 @@ def parse_columns(
     reason column. As with csv.DictReader, blank lines are skipped
     uncounted and fields past the header's are ignored.
 
-    Each block becomes store columns (states in store codes, dates in the
-    file's), appended to a temporary file per column, before the next is
-    decoded. Read back once at its final size, a column never grows by
-    realloc, whose copies and heap holes would tie the peak to heap layout.
+    Each block's cases are counted into the store's cells (`count_cells`;
+    states in store codes, dates in the file's) before the next block is
+    decoded, so no array outlives its block but the cells.
     """
-    dates, states = [], []
+    dates, states, cells = [], [], NO_CELLS
     # store code by named state code, in the order kept rows meet them
     store_code: dict[int, int] = {}
-    with contextlib.ExitStack() as stack:
-        files = [stack.enter_context(tempfile.TemporaryFile()) for _ in COLUMN_DTYPES]
-        for values, codes in _decode_blocks(
-                file, schema, report, use_alt_event_date, quarantine):
-            dates, states = values[0], values[6]
-            day, age, band, gender, hosp, died, state, _ = codes
-            found, first = np.unique(state, return_index=True)
-            for code in found[np.argsort(first)].tolist():
-                if states[code]:
-                    store_code.setdefault(code, len(store_code))
-            vocab_code = np.array([store_code.get(c, NO_STATE) for c in range(len(states))])
-            for column, dtype, part in zip(files, COLUMN_DTYPES, (
-                    pack(_BAND_TABLE[band, age], gender, _RECODE[hosp], _RECODE[died]),
-                    day, vocab_code[state])):
-                # raw bytes; a code past the dtype wraps, and CaseColumns refuses it
-                column.write(part.astype(dtype))
-        for column in files:
-            column.seek(0)
-        return CaseColumns(*map(np.fromfile, files, COLUMN_DTYPES),
-                           date_vocab=np.fromiter(map(day_index, dates), np.int32),
-                           state_vocab=np.array([states[c] for c in store_code], dtype=str))
+    for values, codes in _decode_blocks(
+            file, schema, report, use_alt_event_date, quarantine):
+        dates, states = values[0], values[6]
+        day, age, band, gender, hosp, died, state, _ = codes
+        found, first = np.unique(state, return_index=True)
+        for code in found[np.argsort(first)].tolist():
+            if states[code]:
+                store_code.setdefault(code, len(store_code))
+        vocab_code = np.array([store_code.get(c, NO_STATE) for c in range(len(states))])
+        cells = count_cells(cells, day, vocab_code[state], _BAND_TABLE[band, age], gender,
+                            _RECODE[hosp], _RECODE[died])
+    return CaseColumns.of_cells(
+        cells, date_vocab=np.fromiter(map(day_index, dates), np.int32),
+        state_vocab=np.array([states[c] for c in store_code], dtype=str))
 
 
 def parse_florida_lines(
@@ -374,8 +365,8 @@ def load_testing_series(
     and counted on the report. As in the line-list parser, a row with
     fewer fields than the header is rejected as malformed_row and blank
     lines are skipped. A count is a whole number in ASCII digits, and an
-    empty cell reads as 0; any other rejects its row as bad_count. A file
-    with no usable row is a SchemaError.
+    empty or blank cell reads as 0; any other rejects its row as
+    bad_count. A file with no usable row is a SchemaError.
     """
     rows = []
     with _open_text(file) as text:
@@ -398,8 +389,8 @@ def load_testing_series(
             if date is None:
                 report.reject("bad_date")
                 continue
-            counts = [row[i_pos] or "0", row[i_tests] or "0"]
-            if not all(_NUMBER_TEXT.fullmatch(c.strip()) and float(c).is_integer()
+            counts = [row[i_pos].strip() or "0", row[i_tests].strip() or "0"]
+            if not all(_NUMBER_TEXT.fullmatch(c) and float(c).is_integer()
                        for c in counts):  # float alone reads 1_5 and 12.7
                 report.reject("bad_count")
                 continue

@@ -1,12 +1,13 @@
-"""Normalized columnar case store.
+"""Normalized case store: counts of (date, state, profile) cells.
 
 Parsing the multi-gigabyte national file is slow; analysis is iterated
 many times with different strata and dates. The store decouples the two:
-ingest turns a file into parallel numpy columns (`CaseColumns`),
-`save_store` writes them as a versioned .npz, and `cohort` selects and
-counts the loaded columns a slice at a time, with no copy and no
-per-case object. A case takes 4 bytes: age band, gender and outcomes in
-one (`pack`), and a 2-byte date and 1-byte state code into vocabularies.
+ingest counts a file's cases into cells (`count_cells`, `CaseColumns`),
+`save_store` writes them as a versioned .npz, and `cohort` counts the
+cells weighted by their counts. A cell takes 8 bytes, so the store
+follows the cells, not the cases: a 2-byte date and 1-byte state code
+into vocabularies, a 1-byte profile of age band, gender and outcomes,
+and a 4-byte count.
 `write_npz` and `open_npz` are the tool's one .npz writer and reader:
 the archive is what `np.savez_compressed` writes, at zlib level 1.
 `write_csv` writes every CSV table the tool reports.
@@ -27,7 +28,7 @@ import numpy as np
 from .records import ALL_AGE_BANDS, GENDERS, LineRecord
 from .schemas import SchemaError
 
-STORE_VERSION = 3
+STORE_VERSION = 4
 NO_STATE = 255  # state code of a case without a state
 MAX_DATES, MAX_STATES = 1 << 16, NO_STATE  # distinct values a column codes
 PROFILES = len(ALL_AGE_BANDS) * len(GENDERS) * 4  # `pack` codes
@@ -46,19 +47,16 @@ def day_date(day) -> dt.date:
     return EPOCH + dt.timedelta(days=int(day))
 
 
-def pack(band, gender, hospitalized, died) -> np.ndarray:
-    """uint8 codes (band·3 + gender)·4 + hospitalized + 2·died, below PROFILES."""
-    return ((band * len(GENDERS) + gender) * 4 + hospitalized + 2 * died).astype(np.uint8)
-
-
 @dataclass(frozen=True)
 class CaseColumns:
-    """Normalized cases as parallel arrays, one entry per case, and the
-    vocabularies the date and state codes index."""
+    """Normalized cases as parallel arrays, one entry per distinct (date,
+    state, profile) cell that holds a case, in key order (`count_cells`),
+    and the vocabularies the date and state codes index."""
 
-    profile: np.ndarray  # uint8 `pack` code of band, gender and outcomes
+    profile: np.ndarray  # uint8 (band·3 + gender)·4 + hospitalized + 2·died
     date: np.ndarray  # uint16 index into date_vocab
     state: np.ndarray  # uint8 index into state_vocab, NO_STATE if none
+    count: np.ndarray  # uint32 cases in the cell, at least 1
     date_vocab: np.ndarray  # int32 days since EPOCH, distinct
     state_vocab: np.ndarray  # state codes (str), in first-seen order
 
@@ -68,35 +66,56 @@ class CaseColumns:
             if n > limit:
                 raise SchemaError(f"more than {limit:,} distinct {what}: too many to store")
 
-    def __len__(self) -> int:
-        return len(self.profile)
+    @classmethod
+    def of_cells(cls, cells, date_vocab, state_vocab) -> CaseColumns:
+        """The columns of `count_cells`'s (keys, counts)."""
+        key, count = cells
+        joint, state = np.divmod(key, 1 << 8)
+        date, profile = np.divmod(joint, PROFILES)
+        # a code past its column's dtype wraps, and __post_init__ refuses it
+        return cls(profile.astype(np.uint8), date.astype(np.uint16),
+                   state.astype(np.uint8), count, date_vocab, state_vocab)
 
     def state_codes(self, names: Iterable[str]) -> np.ndarray:
         """Codes of the named states present in the vocabulary."""
         return np.flatnonzero(np.isin(self.state_vocab, list(names)))
 
 
-# dtypes of the CaseColumns fields before the vocabularies, in field order
-COLUMN_DTYPES = (np.uint8, np.uint16, np.uint8)
+NO_CELLS = (np.zeros(0, np.int32), np.zeros(0, np.uint32))  # `count_cells` of no case
+
+
+def count_cells(cells, date, state, band, gender, hospitalized, died):
+    """`cells`, sorted int32 keys and their uint32 counts, with one case
+    counted in per entry of the code arrays. A cell's key is (date ·
+    PROFILES + profile) · 256 + state, below 2**31 while the codes are in
+    their columns' ranges. The arrays of `cells` may be updated in place."""
+    joint = ((date.astype(np.int64) * len(ALL_AGE_BANDS) + band) * len(GENDERS)
+             + gender) * 4 + hospitalized + 2 * died
+    new, n = np.unique((joint << 8 | state).astype(np.int32), return_counts=True)
+    key, count = cells
+    at = np.searchsorted(key, new)
+    old = at < len(key)
+    old[old] = key[at[old]] == new[old]
+    count[at[old]] += n[old].astype(np.uint32)
+    if old.all():
+        return key, count
+    return np.insert(key, at[~old], new[~old]), np.insert(count, at[~old], n[~old])
 
 
 def as_columns(records: Iterable[LineRecord] | CaseColumns) -> CaseColumns:
-    """Columns of already-normalized records; columns pass through. This
-    lets record-level entry points share the columnar implementation."""
+    """The cells of already-normalized records; cells pass through. This
+    lets record-level entry points share the implementation on cells."""
     if isinstance(records, CaseColumns):
         return records
     records = list(records)
     date_code = {d: i for i, d in enumerate(dict.fromkeys(r.event_date for r in records))}
     state_code = {s: i for i, s in enumerate(
         dict.fromkeys(r.state for r in records if r.state))}
-    # a code past its column's dtype wraps, as in ingest, and CaseColumns refuses it
     cells = np.array([(BAND_INDEX[r.age_band], GENDER_INDEX[r.gender], r.hospitalized,
                        r.died, date_code[r.event_date], state_code.get(r.state, NO_STATE))
                       for r in records], np.intp).reshape(-1, 6)
-    return CaseColumns(
-        profile=pack(*cells[:, :4].T),
-        date=cells[:, 4].astype(np.uint16),
-        state=cells[:, 5].astype(np.uint8),
+    return CaseColumns.of_cells(
+        count_cells(NO_CELLS, cells[:, 4], cells[:, 5], *cells[:, :4].T),
         date_vocab=np.array([day_index(d) for d in date_code], np.int32),
         state_vocab=np.array(list(state_code), dtype=str),
     )

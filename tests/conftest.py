@@ -8,6 +8,7 @@ import pytest
 
 from hfrtrend import LineRecord
 from hfrtrend.records import AGE_BANDS, ALL_AGE_BANDS, GENDERS
+from hfrtrend.store import PROFILES
 
 
 @pytest.fixture
@@ -36,13 +37,31 @@ def make_records(rng, n, start=dt.date(2020, 4, 1), span_days=60, states=None):
 
 
 def unpack(cases):
-    """Per-case fields of store columns, decoded apart from the store:
-    days since 1970-01-01 (int32), band and gender indices (uint8), and
-    the two outcomes (bool)."""
+    """Per-case fields of the store's cells, decoded apart from the store,
+    each cell repeated by its count: days since 1970-01-01 (int32), band
+    and gender indices (uint8), the two outcomes (bool) and the state code."""
     band_gender, outcome = np.divmod(cases.profile, 4)
     band, gender = np.divmod(band_gender, len(GENDERS))
-    return {"day": cases.date_vocab[cases.date], "band": band, "gender": gender,
-            "hospitalized": outcome % 2 == 1, "died": outcome >= 2}
+    fields = {"day": cases.date_vocab[cases.date], "band": band, "gender": gender,
+              "hospitalized": outcome % 2 == 1, "died": outcome >= 2, "state": cases.state}
+    return {name: np.repeat(field, cases.count) for name, field in fields.items()}
+
+
+def assert_distinct_cells(cases):
+    """The store's cells are distinct, in key order, and each holds a case."""
+    key = (cases.date.astype(np.int64) * PROFILES + cases.profile) * 256 + cases.state
+    assert (np.diff(key) > 0).all() and (cases.count > 0).all()
+
+
+def case_records(cases):
+    """The cases of the store's cells as LineRecords, one per case, in
+    cell order: compare them with records as a multiset."""
+    states = dict(enumerate(cases.state_vocab.tolist()))  # no name for NO_STATE
+    epoch = dt.date(1970, 1, 1)
+    return [LineRecord(epoch + dt.timedelta(days=day), ALL_AGE_BANDS[band],
+                       GENDERS[gender], hospitalized, died, states.get(state))
+            for day, band, gender, hospitalized, died, state in zip(
+                *(field.tolist() for field in unpack(cases).values()))]
 
 
 _CRITERION_RE = re.compile(r"test_criterion_(\d+)")

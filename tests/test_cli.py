@@ -835,7 +835,8 @@ class TestVocabularyLimits:
             return
         assert code == EXIT_OK
         cases, _ = load_store(out / "store.npz")
-        assert len(cases) == MAX_DATES == 65_536
+        assert len(cases.count) == MAX_DATES == 65_536
+        assert cases.count.tolist() == [1] * MAX_DATES
         assert cases.date.tolist() == list(range(MAX_DATES))
         assert [day_date(d) for d in cases.date_vocab] == days
 
@@ -858,6 +859,7 @@ class TestVocabularyLimits:
         cases, _ = load_store(out / "store.npz")
         assert MAX_STATES == NO_STATE == 255
         assert cases.state.tolist() == [*range(MAX_STATES), NO_STATE]
+        assert cases.count.tolist() == [1] * (MAX_STATES + 1)
         assert cases.state_vocab.tolist() == states
 
 

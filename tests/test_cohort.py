@@ -1,6 +1,7 @@
 """Cohort aggregation against a brute-force nested-loop oracle."""
 
 import datetime as dt
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hfrtrend import LineRecord, StratumKey, build_cohort_table
 from hfrtrend.cohort import (
     AGGREGATE,
     ALL_GENDERS,
-    COUNT_SLICE,
     SIGNALS,
     CohortTable,
     demographics_text,
@@ -48,19 +48,22 @@ def oracle_counts(records, start, end, bands, genders):
 
 
 def oracle_mask(cases, window, maturity_days, data_vintage, excluded_states):
-    """The whole-array cohort mask: in the window, at least `maturity_days`
-    before the vintage, outside the excluded states."""
+    """The whole-array cohort mask of the cases the cells expand to: in the
+    window, at least `maturity_days` before the vintage, outside the
+    excluded states."""
     start, end = window
     last = min(end, data_vintage - dt.timedelta(days=maturity_days))
-    day = unpack(cases)["day"]
+    fields = unpack(cases)
+    day = fields["day"]
     mask = (day >= day_index(start)) & (day <= day_index(last))
     if excluded_states:
-        mask &= ~np.isin(cases.state, cases.state_codes(excluded_states))
+        mask &= ~np.isin(fields["state"], cases.state_codes(excluded_states))
     return mask
 
 
 def oracle_table(cases, start, end, mask=None):
-    """The whole-array count: masked column copies, one bincount per signal."""
+    """The whole-array count of the cases the cells expand to: masked
+    per-case copies, one bincount per signal."""
     n_days = (end - start).days + 1
     fields = unpack(cases)
     day = fields["day"] - np.int32(day_index(start))
@@ -79,15 +82,20 @@ def oracle_table(cases, start, end, mask=None):
 
 
 def random_columns(rng, n, vocab=("FL", "NJ", "NY")):
-    """n random cases dated from 10 days before START to 70 after it, in
-    a shuffled date vocabulary, every profile (band, gender, hospitalized
-    and died) equally likely, a quarter of them without a state."""
+    """n distinct random cells, in no order, of 1 to 4 cases each, dated
+    from 10 days before START to 70 after it in a shuffled date vocabulary,
+    every profile (band, gender, hospitalized and died) equally likely, a
+    quarter of them without a state."""
     first = day_index(START)
-    state = rng.integers(0, len(vocab) + 1, n)
+    n_states = len(vocab) + 1
+    date, rest = np.divmod(rng.choice(80 * PROFILES * n_states, n, replace=False),
+                           PROFILES * n_states)
+    profile, state = np.divmod(rest, n_states)
     return CaseColumns(
-        profile=rng.integers(0, PROFILES, n).astype(np.uint8),
-        date=rng.integers(0, 80, n).astype(np.uint16),
+        profile=profile.astype(np.uint8),
+        date=date.astype(np.uint16),
         state=np.where(state < len(vocab), state, NO_STATE).astype(np.uint8),
+        count=rng.integers(1, 5, n).astype(np.uint32),
         date_vocab=rng.permutation(np.arange(first - 10, first + 70, dtype=np.int32)),
         state_vocab=np.array(vocab),
     )
@@ -229,10 +237,10 @@ class TestColumnarPath:
 
 
 class TestSlicedCount:
-    """The sliced one-pass count against the whole-array mask and count it
-    replaced, bitwise, around the slice edges."""
+    """The weighted count over the cells against the whole-array mask and
+    count of the cases they expand to, bitwise, from no cell to 16,385."""
 
-    LENGTHS = (0, 1, COUNT_SLICE - 1, COUNT_SLICE, COUNT_SLICE + 1)
+    LENGTHS = (0, 1, 16383, 16384, 16385)
     END = START + dt.timedelta(days=49)  # events run 10 days past it
 
     @pytest.mark.parametrize("n", LENGTHS)
@@ -263,30 +271,36 @@ class TestSlicedCount:
         assert got.array.tobytes() == expected.array.tobytes()
 
     def test_random_columns_reach_every_case(self):
-        cases = random_columns(np.random.default_rng(1), COUNT_SLICE + 1)
+        cases = random_columns(np.random.default_rng(1), 16385)
         fields = unpack(cases)
         day = fields["day"] - day_index(START)
         assert (day < 0).any() and (day > 49).any()  # outside on both sides
         assert (fields["died"] & ~fields["hospitalized"]).any()
         assert set(np.unique(cases.state)) == {NO_STATE, 0, 1, 2}
         assert set(np.unique(cases.profile)) == set(range(PROFILES))
-        # dates out of order in the vocabulary, and slices spanning it
+        assert set(np.unique(cases.count)) == {1, 2, 3, 4}
+        # dates out of order in the vocabulary, and every date a cell's
         assert (np.diff(cases.date_vocab) < 0).any()
-        assert np.ptp(cases.date[:COUNT_SLICE]) == 79
+        assert np.ptp(cases.date) == 79
 
-    def test_peak_memory_is_bounded_by_the_slice(self):
+    def test_peak_memory_does_not_grow_with_cases(self):
+        """The count's temporaries follow the cells: a thousand times the
+        cases in the same 30,000 cells peak no higher, under 2 MB."""
         import tracemalloc
 
-        cases = random_columns(np.random.default_rng(2), 1_000_000)
+        cells = random_columns(np.random.default_rng(2), 30_000)
         last = START + dt.timedelta(days=40)
-        tracemalloc.start()
-        try:
-            build_cohort_table(cases, START, self.END, last=last,
-                               excluded_states=["NJ"])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 2**20, peak
+        peaks = []
+        for cases_a_count in (1, 1000):
+            cases = replace(cells, count=cells.count * np.uint32(cases_a_count))
+            tracemalloc.start()
+            try:
+                build_cohort_table(cases, START, self.END, last=last,
+                                   excluded_states=["NJ"])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] < 2 * 2**20, peaks
 
 
 HAND_COUNTED = [

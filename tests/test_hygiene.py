@@ -257,11 +257,11 @@ def test_settable_values():
     configurations that tests must cover, so a change that moves this
     count says why."""
     assert sum(len(settable_values(path.read_text(encoding="utf-8")))
-               for path in MODULES) == 125
+               for path in MODULES) == 126
 
 
 def test_source_lines():
     """The package's lines, at most. A change that raises this ceiling
     says in CHANGES.md what the new lines pay for."""
     assert sum(len(path.read_text(encoding="utf-8").splitlines())
-               for path in PACKAGE.glob("*.py")) <= 2592
+               for path in PACKAGE.glob("*.py")) <= 2591

@@ -33,9 +33,9 @@ from hfrtrend.records import (
     normalize_record,
 )
 from hfrtrend.schemas import CDC_SCHEMA, FLORIDA_SCHEMA, SchemaError
-from hfrtrend.store import (COLUMN_DTYPES, NO_STATE, CaseColumns, as_columns, day_index,
+from hfrtrend.store import (NO_STATE, CaseColumns, as_columns, day_index,
                             load_store)
-from tests.conftest import make_records, unpack
+from tests.conftest import assert_distinct_cells, case_records, make_records, unpack
 from tests.test_cohort import oracle_counts
 
 FLORIDA_FIXTURE = """\
@@ -260,9 +260,10 @@ def oracle_parse(text, schema, use_alt_event_date=False):
     Python: every cell decoded on its own, one RawLineRecord per kept row,
     per-row report counts, then `normalize_record` per record.
 
-    Returns (raw records, CaseColumns, report, quarantine text). The
-    store's date codes are the file's: every valid date of a row with all
-    its fields, kept or not, in order of first appearance.
+    Returns (raw records, normalized records, date vocabulary, report,
+    quarantine text). The store's date codes are the file's: every valid
+    date of a row with all its fields, kept or not, in order of first
+    appearance.
     """
     date_col = (schema.alt_event_date_column if use_alt_event_date
                 else schema.event_date_column)
@@ -340,11 +341,8 @@ def oracle_parse(text, schema, use_alt_event_date=False):
         report.hospitalized_tallies[raw.hospitalized_raw] += 1
         report.died_tallies[raw.died_raw] += 1
         raws.append(raw)
-    cases = replace(
-        as_columns([normalize_record(r) for r in raws]),
-        date=np.array([file_dates[r.event_date] for r in raws], np.uint16),
-        date_vocab=np.array([day_index(d) for d in file_dates], np.int32))
-    return raws, cases, report, quarantine.getvalue()
+    return (raws, [normalize_record(r) for r in raws], list(file_dates), report,
+            quarantine.getvalue())
 
 
 MESSY_CDC = (
@@ -432,18 +430,19 @@ def _random_line_list(rng, schema, n_rows, plain=False):
 
 class TestColumnParser:
     """`parse_columns` and the record adapters against the row-at-a-time
-    oracle: equal columns, report and quarantine text."""
+    oracle: the same cases and vocabularies, report and quarantine text."""
 
     def check(self, text, schema, stream=None, **kwargs):
-        raws, want, want_report, want_quarantine = oracle_parse(
+        raws, want, dates, want_report, want_quarantine = oracle_parse(
             text, schema, **kwargs)
         report, quarantine = IngestReport(), io.StringIO()
         got = parse_columns(io.StringIO(text) if stream is None else stream,
                             schema, report, quarantine=quarantine, **kwargs)
-        for f in fields(CaseColumns):
-            a, b = getattr(got, f.name), getattr(want, f.name)
-            assert a.dtype == b.dtype, f.name
-            np.testing.assert_array_equal(a, b, err_msg=f.name)
+        assert_distinct_cells(got)
+        assert Counter(case_records(got)) == Counter(want)
+        assert got.date_vocab.tolist() == [day_index(d) for d in dates]
+        assert got.state_vocab.tolist() == list(
+            dict.fromkeys(r.state for r in want if r.state))
         assert report.as_dict() == want_report.as_dict()
         assert report.total_rows == report.kept_rows + sum(
             report.rejected_rows_by_reason.values())
@@ -476,8 +475,9 @@ class TestColumnParser:
         assert report.rejected_rows_by_reason["bad_date"] == 1  # and 3 more
 
     def test_parts_own_their_memory(self, monkeypatch):
-        """Each block's kept codes are copied into the columns, in the
-        store dtypes: no block's (8, n) code matrix outlives its block."""
+        """Each block's kept codes are counted into the store's cells: no
+        block's (8, n) code matrix outlives its block, and the cells take
+        the store's dtypes."""
         blocks = []
         decode_blocks = ingest._decode_blocks
 
@@ -492,14 +492,14 @@ class TestColumnParser:
         gc.collect()
         assert len(blocks) > 1
         assert all(ref() is None for ref in blocks)
-        assert COLUMN_DTYPES == (np.uint8, np.uint16, np.uint8)
-        for f, dtype in zip(fields(CaseColumns), (*COLUMN_DTYPES, np.int32)):
+        dtypes = (np.uint8, np.uint16, np.uint8, np.uint32, np.int32)
+        for f, dtype in zip(fields(CaseColumns), dtypes):
             assert getattr(got, f.name).dtype == dtype, f.name
 
     def test_states_keep_their_full_codes(self):
         got = parse_columns(io.StringIO(MESSY_CDC), CDC_SCHEMA, IngestReport())
         assert got.state_vocab.tolist() == ["NYC", "NY", "TX"]
-        assert (got.state == NO_STATE).sum() == 1
+        assert got.count[got.state == NO_STATE].sum() == 1
 
     def test_gzip_through_a_pipe(self):
         text = MESSY_CDC + "".join(MESSY_CDC.splitlines(True)[1:]) * 20
@@ -629,13 +629,13 @@ class TestFractionalAges:
             "2020-04-01, 54 ,Male,NO,NO\n"
             "2020-04-01,+54.0,Male,NO,NO\n")
     REJECTED = {"bad_age": 12}
-    BANDS = ["0-9", "80+", "50-59", "50-59"]
+    BANDS = ["0-9", "50-59", "50-59", "80+"]
 
     def test_parse_columns(self):
         report = IngestReport()
         cases = parse_columns(io.StringIO(self.TEXT), FLORIDA_SCHEMA, report)
         assert report.rejected_rows_by_reason == self.REJECTED
-        assert [ALL_AGE_BANDS[b] for b in unpack(cases)["band"]] == self.BANDS
+        assert sorted(ALL_AGE_BANDS[b] for b in unpack(cases)["band"]) == self.BANDS
 
     def test_parse_florida_lines(self):
         records, report = parse_florida_lines(io.StringIO(self.TEXT))
@@ -650,7 +650,7 @@ class TestFractionalAges:
         assert report["kept_rows"] == 4
         assert report["rejected_rows_by_reason"] == self.REJECTED
         cases, _ = load_store(tmp_path / "store.npz")
-        assert [ALL_AGE_BANDS[b] for b in unpack(cases)["band"]] == self.BANDS
+        assert sorted(ALL_AGE_BANDS[b] for b in unpack(cases)["band"]) == self.BANDS
 
 
 class TestFilterCohort:
@@ -900,11 +900,14 @@ class TestLoadTestingSeries:
         path.write_text("date,positive,totalTestResults\n"
                         "2020-04-01,10,50\n"
                         "2020-04-02, 12 ,60.0\n"
-                        "2020-04-03,12.0,\n")
+                        "2020-04-03,12.0,\n"
+                        "2020-04-04,  ,70\n")
         report = IngestReport()
         start, positives, tests = load_testing_series(path, cumulative, report)
-        # the empty cell reads as 0 tests, so day three's positives clamp to 0
-        expected = ([10, 2, 0], [50, 10, 0]) if cumulative else ([10, 12, 0], [50, 60, 0])
+        # an empty or blank cell reads as 0, so day three's positives clamp
+        # to 0 tests; day four has 70 tests and no positive
+        expected = (([10, 2, 0, 0], [50, 10, 0, 70]) if cumulative
+                    else ([10, 12, 0, 0], [50, 60, 0, 70]))
         assert (positives.tolist(), tests.tolist()) == expected
         assert report.rejected_rows_by_reason == {}
 

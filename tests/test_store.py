@@ -3,6 +3,7 @@
 import datetime as dt
 import itertools
 import zipfile
+from collections import Counter
 from dataclasses import fields
 
 import numpy as np
@@ -12,7 +13,6 @@ from hfrtrend import LineRecord
 from hfrtrend.records import ALL_AGE_BANDS, GENDERS
 from hfrtrend.schemas import SchemaError
 from hfrtrend.store import (
-    COLUMN_DTYPES,
     MAX_DATES,
     MAX_STATES,
     NO_STATE,
@@ -26,36 +26,27 @@ from hfrtrend.store import (
     save_store,
     write_npz,
 )
-from tests.conftest import make_records, unpack
-
-
-def _state_names(cases):
-    return [None if c == NO_STATE else str(cases.state_vocab[c]) for c in cases.state]
+from tests.conftest import assert_distinct_cells, case_records, make_records
 
 
 class TestStore:
     def test_round_trip_preserves_records(self, rng, tmp_path):
-        records = make_records(rng, 200, states=["FL", "NJ", "NYC", "NY", None])
+        records = make_records(rng, 2000, span_days=10,
+                               states=["FL", "NJ", "NYC", "NY", None])
         path = tmp_path / "store.npz"
         save_store(path, as_columns(records), meta={"schema": "florida"})
         cases, meta = load_store(path)
-        assert len(cases) == 200
         assert meta == {"schema": "florida"}
-        assert COLUMN_DTYPES == (np.uint8, np.uint16, np.uint8)
-        assert [getattr(cases, f.name).dtype for f in fields(CaseColumns)][:4] == [
-            np.uint8, np.uint16, np.uint8, np.int32]
-        got = unpack(cases)
-        assert [day_date(d) for d in got["day"]] == [r.event_date for r in records]
-        assert [ALL_AGE_BANDS[b] for b in got["band"]] == [
-            r.age_band for r in records
-        ]
-        assert [GENDERS[g] for g in got["gender"]] == [r.gender for r in records]
-        assert got["hospitalized"].tolist() == [r.hospitalized for r in records]
-        assert got["died"].tolist() == [r.died for r in records]
-        assert _state_names(cases) == [r.state for r in records]
+        assert [getattr(cases, f.name).dtype for f in fields(CaseColumns)][:5] == [
+            np.uint8, np.uint16, np.uint8, np.uint32, np.int32]
+        assert Counter(case_records(cases)) == Counter(records)
+        assert_distinct_cells(cases)
+        assert cases.count.sum() == 2000 > len(cases.count)
         # vocabularies are distinct, in first-seen order
         assert [day_date(d) for d in cases.date_vocab] == list(
             dict.fromkeys(r.event_date for r in records))
+        assert cases.state_vocab.tolist() == list(
+            dict.fromkeys(r.state for r in records if r.state))
 
     def test_every_profile_round_trips(self):
         """All 120 (band, gender, hospitalized, died) combinations pack to
@@ -65,11 +56,8 @@ class TestStore:
         assert len(combos) == PROFILES == 120
         records = [LineRecord(dt.date(2020, 4, 1), *c) for c in combos]
         cases = as_columns(records)
-        assert sorted(cases.profile.tolist()) == list(range(PROFILES))
-        got = unpack(cases)
-        assert list(zip([ALL_AGE_BANDS[b] for b in got["band"]],
-                        [GENDERS[g] for g in got["gender"]],
-                        got["hospitalized"].tolist(), got["died"].tolist())) == combos
+        assert cases.profile.tolist() == list(range(PROFILES))
+        assert Counter(case_records(cases)) == Counter(records)
 
     @pytest.mark.parametrize("what, limit", [("event dates", MAX_DATES),
                                              ("states", MAX_STATES)])
@@ -80,7 +68,7 @@ class TestStore:
         records = [LineRecord(first + dt.timedelta(days=i * dates), "0-9", "female",
                               False, False, None if dates else f"S{i}")
                    for i in range(limit + 1)]
-        assert len(as_columns(records[:limit])) == limit
+        assert as_columns(records[:limit]).count.sum() == limit
         with pytest.raises(SchemaError, match=f"^more than {limit:,} distinct {what}:"):
             as_columns(records)
 
@@ -90,14 +78,15 @@ class TestStore:
         assert sorted(cases.state_vocab.tolist()) == ["FL", "NY", "NYC"]
         (code,) = cases.state_codes(["NYC", "TX"])
         assert cases.state_vocab[code] == "NYC"
-        assert (cases.state == code).sum() == sum(r.state == "NYC" for r in records)
+        assert cases.count[cases.state == code].sum() == sum(
+            r.state == "NYC" for r in records)
 
     def test_empty_store(self, tmp_path):
         path = tmp_path / "store.npz"
         save_store(path, as_columns([]), meta={})
         cases, meta = load_store(path)
         assert meta == {}
-        assert len(cases) == 0
+        assert cases.count.size == 0
         assert cases.state_vocab.size == 0
 
     def test_version_check(self, tmp_path):
@@ -108,14 +97,14 @@ class TestStore:
         with pytest.raises(ValueError, match="version"):
             load_store(path)
 
-    @pytest.mark.parametrize("version", [1, 2, None])
+    @pytest.mark.parametrize("version", [1, 2, 3, None])
     def test_old_or_unversioned_store_rejected(self, tmp_path, version):
         path = tmp_path / "store.npz"
         payload = {"meta_json": np.str_("{}")}
         if version is not None:
             payload["version"] = np.int64(version)
         np.savez_compressed(path, **payload)
-        with pytest.raises(ValueError, match=f"store version {version}"):
+        with pytest.raises(ValueError, match=f"store version {version} .*re-run ingest$"):
             load_store(path)
 
 
