@@ -22,9 +22,9 @@ _EXPORTS = {
         "summarize_demographics",
     ),
     "signals": (
-        "RateSeries", "TimeSeries", "age_distribution_shares", "cfr_series",
+        "RateSeries", "TimeSeries", "age_distribution_shares",
         "gender_fraction_series", "hfr_series", "positive_test_rate",
-        "trailing_average_7d",
+        "rate_series", "trailing_average_7d",
     ),
     "trend": (
         "BootstrapConfig", "DropEstimate", "InsufficientDataError",

@@ -227,14 +227,10 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[int, dict]:
         fh.write(cohort_mod.demographics_text(demo) + "\n")
     _write_json(out_dir / "demographics.json", demo)
 
-    for name in ("aggregate", *AGE_BANDS):
-        stratum = cohort_mod.StratumKey(name, "all")
-        signals_mod.cfr_series(table, stratum).write_long_csv(
-            out_dir / f"cfr_{name}.csv", stratum=name
-        )
-        signals_mod.hfr_series(table, stratum).write_long_csv(
-            out_dir / f"hfr_{name}.csv", stratum=name
-        )
+    for rate in signals_mod.RATES:
+        for name in ("aggregate", *AGE_BANDS):
+            series = signals_mod.rate_series(table, rate, cohort_mod.StratumKey(name))
+            series.write_long_csv(out_dir / f"{rate}_{name}.csv", stratum=name)
 
     for signal in ("cases", "hosp", "deaths"):
         signals_mod.write_band_csv(out_dir / f"age_shares_{signal}.csv",
@@ -279,7 +275,7 @@ def cmd_bootstrap(args: argparse.Namespace) -> tuple[int, dict | None]:
     tables = {pair: [] for pair in date_pairs}
     dash_cells = []  # why each "-" row is one, for the manifest
     for name in TABLE_BANDS:
-        series = signals_mod.hfr_series(table, StratumKey(name, args.gender))
+        series = signals_mod.rate_series(table, "hfr", StratumKey(name, args.gender))
         try:
             reps = trend_mod.build_replicates(
                 trend_mod.fit_smoothing_spline(series), config,
@@ -301,8 +297,8 @@ def cmd_bootstrap(args: argparse.Namespace) -> tuple[int, dict | None]:
                 continue
             rows.append([name, *(_interval_text(c.median, c.lower, c.upper)
                                  for c in (*result.levels, result.drops[0]))])
-    for (d_old, d_new), rows in tables.items():
-        _write_drop_table(out_dir, d_old, d_new, rows)
+    for (d_old, d_new), rows in tables.items():  # every band's series is one kind
+        _write_drop_table(out_dir, series.kind, d_old, d_new, rows)
     stats = {
         "date_pairs": [[a.isoformat(), b.isoformat()] for a, b in date_pairs],
         "dash_cells": dash_cells,
@@ -314,22 +310,22 @@ def cmd_bootstrap(args: argparse.Namespace) -> tuple[int, dict | None]:
     return EXIT_OK, stats
 
 
-def _write_drop_table(out_dir: Path, d_old: dt.date, d_new: dt.date,
+def _write_drop_table(out_dir: Path, kind: str, d_old: dt.date, d_new: dt.date,
                       rows: list[list[str]]) -> None:
     from .store import write_csv
 
-    tag = f"{d_old.strftime('%m-%d')}_to_{d_new.strftime('%m-%d')}"
+    stem = f"{kind}_drop_{d_old.strftime('%m-%d')}_to_{d_new.strftime('%m-%d')}"
     header = [
         "age_group",
         d_old.isoformat(),
         d_new.isoformat(),
         f"{d_old.strftime('%m-%d')} to {d_new.strftime('%m-%d')}",
     ]
-    write_csv(out_dir / f"hfr_drop_{tag}.csv", header, rows)
+    write_csv(out_dir / f"{stem}.csv", header, rows)
     widths = [
         max(len(str(r[i])) for r in [header] + rows) for i in range(len(header))
     ]
-    with open(out_dir / f"hfr_drop_{tag}.txt", "w", encoding="utf-8") as fh:
+    with open(out_dir / f"{stem}.txt", "w", encoding="utf-8") as fh:
         for row in [header] + rows:
             fh.write("  ".join(str(c).ljust(w) for c, w in zip(row, widths)).rstrip())
             fh.write("\n")

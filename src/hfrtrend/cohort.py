@@ -147,7 +147,7 @@ def build_cohort_table(
     n_kept = n_days if last is None else min(n_days, (last - start).days + 1)
     day = cases.date_vocab[cases.date] - np.int32(day_index(start))
     kept = (day >= 0) & (day < n_kept)
-    if excluded_states := list(excluded_states):  # np.isin on strings imports numpy.ma
+    if excluded_states := list(excluded_states):  # np.isin on an empty vocab imports numpy.ma
         kept &= ~np.isin(cases.state, cases.state_codes(excluded_states))
     joint = np.bincount(day[kept] * PROFILES + cases.profile[kept], cases.count[kept],
                         n_days * PROFILES)  # float, so exact below 2**53 cases

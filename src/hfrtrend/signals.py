@@ -60,9 +60,9 @@ class RateSeries:
     series: TimeSeries
     numerator_support: np.ndarray
     denominator_support: np.ndarray
-    kind: str  # {cfr, hfr, pos_test_rate, share}
+    kind: str  # a RATES name, or pos_test_rate
 
-    def write_long_csv(self, path, stratum: str = "aggregate") -> None:
+    def write_long_csv(self, path, stratum: str) -> None:
         ts = self.series
         write_csv(
             path, ["date", "stratum", "value", "num_support", "den_support", "gap"],
@@ -115,30 +115,33 @@ def trailing_average_7d(raw: TimeSeries) -> TimeSeries:
 
 
 def _rate(start: dt.date, numerator, denominator, kind: str,
-          min_window_numerator: int = 0) -> RateSeries:
+          floored=None, floor: int = 0) -> RateSeries:
     """Smoothed numerator over smoothed denominator, also gap-marked
-    where the numerator's 7-day total is below `min_window_numerator`."""
+    where the 7-day total of the `floored` counts is below `floor`."""
     sums, gaps = _window_sums(np.stack([numerator, denominator]))
     num, den = sums / WINDOW
-    gaps = gaps | (sums[0] < min_window_numerator)
+    if floored is not None:
+        gaps = gaps | (_window_sums(floored)[0] < floor)
     return RateSeries(_ratio(start, num, den, gaps), num, den, kind)
 
 
-def cfr_series(table: CohortTable, stratum: StratumKey = StratumKey()) -> RateSeries:
-    """Cohort CFR: smoothed eventual deaths over smoothed cases."""
-    counts = table.counts(stratum)
-    return _rate(table.start, counts[:, 2], counts[:, 0], "cfr")
+# Each cohort rate: its numerator and denominator `SIGNALS`, and the signal
+# (if any) whose 7-day total below the table's `min_deaths` marks a gap day.
+RATES = {
+    "cfr": ("deaths", "cases", None),
+    "hfr": ("hosp_and_died", "hosp", "hosp_and_died"),
+}
+
+
+def rate_series(table: CohortTable, name: str, stratum: StratumKey) -> RateSeries:
+    """The `RATES` entry `name` of a stratum, as a series of kind `name`."""
+    numerator, denominator, floored = (
+        table.signal(stratum, signal) if signal else None for signal in RATES[name])
+    return _rate(table.start, numerator, denominator, name, floored, table.min_deaths)
 
 
 def hfr_series(table: CohortTable, stratum: StratumKey = StratumKey()) -> RateSeries:
-    """Cohort HFR: smoothed hospitalized-and-died over smoothed
-    eventual hospitalizations.
-
-    Dates whose trailing 7-day hospitalized-and-died total is below the
-    table's `min_deaths` are gap-marked (inadequate support).
-    """
-    counts = table.counts(stratum)
-    return _rate(table.start, counts[:, 3], counts[:, 1], "hfr", table.min_deaths)
+    return rate_series(table, "hfr", stratum)
 
 
 def positive_test_rate(start: dt.date, positives, tests) -> RateSeries:

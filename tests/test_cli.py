@@ -31,6 +31,7 @@ from hfrtrend.cli import (
     main,
 )
 from hfrtrend.cohort import StratumKey
+from hfrtrend.records import AGE_BANDS
 from hfrtrend.store import (MAX_DATES, MAX_STATES, NO_STATE, day_date, load_store,
                             save_store, write_npz)
 
@@ -81,6 +82,22 @@ class TestPipelineOutputs:
         demo = json.loads((d / "demographics.json").read_text())
         assert demo["total_cases"] == demo["died_yes"] + demo["died_no"]
         assert demo["age_counts"]["50-59"] == demo["total_cases"]
+
+    def test_analyze_writes_each_rate_of_each_stratum(self, pipeline_dirs, tmp_path):
+        """One {rate}_{stratum}.csv per `RATES` entry and stratum, each the
+        series `rate_series` reads off the saved cohort table."""
+        d = pipeline_dirs["analyzed"]
+        table = _load_cohort_npz(d / "cohort_table.npz")
+        strata = ("aggregate", *AGE_BANDS)
+        written = [p.name for rate in signals.RATES for p in d.glob(f"{rate}_*.csv")]
+        assert sorted(written) == sorted(f"{rate}_{name}.csv"
+                                         for rate in signals.RATES for name in strata)
+        for rate in signals.RATES:
+            for name in strata:
+                expected = tmp_path / f"{rate}_{name}.csv"
+                signals.rate_series(table, rate, StratumKey(name)).write_long_csv(
+                    expected, stratum=name)
+                assert filecmp.cmp(d / expected.name, expected, shallow=False), name
 
     def test_bootstrap_table_has_all_strata_rows(self, pipeline_dirs):
         d = pipeline_dirs["boot"]

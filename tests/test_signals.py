@@ -2,6 +2,7 @@
 
 import dataclasses
 import datetime as dt
+import itertools
 
 import numpy as np
 import pytest
@@ -12,13 +13,14 @@ from hfrtrend import LineRecord, StratumKey, build_cohort_table
 from hfrtrend.cohort import ALL_GENDERS, SIGNALS, CohortTable
 from hfrtrend.records import AGE_BANDS, ALL_AGE_BANDS, GENDERS
 from hfrtrend.signals import (
+    RATES,
     RateSeries,
     TimeSeries,
     age_distribution_shares,
-    cfr_series,
     gender_fraction_series,
     hfr_series,
     positive_test_rate,
+    rate_series,
     trailing_average_7d,
     write_band_csv,
 )
@@ -124,7 +126,7 @@ def _uniform_rows(n_days, per_day, hosp_every=2, die_every=4):
 class TestRateSeries:
     def test_cfr_is_ratio_of_smoothed_counts(self):
         table = _table(_uniform_rows(20, 8))
-        series = cfr_series(table, StratumKey())
+        series = rate_series(table, "cfr", StratumKey())
         counts = table.counts(StratumKey())
         num, num_gaps = oracle_trailing_average(
             counts[:, 2].astype(float), np.zeros(20, dtype=bool)
@@ -138,12 +140,12 @@ class TestRateSeries:
 
     def test_constant_process_gives_constant_rate(self):
         table = _table(_uniform_rows(30, 8))
-        cfr = cfr_series(table)
-        ok = ~cfr.series.gaps
-        assert np.allclose(cfr.series.values[ok], 2 / 8)
-        hfr = hfr_series(table)
-        ok = ~hfr.series.gaps
-        assert np.allclose(hfr.series.values[ok], 0.5)
+        expected = {"cfr": 2 / 8, "hfr": 0.5}
+        assert list(RATES) == list(expected)
+        for name, rate in expected.items():
+            series = rate_series(table, name, StratumKey())
+            ok = ~series.series.gaps
+            assert ok.any() and np.allclose(series.series.values[ok], rate)
 
     def test_rates_bounded_in_unit_interval(self, rng):
         rows = []
@@ -154,7 +156,8 @@ class TestRateSeries:
                 rows.append((d, "50-59", "female", hosp, died))
         rows.append((0, "50-59", "female", False, False))
         table = _table(rows)
-        for series in (cfr_series(table), hfr_series(table)):
+        for name in RATES:
+            series = rate_series(table, name, StratumKey())
             ok = ~series.series.gaps
             assert np.all(series.series.values[ok] >= 0)
             assert np.all(series.series.values[ok] <= 1)
@@ -184,12 +187,12 @@ class TestRateSeries:
     def test_zero_denominator_is_gap_not_zero(self):
         rows = [(d, "50-59", "female", True, True) for d in range(10)]
         table = _table(rows)
-        series = cfr_series(table, StratumKey("0-9", "all"))
-        assert series.series.gaps.all()
+        for name in RATES:
+            assert rate_series(table, name, StratumKey("0-9", "all")).series.gaps.all()
 
     def test_long_csv_gap_rows_have_empty_value(self, tmp_path):
         table = _table(_uniform_rows(10, 8))
-        series = cfr_series(table)
+        series = rate_series(table, "cfr", StratumKey())
         path = tmp_path / "cfr.csv"
         series.write_long_csv(path, stratum="aggregate")
         lines = path.read_text().strip().splitlines()
@@ -247,7 +250,8 @@ def oracle_rate(numerator, denominator, extra_gaps=None):
     return np.where(gaps, 0.0, num.values / safe), gaps, num.values, den.values
 
 
-def oracle_cfr(table, stratum):
+def oracle_cfr(table, stratum, min_deaths):
+    """The CFR floors no day, whatever the table's `min_deaths`."""
     counts = table.counts(stratum)
     return oracle_rate(counts[:, 2], counts[:, 0])
 
@@ -259,6 +263,9 @@ def oracle_hfr(table, stratum, min_deaths):
         [counts[t - 6 : t + 1, 3].sum() if t >= 6 else 0 for t in range(n)]
     )
     return oracle_rate(counts[:, 3], counts[:, 1], window_deaths < min_deaths)
+
+
+RATE_ORACLES = {"cfr": oracle_cfr, "hfr": oracle_hfr}
 
 
 def oracle_shares(table, signal):
@@ -324,15 +331,16 @@ class TestAgainstPerSeriesOracles:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_cfr_and_hfr(self, seed):
+        assert list(RATES) == list(RATE_ORACLES)
         table = random_table(seed)
-        for stratum in STRATA:
-            cases = [(cfr_series(table, stratum), oracle_cfr(table, stratum))]
-            cases += [(hfr_series(dataclasses.replace(table, min_deaths=k), stratum),
-                       oracle_hfr(table, stratum, k)) for k in (0, 2, 5)]
-            for series, (values, gaps, num, den) in cases:
-                assert_same_on_defined_days(series.series, values, gaps)
-                assert series.numerator_support.tobytes() == num.tobytes()
-                assert series.denominator_support.tobytes() == den.tobytes()
+        for stratum, k, (name, oracle) in itertools.product(
+                STRATA, (0, 2, 5), RATE_ORACLES.items()):
+            series = rate_series(dataclasses.replace(table, min_deaths=k), name, stratum)
+            values, gaps, num, den = oracle(table, stratum, k)
+            assert series.kind == name
+            assert_same_on_defined_days(series.series, values, gaps)
+            assert series.numerator_support.tobytes() == num.tobytes()
+            assert series.denominator_support.tobytes() == den.tobytes()
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_shares_and_fractions(self, seed):
